@@ -7,6 +7,7 @@ failure. All floating-point output uses shortest round-trip formatting
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,16 +33,41 @@ def _parse_pair(text: str, what: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"{what} must be two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    pair = float(parts[0]), float(parts[1])
+    if not all(map(math.isfinite, pair)):
+        raise ValueError(f"{what} must be finite, got {text!r}")
+    return pair
 
 
 def _parse_L_list(text: str):
     values = tuple(float(p) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError("expected at least one L value")
-    if any(L <= 0 for L in values):
-        raise ValueError("L values must be positive")
+    if not all(math.isfinite(L) and L > 0 for L in values):
+        raise ValueError("L values must be finite and positive")
     return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
 
 
 def _write_lines(lines, out_path):
@@ -222,9 +248,22 @@ def cmd_gauss_bonnet(args) -> int:
         payload["residual_tolerance"] = tol * scale
         payload["residual_ok"] = bool(abs(report.residual) <= tol * scale)
     _write_lines([json.dumps(payload, indent=2)], args.out)
-    if payload.get("residual_ok") is False:
+    unconverged = _unconverged_parts(report)
+    if unconverged:
+        print(f"numerical error: quadrature did not converge: {', '.join(unconverged)}",
+              file=sys.stderr)
+    if payload.get("residual_ok") is False or unconverged:
         return EXIT_NUMERICAL
     return EXIT_OK
+
+
+def _unconverged_parts(report) -> list:
+    parts = [] if report.area.converged else ["area integral"]
+    parts += [f"boundary curve {i}" for i, res in enumerate(report.boundary)
+              if not res.converged]
+    parts += [f"finite-L row at L = {_fmt(row.L)}" for row in report.finite_rows
+              if not row.converged]
+    return parts
 
 
 def _sample_region_points(region, n, rng):
@@ -308,19 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("frame-report", cmd_frame_report,
             "structure functions and connection forms at a surface point")
     p.add_argument("--uv", required=True, help="surface parameters, e.g. 1.0,0.0")
-    p.add_argument("--L", type=float, default=1.0, help="metric parameter (default 1.0)")
+    p.add_argument("--L", type=_finite_float, default=1.0, help="metric parameter (default 1.0)")
 
     p = add("curvature", cmd_curvature,
             "K_L, the limit K, and the Gauss-equation decomposition at a point")
     p.add_argument("--uv", required=True, help="surface parameters, e.g. 1.0,0.0")
-    p.add_argument("--L", type=float, default=100.0, help="metric parameter (default 100.0)")
+    p.add_argument("--L", type=_finite_float, default=100.0, help="metric parameter (default 100.0)")
 
     p = add("sweep", cmd_sweep, "CSV convergence sweep over an L grid")
     p.add_argument("--L", default=None, help="comma-separated L grid (default: scene L_grid)")
     p.add_argument("--quantity", choices=("K", "kn"), default="K")
     p.add_argument("--uv", default=None, help="surface parameters for --quantity K")
     p.add_argument("--curve", type=int, default=0, help="boundary curve index for --quantity kn")
-    p.add_argument("--t", type=float, default=None, help="curve parameter for --quantity kn")
+    p.add_argument("--t", type=_finite_float, default=None, help="curve parameter for --quantity kn")
 
     p = add("gauss-bonnet", cmd_gauss_bonnet,
             "JSON Gauss-Bonnet report with the finite-L table")
@@ -329,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle-check", cmd_oracle_check,
             "max discrepancies against the independent oracles")
     p.add_argument("--L", default="1,10,100", help="comma-separated L values")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6, help="worst allowed gap")
+    p.add_argument("--tol", type=_finite_float, default=1e-6, help="worst allowed gap")
 
     return parser
 

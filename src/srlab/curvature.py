@@ -418,26 +418,33 @@ def normal_curvature_limit(model, patch, curve, t):
     return np.sign(_v(cg.y)) * _v(cg.A)
 
 
-def normal_curvature_L(model, patch, curve, t, L: float, cg: CurveGeometry = None):
-    """Signed curvature of the curve in the surface under the L metric.
+def normal_curvature_L_jets(cg: CurveGeometry, L: float):
+    """Jets of k_n^L |gamma'|_L and of |gamma'|_L in the curve parameter.
 
-    Evaluates -y_L (x_L)' + x_L (y_L)' + W23_L(gamma') per unit of induced
-    arclength: the derivative and form terms are divided by |gamma'|_L so any
-    parametrization may be used.
+    The first is -y_L (x_L)' + x_L (y_L)' + W23_L(gamma'): the signed
+    curvature under the L metric times induced arclength per unit of t. It
+    needs no transversality.
     """
-    if cg is None:
-        cg = CurveGeometry(model, patch, curve, t)
-    cg.require_transverse()
     x, y, A = cg.x, cg.y, cg.A
     norm = jsqrt(x * x + y * y * (A * A + L))
     xl = x / norm
     yl = y * jsqrt(A * A + L) / norm
 
     form = projected_connection_form(cg.geom, L)
-    p_t, q_t = cg.pull(form.P), cg.pull(form.Q)
-    along = p_t * cg.udot + q_t * cg.vdot
+    along = cg.pull(form.P) * cg.udot + cg.pull(form.Q) * cg.vdot
+    return -yl * xl.deriv(0) + xl * yl.deriv(0) + along, norm
 
-    num = -yl * xl.deriv(0) + xl * yl.deriv(0) + along
+
+def normal_curvature_L(model, patch, curve, t, L: float, cg: CurveGeometry = None):
+    """Signed curvature of the curve in the surface under the L metric.
+
+    The numerator of `normal_curvature_L_jets` per unit of induced arclength,
+    so any parametrization may be used.
+    """
+    if cg is None:
+        cg = CurveGeometry(model, patch, curve, t)
+    cg.require_transverse()
+    num, norm = normal_curvature_L_jets(cg, L)
     return _v(num) / _v(norm)
 
 

@@ -247,15 +247,6 @@ def curve_nodes(t0: float, t1: float, spec: QuadratureSpec, factor: int = 1):
     return nodes.ravel(), weights.ravel()
 
 
-def _chunked_values(fn, *coords):
-    total = coords[0].size
-    out = np.empty(total)
-    for start in range(0, total, CHUNK):
-        sl = slice(start, min(start + CHUNK, total))
-        out[sl] = np.broadcast_to(fn(*(c[sl] for c in coords)), (sl.stop - sl.start,))
-    return out
-
-
 def _reduce(values, weights, per_cell: int):
     """Deterministic weighted sum: pairwise within cells, then across."""
     prods = (values * weights).reshape(-1, per_cell)
@@ -275,52 +266,78 @@ class QuadratureResult:
         return self.value
 
 
-def _refine(passes, spec: QuadratureSpec) -> QuadratureResult:
-    """Run quadrature passes at doubling resolution until stable.
+def _pass(build, integrands, coords, weights, per_cell: int) -> list:
+    """Weighted sums of several integrands over one node set.
 
-    The reported error is the change under the last doubling, floored at a
-    few units of rounding so it stays a usable bound even when consecutive
-    levels agree bitwise.
+    Each CHUNK of nodes gets one geometry from `build`, which every
+    integrand evaluates on; the geometry is released before the next chunk
+    is built, so at most one is alive at a time.
     """
-    prev = None
-    value = err = 0.0
-    k = 0
+    total = coords[0].size
+    if total == 0 or np.all(weights == 0.0):
+        return [0.0] * len(integrands)
+    outs = [np.empty(total) for _ in integrands]
+    for start in range(0, total, CHUNK):
+        sl = slice(start, min(start + CHUNK, total))
+        geom = build(*(c[sl] for c in coords))
+        for out, fn in zip(outs, integrands):
+            out[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
+        del geom
+    return [_reduce(out, weights, per_cell) for out in outs]
+
+
+def _refine(nodes, build, integrands, spec: QuadratureSpec, per_cell: int) -> list:
+    """Run passes at doubling resolution until every integrand is stable.
+
+    `nodes(factor)` gives the coordinate arrays and weights of one pass; the
+    node set and its geometry are built once per level and shared by the
+    integrands still refining. Each integrand keeps its own value, error and
+    convergence. The reported error is the change under the last doubling,
+    floored at a few units of rounding so it stays a usable bound even when
+    consecutive levels agree bitwise.
+    """
+    results = [None] * len(integrands)
+    last = [None] * len(integrands)
+    err = [0.0] * len(integrands)
     for k in range(spec.max_refine + 1):
-        value = passes(2 ** k)
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= spec.rel_tol * max(1.0, abs(value)):
-                return QuadratureResult(value, _floor_err(err, value), True, k)
-        prev = value
-    return QuadratureResult(value, _floor_err(err, value), False, k)
+        active = [i for i, res in enumerate(results) if res is None]
+        if not active:
+            break
+        *coords, weights = nodes(2 ** k)
+        values = _pass(build, [integrands[i] for i in active], coords, weights, per_cell)
+        for i, value in zip(active, values):
+            if last[i] is not None:
+                err[i] = abs(value - last[i])
+                if err[i] <= spec.rel_tol * max(1.0, abs(value)):
+                    results[i] = QuadratureResult(value, _floor_err(err[i], value), True, k)
+            last[i] = value
+    return [res if res is not None else
+            QuadratureResult(value, _floor_err(e, value), False, spec.max_refine)
+            for res, value, e in zip(results, last, err)]
 
 
 def _floor_err(err: float, value: float) -> float:
     return max(err, 16.0 * np.finfo(float).eps * max(1.0, abs(value)))
 
 
+def _region_pass(build, integrands, region: Region, spec: QuadratureSpec) -> list:
+    return _refine(lambda factor: region_nodes(region, spec, factor), build,
+                   integrands, spec, spec.order * spec.order)
+
+
+def _curve_pass(build, integrands, t0: float, t1: float, spec: QuadratureSpec) -> list:
+    return _refine(lambda factor: curve_nodes(t0, t1, spec, factor), build,
+                   integrands, spec, spec.order)
+
+
 def integrate_region(fn, region: Region, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate fn(u, v) du dv over the region with refinement control."""
-
-    def single(factor):
-        u, v, w = region_nodes(region, spec, factor)
-        if u.size == 0 or np.all(w == 0.0):
-            return 0.0
-        vals = _chunked_values(fn, u, v)
-        return _reduce(vals, w, spec.order * spec.order)
-
-    return _refine(single, spec)
+    return _region_pass(lambda u, v: (u, v), [lambda uv: fn(*uv)], region, spec)[0]
 
 
 def integrate_curve(fn, t0: float, t1: float, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate fn(t) dt over [t0, t1] with refinement control."""
-
-    def single(factor):
-        t, w = curve_nodes(t0, t1, spec, factor)
-        vals = _chunked_values(fn, t)
-        return _reduce(vals, w, spec.order)
-
-    return _refine(single, spec)
+    return _curve_pass(lambda t: t, [fn], t0, t1, spec)[0]
 
 
 # -- densities ----------------------------------------------------------------
@@ -336,7 +353,10 @@ def area_density_L(model, patch, u, v, L: float):
     """Density of the surface measure under the L metric: sqrt(L + A^2) dsigma."""
     if L <= 0:
         raise ValueError("the metric parameter L must be positive")
-    geom = SurfaceGeometry(model, patch, u, v)
+    return _dsigma_L(SurfaceGeometry(model, patch, u, v), L)
+
+
+def _dsigma_L(geom: SurfaceGeometry, L: float):
     A = np.asarray(geom.A.value)
     return np.sqrt(L + A * A) * np.asarray(geom.wedge.value)
 
@@ -363,42 +383,70 @@ def boundary_integrand_limit(cg: cv.CurveGeometry):
 
 def boundary_integrand_L(cg: cv.CurveGeometry, L: float):
     """k_n^L ds_L against dt, in the form that needs no transversality."""
-    x, y, A = cg.x, cg.y, cg.A
-    norm = jsqrt(x * x + y * y * (A * A + L))
-    xl = x / norm
-    yl = y * jsqrt(A * A + L) / norm
-    form = cv.projected_connection_form(cg.geom, L)
-    along = cg.pull(form.P) * cg.udot + cg.pull(form.Q) * cg.vdot
-    return np.asarray((-yl * xl.deriv(0) + xl * yl.deriv(0) + along).value)
+    return np.asarray(cv.normal_curvature_L_jets(cg, L)[0].value)
 
 
 # -- scene integrals ----------------------------------------------------------
+#
+# A scene integrand maps one chunk's geometry to values at its nodes: a
+# SurfaceGeometry on region nodes, a CurveGeometry on boundary nodes. Only
+# the L-adapted frame and its connection forms depend on L, so one geometry
+# per node set serves the limit integrand and every finite-L row.
+
+
+def _root(L: float) -> float:
+    if L <= 0:
+        raise ValueError("the metric parameter L must be positive")
+    return math.sqrt(L)
+
+
+def _K_dsigma(geom: SurfaceGeometry):
+    return cv.gauss_curvature_limit(geom) * np.asarray(geom.wedge.value)
+
+
+def _K_dsigma_L(L: float):
+    """(1/sqrt(L)) K_L dsigma_L against du dv."""
+    root = _root(L)
+    return lambda geom: cv.gauss_curvature_L(geom, L) * _dsigma_L(geom, L) / root
+
+
+def _kn_ds_L(L: float):
+    """(1/sqrt(L)) k_n^L ds_L against dt."""
+    root = _root(L)
+    return lambda cg: boundary_integrand_L(cg, L) / root
+
+
+def _region_integrals(scene, integrands, quad: QuadratureSpec) -> list:
+    """One refinement run over the region, one result per integrand."""
+    ensure_region_in_domain(scene.patch, scene.region)
+    scan_region_regular(scene.model, scene.patch, scene.region)
+
+    def build(u, v):
+        return SurfaceGeometry(scene.model, scene.patch, u, v)
+
+    return _region_pass(build, integrands, scene.region, quad)
+
+
+def _boundary_integrals(scene, integrands, quad: QuadratureSpec) -> list:
+    """One refinement run per boundary curve, one result per integrand."""
+    out = []
+    for curve in scene.boundary:
+        def build(t, curve=curve):
+            return cv.CurveGeometry(scene.model, scene.patch, curve, t)
+
+        out.append(_curve_pass(build, integrands, curve.t0, curve.t1, quad))
+    return out
 
 
 def integrate_K_dsigma(scene, quad: QuadratureSpec = None) -> QuadratureResult:
     """Integral of the limit Gaussian curvature against the limit measure."""
-    quad = quad or scene.quadrature
-    ensure_region_in_domain(scene.patch, scene.region)
-    scan_region_regular(scene.model, scene.patch, scene.region)
-
-    def fn(u, v):
-        geom = SurfaceGeometry(scene.model, scene.patch, u, v)
-        return cv.gauss_curvature_limit(geom) * np.asarray(geom.wedge.value)
-
-    return integrate_region(fn, scene.region, quad)
+    return _region_integrals(scene, [_K_dsigma], quad or scene.quadrature)[0]
 
 
 def integrate_kn_ds(scene, quad: QuadratureSpec = None) -> tuple:
     """Limit boundary integrals, one QuadratureResult per boundary curve."""
-    quad = quad or scene.quadrature
-    out = []
-    for curve in scene.boundary:
-        def fn(t, curve=curve):
-            cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
-            return boundary_integrand_limit(cg)
-
-        out.append(integrate_curve(fn, curve.t0, curve.t1, quad))
-    return tuple(out)
+    curves = _boundary_integrals(scene, [boundary_integrand_limit], quad or scene.quadrature)
+    return tuple(res for res, in curves)
 
 
 def stokes_consistency_gap(scene, quad: QuadratureSpec = None):
@@ -409,14 +457,11 @@ def stokes_consistency_gap(scene, quad: QuadratureSpec = None):
     says it must match the boundary line integrals.
     """
     quad = quad or scene.quadrature
-    ensure_region_in_domain(scene.patch, scene.region)
-    scan_region_regular(scene.model, scene.patch, scene.region)
 
-    def fn(u, v):
-        geom = SurfaceGeometry(scene.model, scene.patch, u, v)
+    def curl(geom):
         return cv.limit_connection_form(geom).curl()
 
-    region_val = integrate_region(fn, scene.region, quad).value
+    region_val = _region_integrals(scene, [curl], quad)[0].value
     boundary_val = 0.0
     for res in integrate_kn_ds(scene, quad):
         boundary_val += res.value
@@ -433,45 +478,34 @@ class FiniteLRow:
     target: float
     area_part: float
     boundary_part: float
+    converged: bool
 
     @property
     def gap(self) -> float:
         return self.scaled_sum - self.target
 
 
-def finite_L_gauss_bonnet(scene, L: float, quad: QuadratureSpec = None) -> FiniteLRow:
-    """The scaled finite-L Gauss-Bonnet sum against 2 pi chi / sqrt(L)."""
-    if L <= 0:
-        raise ValueError("the metric parameter L must be positive")
-    quad = quad or scene.quadrature
-    ensure_region_in_domain(scene.patch, scene.region)
-    scan_region_regular(scene.model, scene.patch, scene.region)
-    root = math.sqrt(L)
-
-    def area_fn(u, v):
-        geom = SurfaceGeometry(scene.model, scene.patch, u, v)
-        A = np.asarray(geom.A.value)
-        dens = np.sqrt(L + A * A) * np.asarray(geom.wedge.value)
-        return cv.gauss_curvature_L(geom, L) * dens / root
-
-    area_part = integrate_region(area_fn, scene.region, quad).value
-
+def _finite_row(chi: int, L: float, area: QuadratureResult, boundary) -> FiniteLRow:
     boundary_part = 0.0
-    for curve in scene.boundary:
-        def fn(t, curve=curve):
-            cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
-            return boundary_integrand_L(cg, L) / root
-
-        boundary_part += integrate_curve(fn, curve.t0, curve.t1, quad).value
-
-    chi = scene.region.chi
+    for res in boundary:
+        boundary_part += res.value
     return FiniteLRow(
         L=float(L),
-        scaled_sum=area_part + boundary_part,
-        target=TWO_PI * chi / root,
-        area_part=area_part,
+        scaled_sum=area.value + boundary_part,
+        target=TWO_PI * chi / _root(L),
+        area_part=area.value,
         boundary_part=boundary_part,
+        converged=area.converged and all(res.converged for res in boundary),
     )
+
+
+def finite_L_gauss_bonnet(scene, L: float, quad: QuadratureSpec = None) -> FiniteLRow:
+    """The scaled finite-L Gauss-Bonnet sum against 2 pi chi / sqrt(L)."""
+    area_fn, curve_fn = _K_dsigma_L(L), _kn_ds_L(L)
+    quad = quad or scene.quadrature
+    area = _region_integrals(scene, [area_fn], quad)[0]
+    boundary = [res for res, in _boundary_integrals(scene, [curve_fn], quad)]
+    return _finite_row(scene.region.chi, L, area, boundary)
 
 
 @dataclass(frozen=True)
@@ -491,15 +525,23 @@ def gauss_bonnet_residual(scene, quad: QuadratureSpec = None,
 
     The residual is the area integral plus the boundary integrals, summed
     left to right in the reported order, and vanishes for correctly oriented
-    scenes.
+    scenes. One region pass and one pass per boundary curve evaluate the
+    limit integrands and every finite-L row on shared geometry.
     """
+    L_values = tuple(L_values)
+    area_fns = [_K_dsigma] + [_K_dsigma_L(L) for L in L_values]
+    curve_fns = [boundary_integrand_limit] + [_kn_ds_L(L) for L in L_values]
     quad = quad or scene.quadrature
-    area = integrate_K_dsigma(scene, quad)
-    boundary = integrate_kn_ds(scene, quad)
+    area, *area_L = _region_integrals(scene, area_fns, quad)
+    curves = _boundary_integrals(scene, curve_fns, quad)
+    boundary = tuple(parts[0] for parts in curves)
     residual = area.value
     for res in boundary:
         residual += res.value
-    rows = tuple(finite_L_gauss_bonnet(scene, L, quad) for L in L_values)
+    rows = tuple(
+        _finite_row(scene.region.chi, L, area_L[j], [parts[j + 1] for parts in curves])
+        for j, L in enumerate(L_values)
+    )
     return GaussBonnetReport(chi=scene.region.chi, area=area,
                              boundary=boundary, residual=residual,
                              finite_rows=rows)

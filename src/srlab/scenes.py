@@ -16,7 +16,7 @@ the parameter plane: counterclockwise outer boundary, clockwise holes.
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -47,9 +47,6 @@ class Scene:
     tolerances: dict
     L_grid: tuple
     config: dict
-
-    def with_quadrature(self, quad: QuadratureSpec) -> "Scene":
-        return replace(self, quadrature=quad)
 
 
 # -- schema helpers -----------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from srlab import cli
+from srlab import scenes as sc
 
 
 def run(capsys, *argv):
@@ -188,3 +189,36 @@ class TestUsage:
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "gauss-bonnet" in out
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("argv", [
+        ("curvature", "--scene", "rt_disk", "--uv", "0.1,0.2", "--L", "nan"),
+        ("frame-report", "--scene", "rt_disk", "--uv", "0.1,0.2", "--L", "inf"),
+        ("curvature", "--scene", "rt_disk", "--uv", "nan,0.2"),
+        ("sweep", "--scene", "rt_disk", "--quantity", "K", "--uv", "0.1,0.2", "--L", "nan,inf"),
+        ("sweep", "--scene", "rt_disk", "--quantity", "kn", "--t", "inf"),
+        ("gauss-bonnet", "--scene", "rt_disk", "--L", "100,inf"),
+        ("oracle-check", "--scene", "rt_disk", "--samples", "0"),
+        ("oracle-check", "--scene", "rt_disk", "--tol", "nan"),
+    ])
+    def test_non_finite_and_empty_inputs_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err or "at least 1" in err
+        assert "zero-size" not in err
+
+
+class TestGaussBonnetConvergence:
+    def test_unconverged_quadrature_exits_4(self, capsys, tmp_path):
+        cfg = sc.builtin_scene("rt_disk").config
+        cfg["quadrature"]["max_refine"] = 0
+        path = tmp_path / "no_refine.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, err = run(capsys, "gauss-bonnet", "--scene", str(path), "--L", "100")
+        assert code == 4
+        payload = json.loads(out)
+        assert payload["residual_ok"] is True
+        assert payload["area_integral"]["converged"] is False
+        assert "did not converge" in err and "L = 100.0" in err

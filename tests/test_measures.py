@@ -15,10 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from srlab import curvature as cv
 from srlab import measures as ms
 from srlab.curvature import CurveOnSurface
 from srlab.errors import CharacteristicPointError, SceneError
 from srlab.models import builtin_model
+from srlab.scenes import builtin_scene
 from srlab.surface import SurfacePatch
 
 HEIS = builtin_model("heisenberg")
@@ -413,3 +415,64 @@ class TestFiniteLGaussBonnet:
         row = rep.finite_rows[0]
         assert row.L == 100.0
         assert row.gap == row.scaled_sum - row.target
+
+
+class TestSharedGeometry:
+    """A report evaluates every integrand of a node set on one geometry.
+
+    A coarse rule and small chunks keep these cheap while still running
+    several chunks per pass and several refinement levels.
+    """
+
+    COARSE = ms.QuadratureSpec(order=8, cells=(4, 4), segments=16)
+
+    @pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus"])
+    def test_report_matches_standalone_integrals_bitwise(self, monkeypatch, name):
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        sc = builtin_scene(name)
+        rep = ms.gauss_bonnet_residual(sc, self.COARSE, L_values=sc.L_grid)
+        assert rep.area == ms.integrate_K_dsigma(sc, self.COARSE)
+        assert rep.boundary == ms.integrate_kn_ds(sc, self.COARSE)
+        rows = tuple(ms.finite_L_gauss_bonnet(sc, L, self.COARSE) for L in sc.L_grid)
+        assert rep.finite_rows == rows
+
+    @pytest.mark.parametrize("L_values", [(), (1e2, 1e3, 1e4)])
+    def test_one_geometry_per_chunk_per_level(self, monkeypatch, L_values):
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        built = {"region": [], "curve": []}
+        node_sets = {"region": [], "curve": []}
+
+        def log_sizes(owner, name, log, size):
+            orig = getattr(owner, name)
+
+            def wrapper(*args):
+                result = orig(*args)
+                log.append(size(args, result))
+                return result
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        log_sizes(ms, "SurfaceGeometry", built["region"], lambda a, r: np.size(a[2]))
+        log_sizes(cv, "CurveGeometry", built["curve"], lambda a, r: np.size(a[3]))
+        log_sizes(ms, "region_nodes", node_sets["region"], lambda a, r: r[0].size)
+        log_sizes(ms, "curve_nodes", node_sets["curve"], lambda a, r: r[0].size)
+        sc = annulus_scene()
+        ms.gauss_bonnet_residual(sc, self.COARSE, L_values=L_values)
+
+        # one node set per level, at most max_refine + 1 levels per pass
+        assert len(node_sets["region"]) == len(set(node_sets["region"]))
+        assert len(node_sets["region"]) <= self.COARSE.max_refine + 1
+        assert len(node_sets["curve"]) <= len(sc.boundary) * (self.COARSE.max_refine + 1)
+        for kind in ("region", "curve"):
+            expected = sum(math.ceil(n / ms.CHUNK) for n in node_sets[kind])
+            assert len(built[kind]) == expected
+            assert sum(built[kind]) == sum(node_sets[kind])
+
+    def test_boundary_integrand_is_normal_curvature_times_length(self):
+        circ = CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, TWO_PI))
+        t = np.linspace(0.3, 5.9, 5)
+        cg = cv.CurveGeometry(HEIS, PLANE, circ, t)
+        num, norm = cv.normal_curvature_L_jets(cg, 100.0)
+        assert np.array_equal(ms.boundary_integrand_L(cg, 100.0), np.asarray(num.value))
+        kn = cv.normal_curvature_L(HEIS, PLANE, circ, t, 100.0, cg=cg)
+        assert np.array_equal(kn, np.asarray(num.value) / np.asarray(norm.value))

@@ -502,6 +502,18 @@ class Composer:
         return acc
 
 
+def value_of(x) -> np.ndarray:
+    """Value of a jet, or the number or array itself, as an array."""
+    return np.asarray(x.value if isinstance(x, Jet) else x)
+
+
+def stack_values(comps, shape=()) -> np.ndarray:
+    """Values of jets or numbers, broadcast to one shape (at least `shape`) and stacked."""
+    vals = [value_of(c) for c in comps]
+    shape = np.broadcast_shapes(shape, *(v.shape for v in vals))
+    return np.stack([np.broadcast_to(v, shape) for v in vals])
+
+
 def compose(outer: Jet, displacements: Sequence[Jet]) -> Jet:
     """Truncated Taylor composition: outer evaluated at base + displacements.
 

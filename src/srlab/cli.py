@@ -1,8 +1,9 @@
 """Command-line interface: scene validation, reports, sweeps, and checks.
 
 Exit codes: 0 success, 2 usage error, 3 validation failure, 4 numerical
-failure. All floating-point output uses shortest round-trip formatting
-(Python repr), so identical invocations produce byte-identical text.
+failure (including a region too thin for oracle-check to sample). All
+floating-point output uses shortest round-trip formatting (Python repr), so
+identical invocations produce byte-identical text.
 """
 
 import argparse
@@ -14,15 +15,18 @@ import numpy as np
 
 from . import curvature as cv
 from . import measures as ms
-from .errors import NumericalError, ValidationError
-from .frame import ConnectionFormsL, SF_KEYS, koszul_connection_oracle, scaled_form_deviation, validate_model
-from .scenes import BUILTIN_SCENES, resolve_scene
+from .errors import NumericalError, SamplingError, ValidationError
+from .frame import ConnectionFormsL, SF_KEYS, koszul_connection_oracle, scaled_form_deviation
+from .scenes import BUILTIN_SCENES, boundary_edge_distances, resolve_scene, scan_region
 from .surface import SurfaceGeometry
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+
+# consecutive rejected draws after which region sampling gives up
+SAMPLE_REJECTION_BUDGET = 10000
 
 
 def _fmt(x) -> str:
@@ -84,17 +88,16 @@ def _write_lines(lines, out_path):
 
 def cmd_validate(args) -> int:
     scene = resolve_scene(args.scene)
-    uu, vv = ms.region_scan_grid(scene.region, samples=15)
-    points = scene.patch.point(uu, vv)
-    report = validate_model(scene.model, points)
+    frame, checks, margin = scan_region(scene.model, scene.patch, scene.region, samples=15)
+    ms.require_regular(margin, 15)
 
     lines = [
         f"scene {scene.name or '(inline)'}: region {scene.region.kind} "
         f"(chi {scene.region.chi}), {len(scene.boundary)} boundary curve(s)"
     ]
     failed = []
-    lines.append(f"model checks at {uu.size} region grid points:")
-    for key, entry in report.items():
+    lines.append(f"model checks at {np.size(margin)} region grid points:")
+    for key, entry in checks.items():
         word = "pass" if entry["passed"] else "FAIL"
         bound = "min" if entry["kind"] == "min" else "max"
         lines.append(
@@ -104,21 +107,15 @@ def cmd_validate(args) -> int:
         if not entry["passed"]:
             failed.append(key)
 
-    fr = scene.model.frame(points, order=3)
-    sfv = fr.sf_values()
+    sfv = frame.sf_values()
     lines.append("structure functions over the grid (min, max):")
     for key in SF_KEYS:
         vals = np.asarray(sfv[key])
         lines.append(f"  {key}: ({_fmt(np.min(vals))}, {_fmt(np.max(vals))})")
 
-    geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
-    margin = np.min(np.asarray(geom.margin))
-    lines.append(f"characteristic margin over the region: min {_fmt(margin)}")
-    for i, curve in enumerate(scene.boundary):
-        t = np.linspace(curve.t0, curve.t1, 32, endpoint=False)
-        ju, jv = curve.jets(t, order=0)
-        dist = scene.region.boundary_distance(np.asarray(ju.value), np.asarray(jv.value))
-        lines.append(f"boundary curve {i}: max distance to region edge {_fmt(np.max(dist))}")
+    lines.append(f"characteristic margin over the region: min {_fmt(np.min(margin))}")
+    for i, dist in enumerate(boundary_edge_distances(scene.region, scene.boundary)):
+        lines.append(f"boundary curve {i}: max distance to region edge {_fmt(dist)}")
 
     lines.append("validation: " + ("ok" if not failed else "FAILED " + ", ".join(failed)))
     _write_lines(lines, args.out)
@@ -269,12 +266,18 @@ def _unconverged_parts(report) -> list:
 def _sample_region_points(region, n, rng):
     (u0, u1), (v0, v1) = region.bounding_box()
     uu, vv = [], []
+    misses = 0
     while len(uu) < n:
+        if misses == SAMPLE_REJECTION_BUDGET:
+            raise SamplingError(f"region too thin to sample: {misses} draws in a row "
+                                f"missed its interior (points at least 1e-3 from the edge)")
         u = rng.uniform(u0, u1)
         v = rng.uniform(v0, v1)
-        if region.contains(u, v) and region.boundary_distance(u, v) > 1e-3:
+        inside = region.contains(u, v) and region.boundary_distance(u, v) > 1e-3
+        if inside:
             uu.append(u)
             vv.append(v)
+        misses = 0 if inside else misses + 1
     return np.asarray(uu), np.asarray(vv)
 
 

@@ -26,16 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import Jet, ScalarField, pair_oneform
-from .calculus.jets import Composer, jsqrt
+from .calculus.jets import Composer, jsqrt, value_of
 from .errors import NumericalError, TransversalityError
 from .frame import ConnectionFormsL
 from .surface import SurfaceGeometry
 
 EPS_TRANS = 1e-6
-
-
-def _v(x):
-    return np.asarray(x.value if isinstance(x, Jet) else x)
 
 
 @dataclass
@@ -47,14 +43,14 @@ class SurfaceOneForm:
 
     def curl(self):
         """Coefficient of d(P du + Q dv) on du ^ dv."""
-        return _v(self.Q.deriv(0)) - _v(self.P.deriv(1))
+        return value_of(self.Q.deriv(0)) - value_of(self.P.deriv(1))
 
     def __call__(self, a, b):
         """Evaluate on a vector a * d/du + b * d/dv (values)."""
-        return _v(self.P) * a + _v(self.Q) * b
+        return value_of(self.P) * a + value_of(self.Q) * b
 
     def values(self):
-        return _v(self.P), _v(self.Q)
+        return value_of(self.P), value_of(self.Q)
 
 
 def tangent_components(geom: SurfaceGeometry, vec) -> tuple:
@@ -63,9 +59,9 @@ def tangent_components(geom: SurfaceGeometry, vec) -> tuple:
     Uses Euclidean normal equations in chart components; exact for vectors
     lying in the tangent plane, which is the only supported input.
     """
-    tu = [_v(c) for c in geom.Tu]
-    tv = [_v(c) for c in geom.Tv]
-    w = [_v(c) for c in vec]
+    tu = [value_of(c) for c in geom.Tu]
+    tv = [value_of(c) for c in geom.Tv]
+    w = [value_of(c) for c in vec]
     e = sum(a * a for a in tu)
     f = sum(a * b for a, b in zip(tu, tv))
     g = sum(b * b for b in tv)
@@ -200,16 +196,16 @@ def omega23_koszul_values(geom: SurfaceGeometry, L: float):
     c2 = (x, y, Jet.constant(0.0, 2, x.order, x.point))
     c3 = (A * y / denom, -(A * x) / denom, s / denom)
     on_tu, on_tv = _coframe_on_tangents(geom)
-    base = np.broadcast_shapes(*(np.shape(_v(c)) for c in (x, A)))
+    base = np.broadcast_shapes(*(np.shape(value_of(c)) for c in (x, A)))
 
     def along(vec_index, pairings):
-        vk = [_v(pairings[0]), _v(pairings[1]), s * _v(pairings[2])]
-        total = sum(_v(c.deriv(vec_index)) * _v(d) for c, d in zip(c2, c3))
+        vk = [value_of(pairings[0]), value_of(pairings[1]), s * value_of(pairings[2])]
+        total = sum(value_of(c.deriv(vec_index)) * value_of(d) for c, d in zip(c2, c3))
         total = np.broadcast_to(np.asarray(total, dtype=float), base).copy()
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    total += _v(c2[i]) * _v(c3[j]) * vk[k] * gam[i, j, k]
+                    total += value_of(c2[i]) * value_of(c3[j]) * vk[k] * gam[i, j, k]
         return total
 
     return along(0, on_tu), along(1, on_tv)
@@ -218,8 +214,8 @@ def omega23_koszul_values(geom: SurfaceGeometry, L: float):
 def gauss_curvature_limit(geom: SurfaceGeometry):
     """K = -dA(f2) - A^2."""
     a2, b2 = tangent_components(geom, geom.f2)
-    dA = (_v(geom.A.deriv(0)), _v(geom.A.deriv(1)))
-    A = _v(geom.A)
+    dA = (value_of(geom.A.deriv(0)), value_of(geom.A.deriv(1)))
+    A = value_of(geom.A)
     return -(a2 * dA[0] + b2 * dA[1]) - A * A
 
 
@@ -260,8 +256,8 @@ def scaled_form_limit_deviation(geom: SurfaceGeometry, L: float):
     finite = LFormAssembly(geom, L).omega23
     limit = limit_connection_form(geom)
     s = math.sqrt(L)
-    dp = np.max(np.abs(_v(finite.P) / s - _v(limit.P)))
-    dq = np.max(np.abs(_v(finite.Q) / s - _v(limit.Q)))
+    dp = np.max(np.abs(value_of(finite.P) / s - value_of(limit.P)))
+    dq = np.max(np.abs(value_of(finite.Q) / s - value_of(limit.Q)))
     return max(float(dp), float(dq))
 
 
@@ -274,13 +270,13 @@ def metric_gauss_curvature(E: Jet, F: Jet, G: Jet):
     Brioschi's formula: second derivatives of E, F, G only, no connection
     machinery. Component jets must carry (u, v) order at least 2.
     """
-    e, f, g = _v(E), _v(F), _v(G)
-    eu, ev = _v(E.deriv(0)), _v(E.deriv(1))
-    gu, gv = _v(G.deriv(0)), _v(G.deriv(1))
-    fu, fv = _v(F.deriv(0)), _v(F.deriv(1))
-    evv = _v(E.deriv(1).deriv(1))
-    guu = _v(G.deriv(0).deriv(0))
-    fuv = _v(F.deriv(0).deriv(1))
+    e, f, g = value_of(E), value_of(F), value_of(G)
+    eu, ev = value_of(E.deriv(0)), value_of(E.deriv(1))
+    gu, gv = value_of(G.deriv(0)), value_of(G.deriv(1))
+    fu, fv = value_of(F.deriv(0)), value_of(F.deriv(1))
+    evv = value_of(E.deriv(1).deriv(1))
+    guu = value_of(G.deriv(0).deriv(0))
+    fuv = value_of(F.deriv(0).deriv(1))
 
     def det3(m):
         return (
@@ -365,7 +361,7 @@ class CurveGeometry:
         phi_t = [self.pull(p) for p in self.geom.phi]
         self.gamma_dot = [p.deriv(0) for p in phi_t]
         speed2 = sum(c * c for c in self.gamma_dot)
-        sp = _v(speed2)
+        sp = value_of(speed2)
         if np.any(sp <= 0):
             raise NumericalError("curve has a stationary point in the sampled range")
         self.chart_speed = np.sqrt(sp)
@@ -383,7 +379,7 @@ class CurveGeometry:
 
         omega_t = [self.pull(c) for c in self.geom.omega_s]
         shortcut = pair_oneform(omega_t, self.gamma_dot)
-        gap = np.max(np.abs(_v(self.y) - _v(shortcut)))
+        gap = np.max(np.abs(value_of(self.y) - value_of(shortcut)))
         scale = 1.0 + float(np.max(self.chart_speed))
         if gap > 1e-10 * scale:
             raise NumericalError(
@@ -394,7 +390,7 @@ class CurveGeometry:
 
     def transversality(self):
         """min |y| / |gamma'| over the sampled parameters."""
-        return float(np.min(np.abs(_v(self.y)) / self.chart_speed))
+        return float(np.min(np.abs(value_of(self.y)) / self.chart_speed))
 
     def require_transverse(self):
         worst = self.transversality()
@@ -408,14 +404,14 @@ class CurveGeometry:
 def curve_decomposition(model, patch, curve, t):
     """Components (x, y) of gamma' in the (f2, f3) tangent basis."""
     cg = CurveGeometry(model, patch, curve, t)
-    return _v(cg.x), _v(cg.y)
+    return value_of(cg.x), value_of(cg.y)
 
 
 def normal_curvature_limit(model, patch, curve, t):
     """Limit normal curvature sign(y) A along a transverse curve."""
     cg = CurveGeometry(model, patch, curve, t)
     cg.require_transverse()
-    return np.sign(_v(cg.y)) * _v(cg.A)
+    return np.sign(value_of(cg.y)) * value_of(cg.A)
 
 
 def normal_curvature_L_jets(cg: CurveGeometry, L: float):
@@ -445,7 +441,7 @@ def normal_curvature_L(model, patch, curve, t, L: float, cg: CurveGeometry = Non
         cg = CurveGeometry(model, patch, curve, t)
     cg.require_transverse()
     num, norm = normal_curvature_L_jets(cg, L)
-    return _v(num) / _v(norm)
+    return value_of(num) / value_of(norm)
 
 
 def metric_geodesic_curvature(comps, dcomps, cdot, cddot):
@@ -494,10 +490,10 @@ def geodesic_curvature_oracle(model, patch, curve, t, L: float, cg: CurveGeometr
     cg.require_transverse()
     E, F, G = induced_metric_components(cg.geom, L)
 
-    comps = tuple(_v(cg.pull(c)) for c in (E, F, G))
+    comps = tuple(value_of(cg.pull(c)) for c in (E, F, G))
     dcomps = tuple(
-        (_v(cg.pull(c.deriv(0))), _v(cg.pull(c.deriv(1)))) for c in (E, F, G)
+        (value_of(cg.pull(c.deriv(0))), value_of(cg.pull(c.deriv(1)))) for c in (E, F, G)
     )
-    cdot = (_v(cg.udot), _v(cg.vdot))
-    cddot = (_v(cg.udot.deriv(0)), _v(cg.vdot.deriv(0)))
+    cdot = (value_of(cg.udot), value_of(cg.vdot))
+    cddot = (value_of(cg.udot.deriv(0)), value_of(cg.vdot.deriv(0)))
     return metric_geodesic_curvature(comps, dcomps, cdot, cddot)

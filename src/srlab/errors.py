@@ -63,6 +63,10 @@ class TransversalityError(NumericalError):
     """A curve is tangent to the horizontal direction f2 at a point."""
 
 
+class SamplingError(NumericalError):
+    """Random sampling found no interior point of a region within its budget."""
+
+
 class SceneError(ValidationError):
     """Scene file is malformed or fails cross-validation."""
 

@@ -27,7 +27,7 @@ from .calculus import (
     eval_twoform,
     pair_oneform,
 )
-from .calculus.jets import MAX_ORDER
+from .calculus.jets import MAX_ORDER, stack_values, value_of
 from .errors import (
     DegenerateFrameError,
     ModelConsistencyError,
@@ -47,11 +47,6 @@ def _cross(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def _val(x):
-    v = np.asarray(x.value if isinstance(x, Jet) else x)
-    return float(v) if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class FrameData:
         return (self.e1, self.e2, self.e3)
 
     def sf_values(self) -> dict:
-        return {k: _val(j) for k, j in self.sf.items()}
+        return {k: value_of(j) for k, j in self.sf.items()}
 
 
 def _build_frame(model: SubRiemannianModel, point, order: int) -> FrameData:
@@ -158,11 +153,20 @@ def validate_model(model: SubRiemannianModel, points) -> dict:
     stay below it. Degeneracy and contact failures raise immediately since
     nothing downstream is meaningful; the remaining checks are collected.
     """
+    return checked_frame(model, points)[1]
+
+
+def checked_frame(model: SubRiemannianModel, points):
+    """The order-3 chart frame at `points` and its `validate_model` report.
+
+    Frame independence is checked first, so dependent fields raise
+    DegenerateFrameError instead of failing inside the frame build.
+    """
     pts = np.asarray(points, dtype=float)
     base = np.atleast_1d(pts[0]).shape
     seeds = chart_seeds(points, 1)
-    e1v = np.stack([np.broadcast_to(np.asarray(_val(j)), base) for j in model.e1.jets(seeds)])
-    e2v = np.stack([np.broadcast_to(np.asarray(_val(j)), base) for j in model.e2.jets(seeds)])
+    e1v = stack_values(model.e1.jets(seeds), base)
+    e2v = stack_values(model.e2.jets(seeds), base)
     cross = np.stack(_cross(e1v, e2v))
     indep = float(np.min(np.linalg.norm(cross, axis=0)))
     if indep < INDEPENDENCE_FLOOR:
@@ -179,32 +183,32 @@ def validate_model(model: SubRiemannianModel, points) -> dict:
     }
 
     def mx(x):
-        return float(np.max(np.abs(np.asarray(x))))
+        return float(np.max(np.abs(value_of(x))))
 
     d_omega = d_oneform_jets(fr.omega)
     reeb_pair = pair_oneform(fr.omega, fr.e3) - 1.0
     contraction = max(
-        mx(_val(eval_twoform(d_omega, fr.e3, fr.e1))),
-        mx(_val(eval_twoform(d_omega, fr.e3, fr.e2))),
+        mx(eval_twoform(d_omega, fr.e3, fr.e1)),
+        mx(eval_twoform(d_omega, fr.e3, fr.e2)),
     )
-    contact_norm = _val(eval_twoform(d_omega, fr.e1, fr.e2)) + 1.0
+    contact_norm = value_of(eval_twoform(d_omega, fr.e1, fr.e2)) + 1.0
 
     duality = 0.0
     for i in range(3):
         for j, vec in enumerate(fr.frames()):
             delta = 1.0 if i == j else 0.0
-            duality = max(duality, mx(_val(pair_oneform(fr.coframe[i], vec)) - delta))
+            duality = max(duality, mx(value_of(pair_oneform(fr.coframe[i], vec)) - delta))
 
     sfv = fr.sf_values()
     report.update(
-        reeb_pairing=_entry(mx(_val(reeb_pair)), REEB_TOL, "max"),
+        reeb_pairing=_entry(mx(reeb_pair), REEB_TOL, "max"),
         reeb_contraction=_entry(contraction, REEB_TOL, "max"),
         contact_normalization=_entry(mx(contact_norm), REEB_TOL, "max"),
         coframe_duality=_entry(duality, DUALITY_TOL, "max"),
         bracket_pairing=_entry(mx(sfv["a12_3"] - 1.0), STRUCTURE_TOL, "max"),
         structure_trace=_entry(mx(sfv["a13_1"] + sfv["a23_2"]), STRUCTURE_TOL, "max"),
     )
-    return report
+    return fr, report
 
 
 def _entry(value, tolerance, kind):
@@ -213,7 +217,11 @@ def _entry(value, tolerance, kind):
 
 
 def ensure_valid(model: SubRiemannianModel, points) -> dict:
-    report = validate_model(model, points)
+    return require_passed(validate_model(model, points))
+
+
+def require_passed(report: dict) -> dict:
+    """Raise ModelConsistencyError naming every failed check in a report."""
     bad = [k for k, v in report.items() if not v["passed"]]
     if bad:
         raise ModelConsistencyError(
@@ -275,7 +283,7 @@ class ConnectionFormsL:
         for i in range(1, 4):
             for j in range(1, 4):
                 for k in range(1, 4):
-                    out[i - 1, j - 1, k - 1] = _val(self.coefficient(i, j, k))
+                    out[i - 1, j - 1, k - 1] = value_of(self.coefficient(i, j, k))
         return out
 
     def form_on_unscaled_basis(self, i: int, j: int):
@@ -306,7 +314,7 @@ def scaled_form_deviation(frame: FrameData, L: float) -> dict:
         comps = forms.form_on_unscaled_basis(i, j)
         dev = 0.0
         for c, lim in zip(comps, limit):
-            dev = max(dev, float(np.max(np.abs(_val(c) * scale[(i, j)] - lim))))
+            dev = max(dev, float(np.max(np.abs(value_of(c) * scale[(i, j)] - lim))))
         out[f"w{i}{j}"] = dev
     return out
 
@@ -338,7 +346,7 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
         sign = 1.0
         if a > b:
             a, b, sign = b, a, -1.0
-        return sign * _val(pair_oneform(duals[m], br[(a, b)]))
+        return sign * value_of(pair_oneform(duals[m], br[(a, b)]))
 
     shape = np.asarray(frame.tau.value).shape
     out = np.zeros((3, 3, 3) + shape)
@@ -352,15 +360,9 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
 
 def metric_matrix(frame: FrameData, L: float) -> np.ndarray:
     """g_L in chart coordinates: sum of squares of the scaled coframe."""
-    scalar = np.asarray(frame.tau.value).ndim == 0
-    shape = np.ones(1) if scalar else np.asarray(frame.tau.value)
-    rows = [
-        np.stack([np.broadcast_to(_val(c), shape.shape) for c in frame.coframe[0]]),
-        np.stack([np.broadcast_to(_val(c), shape.shape) for c in frame.coframe[1]]),
-        np.stack([np.broadcast_to(_val(c), shape.shape) for c in frame.omega]),
-    ]
-    weights = (1.0, 1.0, float(L))
-    g = np.zeros((3, 3) + rows[0].shape[1:])
-    for w, r in zip(weights, rows):
+    shape = np.shape(frame.tau.value)
+    rows = [stack_values(r, shape) for r in (frame.coframe[0], frame.coframe[1], frame.omega)]
+    g = np.zeros((3, 3) + shape)
+    for w, r in zip((1.0, 1.0, float(L)), rows):
         g += w * np.einsum("a...,b...->ab...", r, r)
-    return g[..., 0] if scalar else g
+    return g

@@ -46,7 +46,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("quadrature order must be at least 2")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("quadrature tolerance must be positive")
         if min(self.cells) < 1 or self.segments < 1 or self.max_refine < 0:
             raise ValueError("subdivision counts must be positive")
@@ -59,7 +59,7 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature settings: {sorted(extra)}")
         kwargs = dict(cfg)
         if "cells" in kwargs:
-            kwargs["cells"] = tuple(int(c) for c in kwargs["cells"])
+            kwargs["cells"] = tuple(kwargs["cells"])
         return QuadratureSpec(**kwargs)
 
 
@@ -183,8 +183,12 @@ def region_scan_grid(region: Region, samples: int = 25):
 def scan_region_regular(model, patch, region: Region, samples: int = 25):
     """Raise if the closed region comes near a characteristic point."""
     uu, vv = region_scan_grid(region, samples)
-    report = characteristic_report(model, patch, uu, vv)
-    margin = float(np.min(report.margin))
+    require_regular(characteristic_report(model, patch, uu, vv).margin, samples)
+
+
+def require_regular(margin, samples: int):
+    """Raise if a characteristic margin on a scan grid falls below EPS_CHAR."""
+    margin = float(np.min(margin))
     if margin < EPS_CHAR:
         raise CharacteristicPointError(
             f"region contains a characteristic point "

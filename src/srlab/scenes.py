@@ -4,9 +4,9 @@ Scenes are JSON with expression strings; the expressions carry all the math
 and are re-parsed by the calculus layer, so the file format itself has no
 semantics beyond structure. Loading validates everything up front: schema
 shape (errors carry a $.field path), expression parsing, region containment
-in the surface domain, an immersion scan and a characteristic-point scan
-over the region, and a check that each boundary curve actually runs along
-the region's edge.
+in the surface domain, one scan of a region grid that serves the immersion,
+model-frame and characteristic-point checks, and a check that each boundary
+curve actually runs along the region's edge.
 
 The boundary curves are taken exactly as written, orientation included.
 Gauss-Bonnet cancellation expects the convention induced from the region in
@@ -21,17 +21,19 @@ from importlib import resources
 
 import numpy as np
 
+from .calculus.jets import stack_values
 from .curvature import CurveOnSurface
 from .errors import CharacteristicPointError, ImmersionError, SceneError, ValidationError
-from .frame import ensure_valid
-from .measures import QuadratureSpec, Region, ensure_region_in_domain, region_scan_grid, scan_region_regular
+from .frame import checked_frame, require_passed
+from .measures import QuadratureSpec, Region, ensure_region_in_domain, region_scan_grid, require_regular
 from .models import builtin_model, inline_model
-from .surface import SurfacePatch
+from .surface import SurfacePatch, characteristic_margin, immersion_ratio, tangents
 
 BUILTIN_SCENES = ("heisenberg_annulus", "rt_disk")
 BOUNDARY_SAMPLES = 32
 BOUNDARY_TOL = 1e-8
 IMMERSION_SCAN_RTOL = 1e-8
+SCAN_SAMPLES = 25
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,12 @@ def _as_number(value, path: str) -> float:
     if not math.isfinite(out):
         raise SceneError("expected a finite number", path)
     return out
+
+
+def _as_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SceneError("expected an integer", path)
+    return value
 
 
 def _as_exprs(value, path: str, length: int) -> tuple:
@@ -149,9 +157,7 @@ def _build_surface(cfg, path: str) -> SurfacePatch:
 def _build_region(cfg, path: str) -> Region:
     cfg = _as_dict(cfg, path)
     kind = _need(cfg, "type", path)
-    chi = _need(cfg, "euler_characteristic", path)
-    if not isinstance(chi, int) or isinstance(chi, bool):
-        raise SceneError("expected an integer", f"{path}.euler_characteristic")
+    chi = _as_int(_need(cfg, "euler_characteristic", path), f"{path}.euler_characteristic")
     try:
         if kind == "rectangle":
             _reject_unknown(cfg, {"type", "u", "v", "euler_characteristic"}, path)
@@ -171,6 +177,8 @@ def _build_region(cfg, path: str) -> Region:
             radii = [_as_number(x, f"{path}.radii[{i}]")
                      for i, x in enumerate(_as_list(_need(cfg, "radii", path), f"{path}.radii", 2))]
             region = Region.annulus(center, radii)
+            if radii[0] == radii[1]:
+                raise SceneError("annulus has zero area: inner and outer radii are equal", path)
         else:
             raise SceneError(f"unknown region type {kind!r}", f"{path}.type")
     except ValueError as exc:
@@ -202,6 +210,22 @@ def _build_boundary(cfg, path: str) -> tuple:
     return tuple(curves)
 
 
+def _build_quadrature(cfg, path: str) -> QuadratureSpec:
+    cfg = _as_dict(cfg, path)
+    for key in ("order", "segments", "max_refine"):
+        if key in cfg:
+            _as_int(cfg[key], f"{path}.{key}")
+    if "cells" in cfg:
+        for i, item in enumerate(_as_list(cfg["cells"], f"{path}.cells", 2)):
+            _as_int(item, f"{path}.cells[{i}]")
+    if "rel_tol" in cfg:
+        _as_number(cfg["rel_tol"], f"{path}.rel_tol")
+    try:
+        return QuadratureSpec.from_config(cfg)
+    except ValueError as exc:
+        raise SceneError(str(exc), path) from exc
+
+
 def _build_tolerances(cfg, path: str) -> dict:
     cfg = _as_dict(cfg, path)
     out = {}
@@ -227,28 +251,39 @@ def _build_L_grid(cfg, path: str) -> tuple:
 # -- cross-validation ---------------------------------------------------------
 
 
-def _scan_immersion(patch: SurfacePatch, region: Region):
-    uu, vv = region_scan_grid(region)
-    jets = patch.jets(uu, vv, order=1)
-    cols = []
-    for idx in (0, 1):
-        cols.append(np.stack([np.asarray(j.deriv(idx).value) for j in jets], axis=-1))
-    jac = np.stack(cols, axis=-1)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    worst = float(np.min(sv[..., -1] / np.maximum(sv[..., 0], 1e-300)))
+def scan_region(model, patch: SurfacePatch, region: Region, samples: int = SCAN_SAMPLES):
+    """(frame, model report, characteristic margin) from one pass over the region grid.
+
+    One order-1 patch evaluation gives the points and tangents, and one
+    order-3 chart frame serves the model checks and the margin. Immersion
+    failures and degenerate or non-contact models raise here.
+    """
+    uu, vv = region_scan_grid(region, samples)
+    phi = patch.jets(uu, vv, order=1)
+    tu, tv = tangents(phi)
+    worst = float(np.min(immersion_ratio(tu, tv)))
     if worst < IMMERSION_SCAN_RTOL:
         raise ImmersionError(
             f"surface fails the immersion check on the region grid: relative "
             f"smallest singular value {worst:.3e}"
         )
+    try:
+        frame, checks = checked_frame(model, stack_values(phi))
+    except ValidationError as exc:
+        raise SceneError(str(exc), "$.model") from exc
+    return frame, checks, characteristic_margin(frame.omega, tu, tv)
+
+
+def boundary_edge_distances(region: Region, boundary):
+    """Max distance to the region edge over BOUNDARY_SAMPLES points, per curve."""
+    for curve in boundary:
+        t = np.linspace(curve.t0, curve.t1, BOUNDARY_SAMPLES, endpoint=False)
+        ju, jv = curve.jets(t, order=0)
+        yield float(np.max(region.boundary_distance(np.asarray(ju.value), np.asarray(jv.value))))
 
 
 def _check_boundary_on_edge(region: Region, boundary, path: str):
-    for i, curve in enumerate(boundary):
-        t = np.linspace(curve.t0, curve.t1, BOUNDARY_SAMPLES, endpoint=False)
-        ju, jv = curve.jets(t, order=0)
-        dist = region.boundary_distance(np.asarray(ju.value), np.asarray(jv.value))
-        worst = float(np.max(dist))
+    for i, worst in enumerate(boundary_edge_distances(region, boundary)):
         if worst > BOUNDARY_TOL:
             raise SceneError(
                 f"boundary curve leaves the region edge: max distance "
@@ -271,22 +306,18 @@ def scene_from_config(cfg: dict, name: str = "") -> Scene:
     patch = _build_surface(_need(cfg, "surface", "$"), "$.surface")
     region = _build_region(_need(cfg, "region", "$"), "$.region")
     boundary = _build_boundary(cfg.get("boundary", []), "$.boundary")
-    try:
-        quadrature = QuadratureSpec.from_config(_as_dict(cfg.get("quadrature", {}), "$.quadrature"))
-    except ValueError as exc:
-        raise SceneError(str(exc), "$.quadrature") from exc
+    quadrature = _build_quadrature(cfg.get("quadrature", {}), "$.quadrature")
     tolerances = _build_tolerances(cfg.get("tolerances", {}), "$.tolerances")
     L_grid = _build_L_grid(cfg.get("L_grid", []), "$.L_grid")
 
     ensure_region_in_domain(patch, region)
-    _scan_immersion(patch, region)
-    uu, vv = region_scan_grid(region)
+    _, checks, margin = scan_region(model, patch, region)
     try:
-        ensure_valid(model, patch.point(uu, vv))
+        require_passed(checks)
     except ValidationError as exc:
         raise SceneError(str(exc), "$.model") from exc
     try:
-        scan_region_regular(model, patch, region)
+        require_regular(margin, SCAN_SAMPLES)
     except CharacteristicPointError as exc:
         raise SceneError(str(exc), "$.region") from exc
     _check_boundary_on_edge(region, boundary, "$.boundary")

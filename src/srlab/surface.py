@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import Jet, ScalarField, jatan2, pair_oneform
-from .calculus.jets import Composer, jsqrt
+from .calculus.jets import Composer, jsqrt, stack_values, value_of
 from .errors import CharacteristicPointError, ImmersionError, TransversalityError
-from .frame import FrameData, SubRiemannianModel, _cross, _val
+from .frame import FrameData, SubRiemannianModel, _cross
 
 SURFACE_VARS = ("u", "v")
 EPS_CHAR = 1e-8
@@ -47,9 +47,7 @@ class SurfacePatch:
         return [c.jet(bindings) for c in self.phi]
 
     def point(self, u, v) -> np.ndarray:
-        vals = [np.asarray(_val(j)) for j in self.jets(u, v, order=0)]
-        shape = np.broadcast_shapes(*(x.shape for x in vals))
-        return np.stack([np.broadcast_to(x, shape) for x in vals])
+        return stack_values(self.jets(u, v, order=0))
 
 
 @dataclass(frozen=True)
@@ -73,26 +71,41 @@ class CharacteristicReport:
         return np.where(self.characteristic, "characteristic", "regular")
 
 
-def _tangents(phi_jets):
+def tangents(phi_jets):
     tu = [c.deriv(0) for c in phi_jets]
     tv = [c.deriv(1) for c in phi_jets]
     return tu, tv
+
+
+def immersion_ratio(tu, tv) -> np.ndarray:
+    """Relative smallest singular value of the 3x2 matrix (Tu, Tv), per point.
+
+    Scalar components broadcast against array ones, as graphs z = f(u, v) need.
+    """
+    cols = stack_values([*tu, *tv])                          # (6, ...)
+    jac = np.moveaxis(cols.reshape((2, 3) + cols.shape[1:]), (0, 1), (-1, -2))
+    sv = np.linalg.svd(jac, compute_uv=False)                # (..., 2)
+    return np.min(sv, axis=-1) / np.maximum(np.max(sv, axis=-1), 1e-300)
+
+
+def characteristic_margin(omega, tu, tv):
+    """max(|omega(Tu)|, |omega(Tv)|) / (|Tu| + |Tv|) on values: 0 where the plane is horizontal."""
+    w = [value_of(c) for c in omega]
+    tu = [value_of(c) for c in tu]
+    tv = [value_of(c) for c in tv]
+    pu = pair_oneform(w, tu)
+    pv = pair_oneform(w, tv)
+    size = np.sqrt(sum(np.square(t) for t in tu)) + np.sqrt(sum(np.square(t) for t in tv))
+    margin = np.maximum(np.abs(pu), np.abs(pv)) / size
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def characteristic_report(model: SubRiemannianModel, patch: SurfacePatch, u, v) -> CharacteristicReport:
     """Classify parameter points without building the adapted frame."""
     phi = patch.jets(u, v, order=1)
     p0 = [np.asarray(j.value) for j in phi]
-    tu, tv = _tangents(phi)
     fr = model.frame(p0, order=3)   # the frame chain eats three derivative levels
-    wvals = [np.asarray(c.value) for c in fr.omega]
-    tuv = [np.asarray(c.value) for c in tu]
-    tvv = [np.asarray(c.value) for c in tv]
-    pu = sum(w * t for w, t in zip(wvals, tuv))
-    pv = sum(w * t for w, t in zip(wvals, tvv))
-    size = np.sqrt(sum(np.square(t) for t in tuv)) + np.sqrt(sum(np.square(t) for t in tvv))
-    margin = np.maximum(np.abs(pu), np.abs(pv)) / size
-    return CharacteristicReport(float(margin) if margin.ndim == 0 else margin)
+    return CharacteristicReport(characteristic_margin(fr.omega, *tangents(phi)))
 
 
 class SurfaceGeometry:
@@ -114,7 +127,7 @@ class SurfaceGeometry:
         self.phi = phi
         p0 = [np.asarray(j.value) for j in phi]
         self.point = p0
-        self.Tu, self.Tv = _tangents(phi)
+        self.Tu, self.Tv = tangents(phi)
 
         self._immersion_check()
 
@@ -170,16 +183,7 @@ class SurfaceGeometry:
     # -- construction checks ------------------------------------------------
 
     def _immersion_check(self):
-        cols = []
-        for vec in (self.Tu, self.Tv):
-            vals = [np.asarray(_val(c)) for c in vec]
-            shape = np.broadcast_shapes(*(x.shape for x in vals))
-            cols.append(np.stack([np.broadcast_to(x, shape) for x in vals]))
-        jac = np.stack(cols, axis=-1)               # (3, ..., 2)
-        jac = np.moveaxis(jac, 0, -2)               # (..., 3, 2)
-        sv = np.linalg.svd(jac, compute_uv=False)   # (..., 2)
-        smin, smax = np.min(sv, axis=-1), np.max(sv, axis=-1)
-        worst = float(np.min(smin / np.maximum(smax, 1e-300)))
+        worst = float(np.min(immersion_ratio(self.Tu, self.Tv)))
         if worst < IMMERSION_RTOL:
             raise ImmersionError(
                 f"parametrization fails the immersion check: relative smallest "
@@ -187,18 +191,11 @@ class SurfaceGeometry:
             )
 
     def _characteristic_check(self):
-        size = None
-        for vec in (self.Tu, self.Tv):
-            n = jsqrt(sum(c * c for c in vec))
-            size = n if size is None else size + n
-        margin = np.maximum(
-            np.abs(np.asarray(self.omega_Tu.value)), np.abs(np.asarray(self.omega_Tv.value))
-        ) / np.asarray(size.value)
-        self.margin = float(margin) if margin.ndim == 0 else margin
-        if np.any(margin < EPS_CHAR):
+        self.margin = characteristic_margin(self.frame.omega, self.Tu, self.Tv)
+        if np.any(self.margin < EPS_CHAR):
             raise CharacteristicPointError(
                 "surface patch touches a characteristic point: min margin "
-                f"{float(np.min(margin)):.3e} (threshold {EPS_CHAR:.0e})"
+                f"{float(np.min(self.margin)):.3e} (threshold {EPS_CHAR:.0e})"
             )
 
     # -- reporting helpers ----------------------------------------------------
@@ -207,14 +204,6 @@ class SurfaceGeometry:
     def alpha(self):
         """Frame angle in (-pi, pi]: f1 = cos(alpha) e1 + sin(alpha) e2."""
         return jatan2(-np.asarray(self.x.value), np.asarray(self.y.value))
-
-    @property
-    def A_value(self):
-        return _val(self.A)
-
-    def vector_values(self, vec) -> np.ndarray:
-        shape = np.broadcast_shapes(*(np.asarray(_val(c)).shape for c in vec))
-        return np.stack([np.broadcast_to(np.asarray(_val(c)), shape) for c in vec])
 
     def l_frame(self, L: float) -> "LAdaptedFrame":
         return LAdaptedFrame(self, L)

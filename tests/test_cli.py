@@ -2,11 +2,19 @@
 
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srlab import cli
 from srlab import scenes as sc
+from srlab.errors import SamplingError
+from srlab.frame import SubRiemannianModel
+from srlab.measures import Region
+from srlab.surface import SurfaceGeometry
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -40,6 +48,83 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--scene", "missing")
         assert code == 3
         assert "no scene named" in err
+
+
+def write_scene(tmp_path, mutate, base="heisenberg_annulus"):
+    cfg = sc.builtin_scene(base).config
+    mutate(cfg)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+class TestGoldenOutputs:
+    """Shipped-scene stdout, byte for byte, as recorded in tests/golden."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("validate_rt_disk", ["validate", "--scene", "rt_disk"]),
+        ("validate_heisenberg_annulus", ["validate", "--scene", "heisenberg_annulus"]),
+        ("frame_report_rt_disk",
+         ["frame-report", "--scene", "rt_disk", "--uv", "0.2,1.3", "--L", "100"]),
+        ("frame_report_heisenberg_annulus",
+         ["frame-report", "--scene", "heisenberg_annulus", "--uv", "1.5,-0.4", "--L", "10"]),
+    ])
+    def test_stdout_matches_golden(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+class TestValidateScan:
+    def test_graph_surface_validates(self, capsys, tmp_path):
+        def graph(cfg):
+            cfg["surface"]["phi"] = ["u", "v", "0.1*u*v"]
+        code, out, err = run(capsys, "validate", "--scene", write_scene(tmp_path, graph))
+        assert code == 0, err
+        assert "validation: ok" in out
+
+    def test_builds_two_frames_and_no_geometry(self, capsys, monkeypatch):
+        def counted(cls, attr):
+            calls = []
+            orig = getattr(cls, attr)
+            monkeypatch.setattr(cls, attr, lambda *a, **k: calls.append(1) or orig(*a, **k))
+            return calls
+
+        frames = counted(SubRiemannianModel, "frame")
+        geometries = counted(SurfaceGeometry, "__init__")
+        code, _, _ = run(capsys, "validate", "--scene", "rt_disk")
+        assert code == 0
+        assert (len(frames), len(geometries)) == (2, 0)
+
+    def test_non_integer_quadrature_is_validation_error(self, capsys, tmp_path):
+        def fractional(cfg):
+            cfg["quadrature"]["order"] = 2.5
+        code, out, err = run(capsys, "gauss-bonnet", "--scene", write_scene(tmp_path, fractional))
+        assert code == 3 and out == ""
+        assert "$.quadrature.order" in err
+
+
+class TestThinRegions:
+    def test_sampler_gives_up_on_zero_width(self):
+        region = Region.annulus((0.0, 0.0), (1.5, 1.5))
+        with pytest.raises(SamplingError, match="too thin"):
+            cli._sample_region_points(region, 3, np.random.default_rng(0))
+
+    def test_oracle_check_on_too_thin_annulus_exits_4(self, capsys, tmp_path):
+        def thin(cfg):
+            cfg["region"]["radii"] = [1.5, 1.5005]
+            cfg["boundary"][0]["curve"] = ["1.5005*cos(t)", "1.5005*sin(t)"]
+            cfg["boundary"][1]["curve"] = ["1.5*cos(-t)", "1.5*sin(-t)"]
+        code, out, err = run(capsys, "oracle-check", "--scene", write_scene(tmp_path, thin))
+        assert code == 4 and out == ""
+        assert "too thin" in err
+
+    def test_zero_width_annulus_is_rejected_at_load(self, capsys, tmp_path):
+        def zero(cfg):
+            cfg["region"]["radii"] = [1.5, 1.5]
+        code, _, err = run(capsys, "oracle-check", "--scene", write_scene(tmp_path, zero))
+        assert code == 3
+        assert "$.region" in err
 
 
 class TestFrameReport:

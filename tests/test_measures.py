@@ -86,6 +86,7 @@ class TestQuadratureSpec:
         {"rel_tol": -1e-8},
         {"cells": (0, 4)},
         {"segments": 0},
+        {"rel_tol": float("nan")},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):

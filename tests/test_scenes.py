@@ -7,6 +7,7 @@ import pytest
 
 from srlab import scenes as sc
 from srlab.errors import ImmersionError, SceneError
+from srlab.frame import SubRiemannianModel
 from srlab.measures import QuadratureSpec
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +31,19 @@ def annulus_config():
             {"curve": ["cos(-t)", "sin(-t)"], "t": [0.0, TWO_PI]},
         ],
     }
+
+
+def count_calls(monkeypatch, owner, attr) -> list:
+    """Replace owner.attr by a wrapper that appends to the returned list."""
+    calls = []
+    orig = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
 
 
 class TestBuiltinScenes:
@@ -220,3 +234,59 @@ class TestCrossValidation:
         }}
         with pytest.raises(SceneError, match=r"\$\.model"):
             sc.scene_from_config(cfg)
+
+
+class TestOneScan:
+    @pytest.mark.parametrize("name", sc.BUILTIN_SCENES)
+    def test_load_builds_one_chart_frame(self, monkeypatch, name):
+        frames = count_calls(monkeypatch, SubRiemannianModel, "frame")
+        sc.builtin_scene(name)
+        assert len(frames) == 1
+
+    def test_graph_surface_loads(self):
+        cfg = annulus_config()
+        cfg["surface"]["phi"] = ["u", "v", "0.1*u*v"]
+        scene = sc.scene_from_config(cfg)
+        assert scene.region.chi == 0
+
+    def test_immersion_checked_before_model(self):
+        cfg = annulus_config()
+        cfg["surface"]["phi"] = ["u", "u", "0"]
+        cfg["model"] = {"frame": {"e1": ["1", "0", "0"], "e2": ["0", "1", "0"]}}
+        with pytest.raises(ImmersionError):
+            sc.scene_from_config(cfg)
+
+    def test_zero_area_annulus_rejected(self):
+        cfg = annulus_config()
+        cfg["region"]["radii"] = [1.5, 1.5]
+        with pytest.raises(SceneError, match="zero area") as err:
+            sc.scene_from_config(cfg)
+        assert err.value.path == "$.region"
+
+
+class TestQuadratureSettings:
+    @pytest.mark.parametrize("quad, path", [
+        ({"order": 2.5}, "$.quadrature.order"),
+        ({"max_refine": 1.5}, "$.quadrature.max_refine"),
+        ({"segments": True}, "$.quadrature.segments"),
+        ({"cells": [1.5, 2]}, "$.quadrature.cells[0]"),
+        ({"cells": [2, False]}, "$.quadrature.cells[1]"),
+        ({"cells": [2, 2, 2]}, "$.quadrature.cells"),
+        ({"rel_tol": float("nan")}, "$.quadrature.rel_tol"),
+        ({"rel_tol": 0.0}, "$.quadrature"),
+        ({"order": 1}, "$.quadrature"),
+        ({"rel_tol": "1e-8"}, "$.quadrature.rel_tol"),
+    ])
+    def test_rejected_at_field_path(self, quad, path):
+        cfg = annulus_config()
+        cfg["quadrature"] = quad
+        with pytest.raises(SceneError) as err:
+            sc.scene_from_config(cfg)
+        assert err.value.path == path
+
+    def test_integer_settings_load(self):
+        cfg = annulus_config()
+        cfg["quadrature"] = {"order": 8, "cells": [2, 3], "segments": 16,
+                             "max_refine": 0, "rel_tol": 1}
+        assert sc.scene_from_config(cfg).quadrature == QuadratureSpec(
+            order=8, cells=(2, 3), segments=16, max_refine=0, rel_tol=1.0)

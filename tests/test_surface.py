@@ -13,13 +13,16 @@ import pytest
 from srlab.calculus import pair_oneform
 from srlab.errors import CharacteristicPointError, ImmersionError
 from srlab.frame import metric_matrix, _cross
+from srlab.measures import region_scan_grid
 from srlab.models import builtin_model
+from srlab.scenes import BUILTIN_SCENES, builtin_scene
 from srlab.surface import (
     CharacteristicReport,
     SurfaceGeometry,
     SurfacePatch,
     characteristic_report,
     continuity_ok,
+    immersion_ratio,
 )
 
 HEIS = builtin_model("heisenberg")
@@ -63,6 +66,30 @@ class TestCharacteristicClassification:
         folded = SurfacePatch.parse(("u", "u", "0"))
         with pytest.raises(ImmersionError):
             SurfaceGeometry(HEIS, folded, 1.0, 0.5)
+
+
+class TestSharedChecks:
+    """The value-level checks that geometry, scene load and validate share."""
+
+    def test_immersion_ratio_broadcasts_scalar_and_array_components(self):
+        u = np.array([0.5, 1.0, -2.0])
+        v = np.array([1.0, -1.0, 0.0])
+        # graph z = 0.1 u v: Tu = (1, 0, 0.1 v) and Tv = (0, 1, 0.1 u)
+        ratio = immersion_ratio((1.0, 0.0, 0.1 * v), (0.0, 1.0, 0.1 * u))
+        assert ratio.shape == (3,)
+        for k in range(3):
+            sv = np.linalg.svd([[1.0, 0.0], [0.0, 1.0], [0.1 * v[k], 0.1 * u[k]]],
+                               compute_uv=False)
+            assert ratio[k] == pytest.approx(sv[-1] / sv[0], rel=1e-14)
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENES)
+    def test_geometry_and_prescan_margins_agree_bitwise(self, name):
+        scene = builtin_scene(name)
+        for samples in (15, 25):
+            uu, vv = region_scan_grid(scene.region, samples)
+            geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
+            report = characteristic_report(scene.model, scene.patch, uu, vv)
+            assert np.array_equal(geom.margin, report.margin)
 
 
 class TestAdaptedFrameHeisenberg:

@@ -8,6 +8,17 @@ to the stored order, so no finite-difference noise enters downstream
 geometry. Coefficients may be floats or numpy arrays of equal shape, which
 evaluates a whole batch of base points in one pass.
 
+A coefficient that is the Python float 0.0 (`type(c) is float and c == 0.0`,
+the placeholder `Jet.constant` and `Jet.variable` write) is a structural
+zero. Products sum only the coefficient pairs where neither factor is one,
+and sums, differences and scalar products pass it through without touching
+the other operand (negation gives -0.0, still a structural zero), so the
+zeros of constant fields, polynomial frames and centred displacements
+(`Jet.centered`) cost nothing. Arrays are never scanned for zeros. A
+consequence for callers: any coefficient of a batch jet, its value
+included, may be a scalar rather than an array, so the shape of a node
+batch must come from the node set, not from a coefficient.
+
 Orders are tracked structurally: an operation between jets of different
 orders truncates to the lower one, and derivative extraction lowers the
 order by one, so a jet of order k always carries exact coefficients through
@@ -50,7 +61,7 @@ MAX_VARS = 3
 
 
 class _Tables:
-    __slots__ = ("nvars", "order", "indices", "pos", "ncoef", "mul_pairs", "deriv_maps")
+    __slots__ = ("nvars", "order", "indices", "pos", "ncoef", "mul_rows", "deriv_maps")
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
@@ -65,13 +76,13 @@ class _Tables:
         self.indices = tuple(idx)
         self.pos = {a: i for i, a in enumerate(idx)}
         self.ncoef = len(idx)
-        pairs: list[list[tuple[int, int]]] = [[] for _ in idx]
-        for i, a in enumerate(idx):
-            for j, b in enumerate(idx):
-                g = tuple(x + y for x, y in zip(a, b))
-                if sum(g) <= order:
-                    pairs[self.pos[g]].append((i, j))
-        self.mul_pairs = tuple(tuple(p) for p in pairs)
+        # mul_rows[i][j] = position of idx[i] + idx[j]; row i stops where the
+        # degree of idx[j] passes order - |idx[i]|, a prefix in degree-major order
+        self.mul_rows = tuple(
+            tuple(self.pos[tuple(x + y for x, y in zip(a, b))]
+                  for b in idx if sum(a) + sum(b) <= order)
+            for a in idx
+        )
         # deriv_maps[k][out_position] = (source_position, integer_factor)
         maps = []
         for k in range(nvars):
@@ -96,6 +107,24 @@ def _tables(nvars: int, order: int) -> _Tables:
 
 def _any(cond) -> bool:
     return bool(np.any(cond))
+
+
+def _zero(c) -> bool:
+    """True for a structural zero: the Python float 0.0 placeholder, never an array."""
+    return type(c) is float and c == 0.0
+
+
+def _add(x, y):
+    if _zero(y):
+        return x
+    if _zero(x):
+        return y
+    return x + y
+
+
+def _sub(x, y):
+    # 0.0 - y is computed: it costs what -y would and keeps IEEE signed zeros
+    return x if _zero(y) else x - y
 
 
 class Jet:
@@ -176,6 +205,10 @@ class Jet:
                 for src, fac in t.deriv_maps[k]]
         return Jet(self.nvars, self.order - 1, coef, self.point)
 
+    def centered(self) -> "Jet":
+        """self - self.value, with a structural-zero constant term (a displacement)."""
+        return Jet(self.nvars, self.order, [0.0] + self.coef[1:], self.point)
+
     def truncate(self, order: int) -> "Jet":
         if order >= self.order:
             return self
@@ -196,10 +229,10 @@ class Jet:
         pair = self._meta(other)
         if pair is None:
             coef = list(self.coef)
-            coef[0] = coef[0] + other
+            coef[0] = _add(coef[0], other)
             return Jet(self.nvars, self.order, coef, self.point)
         a, b = pair
-        coef = [x + y for x, y in zip(a.coef, b.coef)]
+        coef = [_add(x, y) for x, y in zip(a.coef, b.coef)]
         return Jet(a.nvars, a.order, coef, a.point or b.point)
 
     __radd__ = __add__
@@ -208,15 +241,15 @@ class Jet:
         pair = self._meta(other)
         if pair is None:
             coef = list(self.coef)
-            coef[0] = coef[0] - other
+            coef[0] = _sub(coef[0], other)
             return Jet(self.nvars, self.order, coef, self.point)
         a, b = pair
-        coef = [x - y for x, y in zip(a.coef, b.coef)]
+        coef = [_sub(x, y) for x, y in zip(a.coef, b.coef)]
         return Jet(a.nvars, a.order, coef, a.point or b.point)
 
     def __rsub__(self, other):
         coef = [-c for c in self.coef]
-        coef[0] = other + coef[0]
+        coef[0] = _sub(other, self.coef[0])
         return Jet(self.nvars, self.order, coef, self.point)
 
     def __neg__(self):
@@ -225,17 +258,26 @@ class Jet:
     def __mul__(self, other):
         pair = self._meta(other)
         if pair is None:
-            return Jet(self.nvars, self.order, [c * other for c in self.coef], self.point)
+            coef = [c if _zero(c) else c * other for c in self.coef]
+            return Jet(self.nvars, self.order, coef, self.point)
         a, b = pair
         ac, bc = a.coef, b.coef
-        out = []
-        for plist in _tables(a.nvars, a.order).mul_pairs:
-            i, j = plist[0]
-            s = ac[i] * bc[j]
-            for i, j in plist[1:]:
-                s = s + ac[i] * bc[j]
-            out.append(s)
-        return Jet(a.nvars, a.order, out, a.point or b.point)
+        live_b = [j for j, c in enumerate(bc) if not _zero(c)]
+        # out[g] sums ac[i] * bc[j] over the pairs landing on g, in increasing
+        # i, skipping structural zeros; a slot no pair reaches stays 0.0
+        out = [None] * len(ac)
+        for x, row in zip(ac, _tables(a.nvars, a.order).mul_rows):
+            if _zero(x):
+                continue
+            n = len(row)
+            for j in live_b:
+                if j >= n:
+                    break
+                g = row[j]
+                s = out[g]
+                out[g] = x * bc[j] if s is None else s + x * bc[j]
+        coef = [0.0 if s is None else s for s in out]
+        return Jet(a.nvars, a.order, coef, a.point or b.point)
 
     __rmul__ = __mul__
 
@@ -262,7 +304,7 @@ class Jet:
 
 def _compose_series(u: Jet, derivs: list) -> Jet:
     """Evaluate f(u) where derivs[k] = f^(k)(u.value), k = 0..u.order."""
-    du = u - u.value
+    du = u.centered()
     acc = Jet.constant(derivs[0], u.nvars, u.order, u.point)
     power = None
     fact = 1.0
@@ -405,7 +447,7 @@ def jatan2(y, x):
 def _constant_exponent(expo: Jet):
     """Exponent value if the jet has no derivative content, else None."""
     for c in expo.coef[1:]:
-        if _any(np.asarray(c) != 0):
+        if not _zero(c) and _any(np.asarray(c) != 0):
             return None
     return expo.value
 
@@ -463,7 +505,9 @@ class Composer:
 
     Monomial powers of the displacement jets are built once; each pull of an
     outer jet is then a coefficient-weighted sum. Displacements must have an
-    exactly zero constant term (subtract the base value before constructing).
+    exactly zero constant term: pass `jet.centered()`, whose structural-zero
+    constant term makes a degree-k power start at degree k, so the powers
+    skip every lower coefficient.
     """
 
     def __init__(self, displacements: Sequence[Jet]):
@@ -496,9 +540,10 @@ class Composer:
         out_pos = _tables(outer.nvars, outer.order).pos
         acc = Jet.constant(outer.coef[0], self.inner_nvars, order, self.point)
         for a in _tables(outer.nvars, order).indices:
-            if sum(a) == 0:
+            c = outer.coef[out_pos[a]]
+            if sum(a) == 0 or _zero(c):
                 continue
-            acc = acc + self.powers[a].truncate(order) * outer.coef[out_pos[a]]
+            acc = acc + self.powers[a].truncate(order) * c
         return acc
 
 
@@ -518,7 +563,8 @@ def compose(outer: Jet, displacements: Sequence[Jet]) -> Jet:
     """Truncated Taylor composition: outer evaluated at base + displacements.
 
     Each displacement is a jet over a common inner variable set whose constant
-    term is exactly zero. The result is exact to min(outer.order, inner order).
+    term is exactly zero (see `Jet.centered`). The result is exact to
+    min(outer.order, inner order).
     """
     if len(displacements) != outer.nvars:
         raise ValueError("need one displacement per outer variable")

@@ -198,10 +198,11 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--curve must be in [0, {len(scene.boundary) - 1}]")
         curve = scene.boundary[args.curve]
         t = np.asarray([args.t])
-        limit = float(cv.normal_curvature_limit(scene.model, scene.patch, curve, t)[0])
+        cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
+        limit = float(cv.normal_curvature_limit(scene.model, scene.patch, curve, t, cg)[0])
         rows.append(("L", "kn_L", "kn_limit", "abs_gap"))
         for L in grid:
-            kn = float(cv.normal_curvature_L(scene.model, scene.patch, curve, t, L)[0])
+            kn = float(cv.normal_curvature_L(scene.model, scene.patch, curve, t, L, cg)[0])
             rows.append((_fmt(L), _fmt(kn), _fmt(limit), _fmt(abs(kn - limit))))
 
     _write_lines([",".join(row) for row in rows], args.out)
@@ -286,9 +287,8 @@ def cmd_oracle_check(args) -> int:
     grid = _parse_L_list(args.L)
     rng = np.random.default_rng(args.seed)
     uu, vv = _sample_region_points(scene.region, args.samples, rng)
-    points = scene.patch.point(uu, vv)
     geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
-    fr = scene.model.frame(points, order=3)
+    fr = geom.frame
 
     lines = [f"scene {scene.name}: oracle check at {args.samples} region points"]
     worst = 0.0
@@ -307,8 +307,11 @@ def cmd_oracle_check(args) -> int:
 
         for i, curve in enumerate(scene.boundary):
             t = rng.uniform(curve.t0, curve.t1, args.samples)
-            kn = np.asarray(cv.normal_curvature_L(scene.model, scene.patch, curve, t, L))
-            kg = np.asarray(cv.geodesic_curvature_oracle(scene.model, scene.patch, curve, t, L))
+            # one curve geometry feeds both; the oracle's formula shares no
+            # code with the pipeline's, as with the region check's `geom`
+            cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
+            kn = np.asarray(cv.normal_curvature_L(scene.model, scene.patch, curve, t, L, cg))
+            kg = np.asarray(cv.geodesic_curvature_oracle(scene.model, scene.patch, curve, t, L, cg))
             gap_n = float(np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg))))
             lines.append(
                 f"  boundary curvature vs geodesic-curvature oracle "

@@ -196,7 +196,7 @@ def omega23_koszul_values(geom: SurfaceGeometry, L: float):
     c2 = (x, y, Jet.constant(0.0, 2, x.order, x.point))
     c3 = (A * y / denom, -(A * x) / denom, s / denom)
     on_tu, on_tv = _coframe_on_tangents(geom)
-    base = np.broadcast_shapes(*(np.shape(value_of(c)) for c in (x, A)))
+    base = geom.frame.shape
 
     def along(vec_index, pairings):
         vk = [value_of(pairings[0]), value_of(pairings[1]), s * value_of(pairings[2])]
@@ -356,7 +356,7 @@ class CurveGeometry:
         self.vdot = cv.deriv(0)
         u0, v0 = np.asarray(cu.value), np.asarray(cv.value)
         self.geom = SurfaceGeometry(model, patch, u0, v0)
-        self.pull = Composer([cu - u0, cv - v0]).pull
+        self.pull = Composer([cu.centered(), cv.centered()]).pull
 
         phi_t = [self.pull(p) for p in self.geom.phi]
         self.gamma_dot = [p.deriv(0) for p in phi_t]
@@ -407,9 +407,10 @@ def curve_decomposition(model, patch, curve, t):
     return value_of(cg.x), value_of(cg.y)
 
 
-def normal_curvature_limit(model, patch, curve, t):
+def normal_curvature_limit(model, patch, curve, t, cg: CurveGeometry = None):
     """Limit normal curvature sign(y) A along a transverse curve."""
-    cg = CurveGeometry(model, patch, curve, t)
+    if cg is None:
+        cg = CurveGeometry(model, patch, curve, t)
     cg.require_transverse()
     return np.sign(value_of(cg.y)) * value_of(cg.A)
 

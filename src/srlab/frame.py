@@ -94,6 +94,11 @@ class FrameData:
     def frames(self):
         return (self.e1, self.e2, self.e3)
 
+    @property
+    def shape(self) -> tuple:
+        """Shape of the node batch, from the chart point (a coefficient may be a scalar)."""
+        return np.broadcast_shapes(*(np.shape(p) for p in self.point))
+
     def sf_values(self) -> dict:
         return {k: value_of(j) for k, j in self.sf.items()}
 
@@ -278,8 +283,7 @@ class ConnectionFormsL:
 
     def values(self) -> np.ndarray:
         """Coefficients as an array of shape (3, 3, 3) or (3, 3, 3, n)."""
-        shape = np.asarray(self.frame.tau.value).shape
-        out = np.zeros((3, 3, 3) + shape)
+        out = np.zeros((3, 3, 3) + self.frame.shape)
         for i in range(1, 4):
             for j in range(1, 4):
                 for k in range(1, 4):
@@ -348,8 +352,7 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
             a, b, sign = b, a, -1.0
         return sign * value_of(pair_oneform(duals[m], br[(a, b)]))
 
-    shape = np.asarray(frame.tau.value).shape
-    out = np.zeros((3, 3, 3) + shape)
+    out = np.zeros((3, 3, 3) + frame.shape)
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -360,7 +363,7 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
 
 def metric_matrix(frame: FrameData, L: float) -> np.ndarray:
     """g_L in chart coordinates: sum of squares of the scaled coframe."""
-    shape = np.shape(frame.tau.value)
+    shape = frame.shape
     rows = [stack_values(r, shape) for r in (frame.coframe[0], frame.coframe[1], frame.omega)]
     g = np.zeros((3, 3) + shape)
     for w, r in zip((1.0, 1.0, float(L)), rows):

@@ -5,12 +5,14 @@ and are re-parsed by the calculus layer, so the file format itself has no
 semantics beyond structure. Loading validates everything up front: schema
 shape (errors carry a $.field path), expression parsing, region containment
 in the surface domain, one scan of a region grid that serves the immersion,
-model-frame and characteristic-point checks, and a check that each boundary
-curve actually runs along the region's edge.
+model-frame and characteristic-point checks, and a check that the boundary
+curves run along the region's edge and trace each edge component once.
 
-The boundary curves are taken exactly as written, orientation included.
-Gauss-Bonnet cancellation expects the convention induced from the region in
-the parameter plane: counterclockwise outer boundary, clockwise holes.
+The boundary curves are taken as written, orientation included, but must
+follow the convention Gauss-Bonnet cancellation expects, the one induced
+from the region in the parameter plane: counterclockwise outer boundary,
+clockwise holes. A set that misses, reverses or repeats a component is
+rejected at `$.boundary`.
 """
 
 import json
@@ -21,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .calculus.jets import stack_values
+from .calculus.jets import stack_values, value_of
 from .curvature import CurveOnSurface
 from .errors import CharacteristicPointError, ImmersionError, SceneError, ValidationError
 from .frame import checked_frame, require_passed
@@ -32,6 +34,8 @@ from .surface import SurfacePatch, characteristic_margin, immersion_ratio, tange
 BUILTIN_SCENES = ("heisenberg_annulus", "rt_disk")
 BOUNDARY_SAMPLES = 32
 BOUNDARY_TOL = 1e-8
+SWEEP_TOL = 1e-6
+JOIN_TOL = 1e-6
 IMMERSION_SCAN_RTOL = 1e-8
 SCAN_SAMPLES = 25
 
@@ -274,22 +278,88 @@ def scan_region(model, patch: SurfacePatch, region: Region, samples: int = SCAN_
     return frame, checks, characteristic_margin(frame.omega, tu, tv)
 
 
+def _edge_samples(curve):
+    """(u, v) at BOUNDARY_SAMPLES + 1 evenly spaced parameters, both ends included."""
+    t = np.linspace(curve.t0, curve.t1, BOUNDARY_SAMPLES + 1)
+    ju, jv = curve.jets(t, order=0)
+    u, v, _ = np.broadcast_arrays(value_of(ju), value_of(jv), t)
+    return u, v
+
+
+def _edge_distance(region: Region, u, v) -> float:
+    # the end point t1 is left out: on a boundary it repeats a start point
+    return float(np.max(region.boundary_distance(u[:-1], v[:-1])))
+
+
 def boundary_edge_distances(region: Region, boundary):
     """Max distance to the region edge over BOUNDARY_SAMPLES points, per curve."""
     for curve in boundary:
-        t = np.linspace(curve.t0, curve.t1, BOUNDARY_SAMPLES, endpoint=False)
-        ju, jv = curve.jets(t, order=0)
-        yield float(np.max(region.boundary_distance(np.asarray(ju.value), np.asarray(jv.value))))
+        yield _edge_distance(region, *_edge_samples(curve))
 
 
-def _check_boundary_on_edge(region: Region, boundary, path: str):
-    for i, worst in enumerate(boundary_edge_distances(region, boundary)):
+def _joined(starts, ends) -> bool:
+    """True when every end point is the start point of another piece, one to one."""
+    free = list(starts)
+    for p in ends:
+        k = next((k for k, q in enumerate(free) if math.dist(p, q) <= JOIN_TOL), None)
+        if k is None:
+            return False
+        free.pop(k)
+    return True
+
+
+def _check_boundary(region: Region, boundary, path: str):
+    """Every curve lies on the region edge, and together they trace each edge
+    component once with the induced orientation.
+
+    Per edge component the pieces must join up into closed loops, and the
+    angle they sweep about the region centre, summed from the same samples
+    as the edge distance, must total +2 pi on the outer edge
+    (counterclockwise) and -2 pi on an annulus hole (clockwise). The edge
+    integrals then equal those over the edge traced once, so a missing,
+    reversed, doubled or half-covered component is rejected.
+    """
+    if region.kind == "rectangle":
+        (a, b), (c, d) = region.u_interval, region.v_interval
+        cu, cv = 0.5 * (a + b), 0.5 * (c + d)
+    else:
+        cu, cv = region.center
+    expected = {"outer": 2 * math.pi}
+    if region.kind == "annulus":
+        expected["inner"] = -2 * math.pi
+    swept = dict.fromkeys(expected, 0.0)
+    pieces = {edge: ([], []) for edge in expected}     # start and end points
+    for i, curve in enumerate(boundary):
+        u, v = _edge_samples(curve)
+        worst = _edge_distance(region, u, v)
         if worst > BOUNDARY_TOL:
             raise SceneError(
                 f"boundary curve leaves the region edge: max distance "
                 f"{worst:.3e} over {BOUNDARY_SAMPLES} samples "
                 f"(tolerance {BOUNDARY_TOL:.0e})",
                 f"{path}[{i}]",
+            )
+        du, dv = u - cu, v - cv
+        hole = region.kind == "annulus" and math.hypot(du[0], dv[0]) < 0.5 * sum(region.radii)
+        edge = "inner" if hole else "outer"
+        steps = np.diff(np.arctan2(dv, du))
+        swept[edge] += float(np.sum((steps + math.pi) % (2 * math.pi) - math.pi))
+        pieces[edge][0].append((u[0], v[0]))
+        pieces[edge][1].append((u[-1], v[-1]))
+    for edge, want in expected.items():
+        if not _joined(*pieces[edge]):
+            raise SceneError(
+                f"boundary curves along the {edge} edge do not join up into closed "
+                f"loops: an end point is no piece's start point (tolerance {JOIN_TOL:.0e})",
+                path,
+            )
+        if abs(swept[edge] - want) > SWEEP_TOL:
+            raise SceneError(
+                f"boundary curves turn {swept[edge] / (2 * math.pi):.6g} times about the "
+                f"region centre along the {edge} edge, expected {want / (2 * math.pi):.0f}: "
+                "the outer edge must be traced once counterclockwise and each hole "
+                "once clockwise",
+                path,
             )
 
 
@@ -320,7 +390,7 @@ def scene_from_config(cfg: dict, name: str = "") -> Scene:
         require_regular(margin, SCAN_SAMPLES)
     except CharacteristicPointError as exc:
         raise SceneError(str(exc), "$.region") from exc
-    _check_boundary_on_edge(region, boundary, "$.boundary")
+    _check_boundary(region, boundary, "$.boundary")
 
     return Scene(name=name, model=model, patch=patch, region=region,
                  boundary=boundary, quadrature=quadrature,

@@ -132,7 +132,7 @@ class SurfaceGeometry:
         self._immersion_check()
 
         self.frame: FrameData = model.frame(p0, order=order + 1)
-        self.pullback = Composer([j - j.value for j in phi])
+        self.pullback = Composer([j.centered() for j in phi])
 
         pull = self.pullback.pull
         self.omega_s = tuple(pull(c) for c in self.frame.omega)

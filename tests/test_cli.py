@@ -9,6 +9,7 @@ import pytest
 
 from srlab import cli
 from srlab import scenes as sc
+from srlab.curvature import CurveGeometry
 from srlab.errors import SamplingError
 from srlab.frame import SubRiemannianModel
 from srlab.measures import Region
@@ -263,6 +264,38 @@ class TestOracleCheck:
         assert first == second
 
 
+def counted(monkeypatch, cls, attr) -> list:
+    """Replace cls.attr by a wrapper that counts its calls."""
+    calls = []
+    orig = getattr(cls, attr)
+    monkeypatch.setattr(cls, attr, lambda *a, **k: calls.append(1) or orig(*a, **k))
+    return calls
+
+
+class TestCurveGeometryBuilds:
+    """Single-point commands build each curve geometry once and share it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        return counted(monkeypatch, CurveGeometry, "__init__")
+
+    def test_kn_sweep_builds_one_for_the_limit_and_every_L(self, capsys, builds):
+        code, out, _ = run(capsys, "sweep", "--scene", "heisenberg_annulus", "--quantity", "kn",
+                           "--curve", "0", "--t", "0.3", "--L", "10,100,1000")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert len(builds) == 1
+
+    def test_oracle_check_builds_one_per_L_and_curve(self, capsys, monkeypatch, builds):
+        frames = counted(monkeypatch, SubRiemannianModel, "frame")
+        code, out, _ = run(capsys, "oracle-check", "--scene", "heisenberg_annulus",
+                           "--L", "1,10,100", "--samples", "4")
+        assert code == 0 and "oracle check: ok" in out
+        assert len(builds) == 3 * 2
+        # scene load, the region geometry (whose frame the connection check
+        # reuses) and one per curve geometry
+        assert len(frames) == 1 + 1 + 3 * 2
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert cli.main([]) == 2
@@ -307,3 +340,84 @@ class TestGaussBonnetConvergence:
         assert payload["residual_ok"] is True
         assert payload["area_integral"]["converged"] is False
         assert "did not converge" in err and "L = 100.0" in err
+
+
+def circle(radius, sign="", center=(0.0, 0.0)):
+    cu, cv = center
+    return {"curve": [f"{cu}+{radius}*cos({sign}t)", f"{cv}+{radius}*sin({sign}t)"],
+            "t": [0.0, 2 * math.pi]}
+
+
+class TestBoundaryCoverage:
+    """Boundary curves must trace each edge component once, induced orientation."""
+
+    def rejected(self, capsys, tmp_path, mutate, base, edge):
+        code, out, err = run(capsys, "validate", "--scene", write_scene(tmp_path, mutate, base))
+        assert code == 3 and out == ""
+        assert "$.boundary" in err and f"{edge} edge" in err
+
+    def test_missing_hole_curve(self, capsys, tmp_path):
+        def drop_inner(cfg):
+            del cfg["boundary"][1]
+        self.rejected(capsys, tmp_path, drop_inner, "heisenberg_annulus", "inner")
+
+    def test_no_curves(self, capsys, tmp_path):
+        def empty(cfg):
+            cfg["boundary"] = []
+        self.rejected(capsys, tmp_path, empty, "rt_disk", "outer")
+
+    def test_reversed_outer_curve(self, capsys, tmp_path):
+        def reverse(cfg):
+            cfg["boundary"] = [circle(0.8, "-", (0.0, 1.5))]
+        self.rejected(capsys, tmp_path, reverse, "rt_disk", "outer")
+
+    def test_reversed_hole_curve(self, capsys, tmp_path):
+        def reverse(cfg):
+            cfg["boundary"][1] = circle(1.0)
+        self.rejected(capsys, tmp_path, reverse, "heisenberg_annulus", "inner")
+
+    def test_doubled_curve(self, capsys, tmp_path):
+        def double(cfg):
+            cfg["boundary"].append(dict(cfg["boundary"][0]))
+        self.rejected(capsys, tmp_path, double, "rt_disk", "outer")
+
+    def test_half_edge_traced_twice(self, capsys, tmp_path):
+        def upper_half_twice(cfg):
+            half = dict(circle(0.8, "", (0.0, 1.5)), t=[0.0, math.pi])
+            cfg["boundary"] = [half, dict(half)]
+        self.rejected(capsys, tmp_path, upper_half_twice, "rt_disk", "outer")
+
+    def test_curve_that_winds_twice(self, capsys, tmp_path):
+        def twice(cfg):
+            cfg["boundary"][0]["t"] = [0.0, 4 * math.pi]
+        self.rejected(capsys, tmp_path, twice, "heisenberg_annulus", "outer")
+
+    def test_pieces_that_close_up_are_accepted(self, capsys, tmp_path):
+        def halves(cfg):
+            outer = circle(2.0)
+            cfg["boundary"][0:1] = [dict(outer, t=[0.0, math.pi]),
+                                    dict(outer, t=[math.pi, 2 * math.pi])]
+        code, out, err = run(capsys, "validate", "--scene",
+                             write_scene(tmp_path, halves, "heisenberg_annulus"))
+        assert code == 0, err
+        assert "boundary curve 2" in out
+
+    def test_rectangle_in_four_sides(self, capsys, tmp_path):
+        def rectangle(cfg):
+            cfg["region"] = {"type": "rectangle", "u": [-0.5, 0.5], "v": [1.0, 2.0],
+                             "euler_characteristic": 1}
+            cfg["boundary"] = [
+                {"curve": ["t", "1"], "t": [-0.5, 0.5]},
+                {"curve": ["0.5", "t"], "t": [1.0, 2.0]},
+                {"curve": ["-t", "2"], "t": [-0.5, 0.5]},
+                {"curve": ["-0.5", "-t"], "t": [-2.0, -1.0]},
+            ]
+        path = write_scene(tmp_path, rectangle, "rt_disk")
+        code, out, err = run(capsys, "validate", "--scene", path)
+        assert code == 0, err
+        assert "boundary curve 3: max distance to region edge 0.0" in out
+
+        def drop_side(cfg):
+            rectangle(cfg)
+            del cfg["boundary"][2]
+        self.rejected(capsys, tmp_path, drop_side, "rt_disk", "outer")

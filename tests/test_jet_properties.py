@@ -1,0 +1,255 @@
+"""Property tests for the jet layer, structural zeros included.
+
+Random jets (1-3 variables, orders 0-4) mix the structural-zero placeholder
+0.0, Python floats and small arrays. Products, sums, differences, Taylor
+composition and derivatives are checked against a reference written here: a
+plain double loop over {multi-index: coefficient} dicts that shares no code
+with the jet tables. Coefficients are small integers, so every sum is exact
+in any order and results compare with np.array_equal, which also counts
+-0.0 equal to 0.0.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from srlab.calculus.jets import Composer, Jet, compose  # noqa: E402
+
+WIDTH = 3   # nodes per array coefficient
+
+
+def layout(nvars, order):
+    """Multi-indices in the jet's coefficient order: by degree, then lexicographic."""
+    idx = [a for a in itertools.product(range(order + 1), repeat=nvars) if sum(a) <= order]
+    return sorted(idx, key=lambda a: (sum(a), a))
+
+
+def structural(c):
+    return type(c) is float and c == 0.0
+
+
+def as_dict(jet, order=None):
+    order = jet.order if order is None else order
+    return {a: c for a, c in zip(layout(jet.nvars, jet.order), jet.coef) if sum(a) <= order}
+
+
+def ref_mul(a, b, order):
+    out = {}
+    for alpha, x in a.items():
+        for beta, y in b.items():
+            g = tuple(p + q for p, q in zip(alpha, beta))
+            if sum(g) <= order:
+                out[g] = out.get(g, 0.0) + x * y
+    return out
+
+
+def ref_compose(outer, disps, order):
+    zero = (0,) * disps[0].nvars
+    acc = {}
+    for beta, c in as_dict(outer, order).items():
+        term = {zero: 1.0}
+        for k, e in enumerate(beta):
+            for _ in range(e):
+                term = ref_mul(term, as_dict(disps[k], order), order)
+        for g, v in term.items():
+            acc[g] = acc.get(g, 0.0) + c * v
+    return acc
+
+
+def same(actual, expected):
+    shape = np.broadcast_shapes(np.shape(actual), np.shape(expected))
+    return np.array_equal(np.broadcast_to(actual, shape), np.broadcast_to(expected, shape))
+
+
+def assert_matches(jet, ref, nvars, order):
+    assert (jet.nvars, jet.order) == (nvars, order)
+    idx = layout(nvars, order)
+    assert len(jet.coef) == len(idx)
+    for alpha, c in zip(idx, jet.coef):
+        assert same(c, ref.get(alpha, 0.0)), (alpha, c, ref.get(alpha, 0.0))
+
+
+small = st.integers(-4, 4)
+array = st.lists(small, min_size=WIDTH, max_size=WIDTH).map(lambda v: np.array(v, dtype=float))
+coefficient = st.one_of(st.just(0.0), small.map(float), array)
+
+
+@st.composite
+def jets(draw, nvars, order, coefs=coefficient):
+    n = len(layout(nvars, order))
+    return Jet(nvars, order, draw(st.lists(coefs, min_size=n, max_size=n)))
+
+
+@st.composite
+def jet_pairs(draw, coefs=coefficient):
+    nvars = draw(st.integers(1, 3))
+    a = draw(jets(nvars, draw(st.integers(0, 4)), coefs))
+    b = draw(jets(nvars, draw(st.integers(0, 4)), coefs))
+    return a, b
+
+
+@st.composite
+def compositions(draw):
+    inner, outer_vars = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    order = draw(st.integers(0, 4))
+    disps = [draw(jets(inner, order)).centered() for _ in range(outer_vars)]
+    return draw(jets(outer_vars, draw(st.integers(0, 4)))), disps
+
+
+@given(jet_pairs())
+def test_product(pair):
+    a, b = pair
+    order = min(a.order, b.order)
+    ra, rb = as_dict(a, order), as_dict(b, order)
+    for prod in (a * b, b * a):
+        assert_matches(prod, ref_mul(ra, rb, order), a.nvars, order)
+    # a slot no pair of live factors lands on is a structural zero; one that an
+    # array factor reaches is not (Python floats alone may cancel to 0.0)
+    live = {}
+    for alpha, x in ra.items():
+        for beta, y in rb.items():
+            g = tuple(p + q for p, q in zip(alpha, beta))
+            if sum(g) <= order and not structural(x) and not structural(y):
+                live[g] = live.get(g, False) or bool(np.ndim(x) or np.ndim(y))
+    for alpha, c in zip(layout(a.nvars, order), (a * b).coef):
+        if alpha not in live:
+            assert structural(c)
+        elif live[alpha]:
+            assert not structural(c)
+
+
+@given(jet_pairs())
+def test_sum_and_difference(pair):
+    a, b = pair
+    order = min(a.order, b.order)
+    ra, rb = as_dict(a, order), as_dict(b, order)
+    idx = layout(a.nvars, order)
+    total = {k: ra[k] + rb[k] for k in idx}
+    assert_matches(a + b, total, a.nvars, order)
+    assert_matches(b + a, total, a.nvars, order)
+    assert_matches(a - b, {k: ra[k] - rb[k] for k in idx}, a.nvars, order)
+    assert_matches(b - a, {k: rb[k] - ra[k] for k in idx}, a.nvars, order)
+    for k, x, y in zip(idx, (a + b).coef, (a - b).coef):
+        if structural(ra[k]) and structural(rb[k]):
+            assert structural(x) and structural(y)
+        elif np.ndim(ra[k]) or np.ndim(rb[k]):
+            assert not structural(x) and not structural(y)
+
+
+@given(jet_pairs(), st.one_of(small.map(float), array))
+def test_scalar_operations(pair, s):
+    a = pair[0]
+    ra = as_dict(a)
+    zero = (0,) * a.nvars
+    shifted = dict(ra)
+    assert_matches(-a, {k: -c for k, c in ra.items()}, a.nvars, a.order)
+    for prod in (a * s, s * a):
+        assert_matches(prod, {k: c * s for k, c in ra.items()}, a.nvars, a.order)
+        assert all(structural(p) for c, p in zip(a.coef, prod.coef) if structural(c))
+    shifted[zero] = ra[zero] + s
+    assert_matches(a + s, shifted, a.nvars, a.order)
+    assert_matches(s + a, shifted, a.nvars, a.order)
+    shifted[zero] = ra[zero] - s
+    assert_matches(a - s, shifted, a.nvars, a.order)
+    assert_matches(s - a, {k: -c for k, c in shifted.items()}, a.nvars, a.order)
+
+
+@given(jet_pairs())
+def test_centered(pair):
+    a = pair[0]
+    centered = a.centered()
+    assert structural(centered.value)
+    expected = dict(as_dict(a))
+    expected[(0,) * a.nvars] = 0.0
+    assert_matches(centered, expected, a.nvars, a.order)
+
+
+@given(jet_pairs(), st.integers(0, 2))
+def test_derivative(pair, k):
+    a = pair[0]
+    assume(a.order >= 1)
+    k %= a.nvars
+    expected = {}
+    for alpha, c in as_dict(a).items():
+        if alpha[k]:
+            lower = tuple(e - (i == k) for i, e in enumerate(alpha))
+            expected[lower] = c * alpha[k]
+    assert_matches(a.deriv(k), expected, a.nvars, a.order - 1)
+
+
+@given(compositions())
+def test_composition(case):
+    outer, disps = case
+    order = min(outer.order, disps[0].order)
+    expected = ref_compose(outer, disps, order)
+    inner = disps[0].nvars
+    assert_matches(Composer(disps).pull(outer), expected, inner, order)
+    # displacements whose zero constant term is an array, not a structural zero
+    dense = [Jet(d.nvars, d.order, [np.zeros(WIDTH)] + d.coef[1:]) for d in disps]
+    assert_matches(compose(outer, dense), expected, inner, order)
+
+
+def poisoned(c, bad):
+    out = np.zeros(WIDTH) + c
+    out[0] = bad
+    return out
+
+
+def non_finite(c):
+    return not np.isfinite(np.broadcast_to(c, (WIDTH,))[0])
+
+
+@given(jet_pairs(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_non_finite_coefficients_still_propagate(pair, bad, data):
+    """Skipping structural zeros never hides a NaN or inf in a live coefficient."""
+    a, b = pair
+    order = min(a.order, b.order)
+    a, b = a.truncate(order), b.truncate(order)
+    i = data.draw(st.integers(0, len(a.coef) - 1))
+    coef = list(a.coef)
+    coef[i] = poisoned(coef[i], bad)
+    a = Jet(a.nvars, order, coef)
+    # a live value in b makes a_i * b_0 one of the pairs summed into slot i
+    b = Jet(b.nvars, order, [1.0 if structural(b.value) else b.value] + b.coef[1:])
+    with np.errstate(invalid="ignore"):
+        results = (a * b, b * a, a + b, b + a, a - b, b - a, -a, a * 3.0, a + 1.0, 2.0 - a)
+    for result in results:
+        assert non_finite(result.coef[i])
+    alpha = layout(a.nvars, order)[i]
+    for k in range(a.nvars):
+        if alpha[k]:
+            lower = tuple(e - (j == k) for j, e in enumerate(alpha))
+            assert non_finite(a.deriv(k).coef[layout(a.nvars, order - 1).index(lower)])
+
+
+@given(compositions(), st.sampled_from([np.nan, np.inf]))
+def test_non_finite_outer_value_reaches_the_composition(case, bad):
+    outer, disps = case
+    outer = Jet(outer.nvars, outer.order, [poisoned(outer.value, bad)] + outer.coef[1:])
+    assert non_finite(Composer(disps).pull(outer).value)
+
+
+def test_product_matches_sympy():
+    """Scalar-coefficient products against sympy's polynomial expansion."""
+    sympy = pytest.importorskip("sympy")
+
+    def poly(jet, xs):
+        return sum(sympy.Integer(int(c)) * sympy.prod([x**e for x, e in zip(xs, alpha)])
+                   for alpha, c in as_dict(jet).items())
+
+    @settings(max_examples=30)
+    @given(jet_pairs(coefs=st.one_of(st.just(0.0), small.map(float))))
+    def check(pair):
+        a, b = pair
+        order = min(a.order, b.order)
+        xs = sympy.symbols(f"x0:{a.nvars}")
+        terms = sympy.Poly(sympy.expand(poly(a, xs) * poly(b, xs)), *xs).terms()
+        expected = {m: float(c) for m, c in terms if sum(m) <= order}
+        assert_matches(a * b, expected, a.nvars, order)
+
+    check()

@@ -22,9 +22,13 @@ batch must come from the node set, not from a coefficient.
 Orders are tracked structurally: an operation between jets of different
 orders truncates to the lower one, and derivative extraction lowers the
 order by one, so a jet of order k always carries exact coefficients through
-total degree k. The public evaluation entry points use order 3; the frame
-chain internally seeds chart jets at order 4 (the hard cap) because contact
-normalization costs one extra derivative for general inline frames.
+total degree k, and truncating before an operation gives the same bits as
+truncating after it. A surface geometry of order k seeds its chart frame
+at order k + 1, because contact normalization costs one extra derivative
+for general inline frames. Callers build at the order they read: order 3
+(chart order 4, the hard cap) where second derivatives of the adapted
+frame enter, as in the curl of the finite-L connection form, and order 2
+(chart order 3) for the limit curvature, the Stokes check and curves.
 """
 
 from __future__ import annotations

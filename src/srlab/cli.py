@@ -17,7 +17,9 @@ from . import curvature as cv
 from . import measures as ms
 from .errors import NumericalError, SamplingError, ValidationError
 from .frame import ConnectionFormsL, SF_KEYS, koszul_connection_oracle, scaled_form_deviation
-from .scenes import BUILTIN_SCENES, boundary_edge_distances, resolve_scene, scan_region
+from .scenes import (
+    BUILTIN_SCENES, MAX_L_VALUES, boundary_edge_distances, resolve_scene, scan_region,
+)
 from .surface import SurfaceGeometry
 
 EXIT_OK = 0
@@ -27,10 +29,20 @@ EXIT_NUMERICAL = 4
 
 # consecutive rejected draws after which region sampling gives up
 SAMPLE_REJECTION_BUDGET = 10000
+# most `--samples` a call accepts
+MAX_SAMPLES = 10000
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    """Shortest round-trip text of a number; NaN or inf raises NumericalError.
+
+    Every number a subcommand prints passes through here before anything is
+    written, so a non-finite result exits 4 with no output.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise NumericalError(f"non-finite result {x!r}; no output written")
+    return repr(x)
 
 
 def _parse_pair(text: str, what: str):
@@ -47,6 +59,8 @@ def _parse_L_list(text: str):
     values = tuple(float(p) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError("expected at least one L value")
+    if len(values) > MAX_L_VALUES:
+        raise ValueError(f"at most {MAX_L_VALUES} L values, got {len(values)}")
     if not all(math.isfinite(L) and L > 0 for L in values):
         raise ValueError("L values must be finite and positive")
     return values
@@ -63,14 +77,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
+def _sample_count(text: str) -> int:
+    """argparse type: an integer from 1 to MAX_SAMPLES."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    if not 1 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1 and at most {MAX_SAMPLES}, got {text!r}")
     return value
 
 
@@ -374,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle-check", cmd_oracle_check,
             "max discrepancies against the independent oracles")
     p.add_argument("--L", default="1,10,100", help="comma-separated L values")
-    p.add_argument("--samples", type=_positive_int, default=10)
+    p.add_argument("--samples", type=_sample_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite_float, default=1e-6, help="worst allowed gap")
 

@@ -95,21 +95,24 @@ class LFormAssembly:
     """
 
     def __init__(self, geom: SurfaceGeometry, L: float):
-        if L <= 0:
-            raise ValueError("the metric parameter L must be positive")
         self.geom = geom
-        self.L = float(L)
+        self.lf = lf = geom.l_frame(L)
+        self.L = lf.L
         s = math.sqrt(self.L)
 
         forms = ConnectionFormsL(geom.frame, self.L)
         pull = geom.pullback.pull
-        on_tu, on_tv = _coframe_on_tangents(geom)
+        # W23_L carries d(alpha), one order below x, so the connection
+        # coefficients and tangent pairings are read to that order only
+        order = geom.x.order - 1
+        on_tu, on_tv = ([p.truncate(order) for p in side] for side in _coframe_on_tangents(geom))
         # scaled dual pairings e_L^k(T.): the third dual picks up sqrt(L)
         pu = (on_tu[0], on_tu[1], s * on_tu[2])
         pv = (on_tv[0], on_tv[1], s * on_tv[2])
 
         def restrict(i, j):
-            coef = [pull(forms.coefficient(i, j, k)) for k in (1, 2, 3)]
+            coef = [forms.coefficient(i, j, k) for k in (1, 2, 3)]
+            coef = [pull(c.truncate(order) if isinstance(c, Jet) else c) for c in coef]
             return SurfaceOneForm(pair_oneform(coef, pu), pair_oneform(coef, pv))
 
         self.w12 = restrict(1, 2)
@@ -123,14 +126,9 @@ class LFormAssembly:
             cos_a * sin_a.deriv(0) - sin_a * cos_a.deriv(0),
             cos_a * sin_a.deriv(1) - sin_a * cos_a.deriv(1),
         )
-        denom2 = A * A + self.L
         self.dbeta = SurfaceOneForm(
-            (s / denom2) * A.deriv(0), (s / denom2) * A.deriv(1)
+            (s / lf.denom2) * A.deriv(0), (s / lf.denom2) * A.deriv(1)
         )
-        denom = jsqrt(denom2)
-        self.sinb = A / denom
-        self.cosb = s / denom
-        self.denom = denom
 
         def mix(c1, f1, c2, f2):
             return SurfaceOneForm(c1 * f1.P + c2 * f2.P, c1 * f1.Q + c2 * f2.Q)
@@ -139,8 +137,8 @@ class LFormAssembly:
         anti = mix(sin_a, self.w13, -cos_a, self.w23)       # sin(a) w13 - cos(a) w23
         dplus = mix(1.0, self.dalpha, 1.0, self.w12)        # d(alpha) + w12
 
-        self.omega23 = mix(-self.sinb, dplus, self.cosb, horiz)
-        self.omega12 = mix(self.cosb, dplus, -self.sinb, anti)
+        self.omega23 = mix(-lf.sinb, dplus, lf.cosb, horiz)
+        self.omega12 = mix(lf.cosb, dplus, -lf.sinb, anti)
         self.omega13 = SurfaceOneForm(
             -self.dbeta.P + (cos_a * self.w13.P + sin_a * self.w23.P),
             -self.dbeta.Q + (cos_a * self.w13.Q + sin_a * self.w23.Q),
@@ -150,8 +148,7 @@ class LFormAssembly:
         """(a, b) parameter components of X2 and X3 (values)."""
         geom = self.geom
         a2, b2 = tangent_components(geom, geom.f2)
-        f3n = [c / self.denom for c in geom.f3]
-        a3, b3 = tangent_components(geom, f3n)
+        a3, b3 = tangent_components(geom, self.lf.X3_values())
         return (a2, b2), (a3, b3)
 
     def gauss_curvature(self):
@@ -346,16 +343,18 @@ class CurveGeometry:
     """Adapted-frame data along a curve, as jets in the curve parameter.
 
     Solves gamma' = x f2 + y f3 by normal equations in chart components and
-    cross-checks y against the contact-form shortcut e^3(gamma').
+    cross-checks y against the contact-form shortcut e^3(gamma'). The curve
+    jets and the surface geometry under them share `order`; x, y and A
+    carry order - 1 in t, so order 2 already gives the x_L' that k_n^L reads.
     """
 
-    def __init__(self, model, patch, curve: CurveOnSurface, t):
+    def __init__(self, model, patch, curve: CurveOnSurface, t, order: int = 3):
         self.curve = curve
-        cu, cv = curve.jets(t)
+        cu, cv = curve.jets(t, order)
         self.udot = cu.deriv(0)
         self.vdot = cv.deriv(0)
         u0, v0 = np.asarray(cu.value), np.asarray(cv.value)
-        self.geom = SurfaceGeometry(model, patch, u0, v0)
+        self.geom = SurfaceGeometry(model, patch, u0, v0, order)
         self.pull = Composer([cu.centered(), cv.centered()]).pull
 
         phi_t = [self.pull(p) for p in self.geom.phi]

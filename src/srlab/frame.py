@@ -67,6 +67,15 @@ class SubRiemannianModel:
         """Full frame data at a chart point (components may be arrays)."""
         return _build_frame(self, point, order)
 
+    def contact_form(self, point) -> tuple:
+        """Order-0 jets of the normalized contact form omega at a chart point.
+
+        Built from order-1 chart jets, the least that d(e1 x e2) needs; the
+        values are those of `frame(point).omega`, bit for bit.
+        """
+        seeds = chart_seeds(point, 1)
+        return _contact_form(self.e1.jets(seeds), self.e2.jets(seeds))[0]
+
 
 @dataclass
 class FrameData:
@@ -103,21 +112,28 @@ class FrameData:
         return {k: value_of(j) for k, j in self.sf.items()}
 
 
-def _build_frame(model: SubRiemannianModel, point, order: int) -> FrameData:
-    seeds = chart_seeds(point, order)
-    e1 = model.e1.jets(seeds)
-    e2 = model.e2.jets(seeds)
+def _contact_form(e1, e2):
+    """(omega, tau): omega = -(e1 x e2) / tau with tau = d(e1 x e2)(e1, e2).
 
+    The scaling makes d(omega)(e1, e2) = -1; omega carries one order less
+    than the fields. Raises NonContactError where tau vanishes.
+    """
     raw = _cross(e1, e2)                      # annihilates e1, e2
-    d_raw = d_oneform_jets(raw)
-    tau = eval_twoform(d_raw, e1, e2)
+    tau = eval_twoform(d_oneform_jets(raw), e1, e2)
     tv = np.asarray(tau.value)
     if np.any(np.abs(tv) < 1e-12):
         raise NonContactError(
             "distribution fails the contact condition: |d(raw form)(e1,e2)| "
             f"has minimum {float(np.min(np.abs(tv))):.3e}"
         )
-    omega = tuple((-1.0 / tau) * c for c in raw)
+    return tuple((-1.0 / tau) * c for c in raw), tau
+
+
+def _build_frame(model: SubRiemannianModel, point, order: int) -> FrameData:
+    seeds = chart_seeds(point, order)
+    e1 = model.e1.jets(seeds)
+    e2 = model.e2.jets(seeds)
+    omega, tau = _contact_form(e1, e2)
 
     w = bracket_jets(e1, e2)
     d_omega = d_oneform_jets(omega)

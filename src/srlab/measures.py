@@ -31,6 +31,9 @@ from .surface import EPS_CHAR, SurfaceGeometry, characteristic_report
 
 CHUNK = 16384
 TWO_PI = 2.0 * math.pi
+# worst-case region nodes of one refinement run, summed over its levels;
+# the shipped settings (8 x 8 cells, order 16, max_refine 3) need 1392640
+MAX_REGION_NODES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,18 @@ class QuadratureSpec:
             raise ValueError("quadrature tolerance must be positive")
         if min(self.cells) < 1 or self.segments < 1 or self.max_refine < 0:
             raise ValueError("subdivision counts must be positive")
+        # level k has 4^k times the nodes of level 0; stop adding once over
+        level = self.cells[0] * self.cells[1] * self.order ** 2
+        total, k = level, 0
+        while k < self.max_refine and total <= MAX_REGION_NODES:
+            level, k = 4 * level, k + 1
+            total += level
+        if total > MAX_REGION_NODES:
+            raise ValueError(
+                f"region quadrature could need more than {MAX_REGION_NODES} nodes: "
+                f"{self.cells[0]} x {self.cells[1]} cells of {self.order}^2 nodes, "
+                f"4 times more per refinement, max_refine {self.max_refine}"
+            )
 
     @staticmethod
     def from_config(cfg: dict) -> "QuadratureSpec":
@@ -270,20 +285,30 @@ class QuadratureResult:
         return self.value
 
 
+def _reads(order: int):
+    """Declare the surface order an integrand reads from its geometry, as `fn.order`."""
+    def mark(fn):
+        fn.order = order
+        return fn
+    return mark
+
+
 def _pass(build, integrands, coords, weights, per_cell: int) -> list:
     """Weighted sums of several integrands over one node set.
 
-    Each CHUNK of nodes gets one geometry from `build`, which every
-    integrand evaluates on; the geometry is released before the next chunk
-    is built, so at most one is alive at a time.
+    Each CHUNK of nodes gets one geometry from `build(*coords, order)`, at
+    the highest surface order the integrands declare (`fn.order`), which
+    every integrand evaluates on; the geometry is released before the next
+    chunk is built, so at most one is alive at a time.
     """
     total = coords[0].size
     if total == 0 or np.all(weights == 0.0):
         return [0.0] * len(integrands)
+    order = max(fn.order for fn in integrands)
     outs = [np.empty(total) for _ in integrands]
     for start in range(0, total, CHUNK):
         sl = slice(start, min(start + CHUNK, total))
-        geom = build(*(c[sl] for c in coords))
+        geom = build(*(c[sl] for c in coords), order)
         for out, fn in zip(outs, integrands):
             out[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
         del geom
@@ -336,12 +361,13 @@ def _curve_pass(build, integrands, t0: float, t1: float, spec: QuadratureSpec) -
 
 def integrate_region(fn, region: Region, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate fn(u, v) du dv over the region with refinement control."""
-    return _region_pass(lambda u, v: (u, v), [lambda uv: fn(*uv)], region, spec)[0]
+    return _region_pass(lambda u, v, order: (u, v), [_reads(0)(lambda uv: fn(*uv))],
+                        region, spec)[0]
 
 
 def integrate_curve(fn, t0: float, t1: float, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate fn(t) dt over [t0, t1] with refinement control."""
-    return _curve_pass(lambda t: t, [fn], t0, t1, spec)[0]
+    return _curve_pass(lambda t, order: t, [_reads(0)(lambda t: fn(t))], t0, t1, spec)[0]
 
 
 # -- densities ----------------------------------------------------------------
@@ -380,6 +406,7 @@ def length_density_L(model, patch, curve, t, L: float):
     return np.asarray(jsqrt(x * x + y * y * (A * A + L)).value)
 
 
+@_reads(2)
 def boundary_integrand_limit(cg: cv.CurveGeometry):
     """k_n ds against dt: A e^3(gamma'), smooth through isolated tangencies."""
     return np.asarray((cg.A * cg.y).value)
@@ -395,7 +422,11 @@ def boundary_integrand_L(cg: cv.CurveGeometry, L: float):
 # A scene integrand maps one chunk's geometry to values at its nodes: a
 # SurfaceGeometry on region nodes, a CurveGeometry on boundary nodes. Only
 # the L-adapted frame and its connection forms depend on L, so one geometry
-# per node set serves the limit integrand and every finite-L row.
+# per node set serves the limit integrand and every finite-L row. Each
+# integrand declares the surface order it reads: 2 where A, x and y enter
+# with first derivatives at most (K dsigma, the Stokes curl, every boundary
+# integrand), 3 for K_L dsigma_L, whose curl of W23_L takes them to second
+# derivatives.
 
 
 def _root(L: float) -> float:
@@ -404,20 +435,27 @@ def _root(L: float) -> float:
     return math.sqrt(L)
 
 
+@_reads(2)
 def _K_dsigma(geom: SurfaceGeometry):
     return cv.gauss_curvature_limit(geom) * np.asarray(geom.wedge.value)
+
+
+@_reads(2)
+def _limit_curl(geom: SurfaceGeometry):
+    """d(A e^3) on du ^ dv, a plain two-form with no density."""
+    return cv.limit_connection_form(geom).curl()
 
 
 def _K_dsigma_L(L: float):
     """(1/sqrt(L)) K_L dsigma_L against du dv."""
     root = _root(L)
-    return lambda geom: cv.gauss_curvature_L(geom, L) * _dsigma_L(geom, L) / root
+    return _reads(3)(lambda geom: cv.gauss_curvature_L(geom, L) * _dsigma_L(geom, L) / root)
 
 
 def _kn_ds_L(L: float):
     """(1/sqrt(L)) k_n^L ds_L against dt."""
     root = _root(L)
-    return lambda cg: boundary_integrand_L(cg, L) / root
+    return _reads(2)(lambda cg: boundary_integrand_L(cg, L) / root)
 
 
 def _region_integrals(scene, integrands, quad: QuadratureSpec) -> list:
@@ -425,8 +463,8 @@ def _region_integrals(scene, integrands, quad: QuadratureSpec) -> list:
     ensure_region_in_domain(scene.patch, scene.region)
     scan_region_regular(scene.model, scene.patch, scene.region)
 
-    def build(u, v):
-        return SurfaceGeometry(scene.model, scene.patch, u, v)
+    def build(u, v, order):
+        return SurfaceGeometry(scene.model, scene.patch, u, v, order)
 
     return _region_pass(build, integrands, scene.region, quad)
 
@@ -435,8 +473,8 @@ def _boundary_integrals(scene, integrands, quad: QuadratureSpec) -> list:
     """One refinement run per boundary curve, one result per integrand."""
     out = []
     for curve in scene.boundary:
-        def build(t, curve=curve):
-            return cv.CurveGeometry(scene.model, scene.patch, curve, t)
+        def build(t, order, curve=curve):
+            return cv.CurveGeometry(scene.model, scene.patch, curve, t, order)
 
         out.append(_curve_pass(build, integrands, curve.t0, curve.t1, quad))
     return out
@@ -461,11 +499,7 @@ def stokes_consistency_gap(scene, quad: QuadratureSpec = None):
     says it must match the boundary line integrals.
     """
     quad = quad or scene.quadrature
-
-    def curl(geom):
-        return cv.limit_connection_form(geom).curl()
-
-    region_val = _region_integrals(scene, [curl], quad)[0].value
+    region_val = _region_integrals(scene, [_limit_curl], quad)[0].value
     boundary_val = 0.0
     for res in integrate_kn_ds(scene, quad):
         boundary_val += res.value

@@ -38,6 +38,8 @@ SWEEP_TOL = 1e-6
 JOIN_TOL = 1e-6
 IMMERSION_SCAN_RTOL = 1e-8
 SCAN_SAMPLES = 25
+# most L values an L grid may hold, in a scene file or on the command line
+MAX_L_VALUES = 64
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,8 @@ def _build_tolerances(cfg, path: str) -> dict:
 
 def _build_L_grid(cfg, path: str) -> tuple:
     items = _as_list(cfg, path)
+    if len(items) > MAX_L_VALUES:
+        raise SceneError(f"at most {MAX_L_VALUES} L values, got {len(items)}", path)
     grid = []
     for i, item in enumerate(items):
         num = _as_number(item, f"{path}[{i}]")

@@ -12,7 +12,9 @@ All quantities are carried as jets in (u, v) so the curvature layer can take
 exact derivatives. Parameter inputs may be numpy arrays for batch work.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,12 +106,18 @@ def characteristic_report(model: SubRiemannianModel, patch: SurfacePatch, u, v) 
     """Classify parameter points without building the adapted frame."""
     phi = patch.jets(u, v, order=1)
     p0 = [np.asarray(j.value) for j in phi]
-    fr = model.frame(p0, order=3)   # the frame chain eats three derivative levels
-    return CharacteristicReport(characteristic_margin(fr.omega, *tangents(phi)))
+    return CharacteristicReport(characteristic_margin(model.contact_form(p0), *tangents(phi)))
 
 
 class SurfaceGeometry:
     """Adapted frame data at parameter points, all stored as (u, v) jets.
+
+    At surface order k the patch jets carry order k, the tangents and the
+    adapted frame (x, y, A, f1, f2, f3, the wedge) order k - 1, on a chart
+    frame of order k + 1. Order 2 gives A, x and y with first derivatives
+    (K, the limit form and every boundary integrand); order 3 adds the
+    second derivatives that the curl of W23_L reads. Each coefficient is
+    bitwise the same at every order that carries it.
 
     The constructor refuses characteristic points (margin below EPS_CHAR)
     and immersion failures. Batch construction with array-valued u, v is the
@@ -134,13 +142,17 @@ class SurfaceGeometry:
         self.frame: FrameData = model.frame(p0, order=order + 1)
         self.pullback = Composer([j.centered() for j in phi])
 
-        pull = self.pullback.pull
-        self.omega_s = tuple(pull(c) for c in self.frame.omega)
-        self.cof1_s = tuple(pull(c) for c in self.frame.coframe[0])
-        self.cof2_s = tuple(pull(c) for c in self.frame.coframe[1])
-        self.e1_s = [pull(c) for c in self.frame.e1]
-        self.e2_s = [pull(c) for c in self.frame.e2]
-        self.e3_s = [pull(c) for c in self.frame.e3]
+        # the chart jets only ever meet Tu and Tv, which carry order - 1, so
+        # the degree-order coefficients of a pull would be dropped unread
+        def pull(jets):
+            return [self.pullback.pull(c.truncate(order - 1)) for c in jets]
+
+        self.omega_s = tuple(pull(self.frame.omega))
+        self.cof1_s = tuple(pull(self.frame.coframe[0]))
+        self.cof2_s = tuple(pull(self.frame.coframe[1]))
+        self.e1_s = pull(self.frame.e1)
+        self.e2_s = pull(self.frame.e2)
+        self.e3_s = pull(self.frame.e3)
 
         self.omega_Tu = pair_oneform(self.omega_s, self.Tu)
         self.omega_Tv = pair_oneform(self.omega_s, self.Tv)
@@ -214,7 +226,9 @@ class LAdaptedFrame:
 
     X1 is normal to the surface, (X2, X3) = (f2, f3 / sqrt(L + A^2)) frame
     the tangent plane, and cos(beta) = sqrt(L / (L + A^2)) measures the tilt
-    of the normal away from the horizontal conormal direction.
+    of the normal away from the horizontal conormal direction. The angle
+    jets are built at construction; the frame vectors and covectors on first
+    use, since the curvature layer reads only the angles and X3's values.
     """
 
     def __init__(self, geom: SurfaceGeometry, L: float):
@@ -222,23 +236,36 @@ class LAdaptedFrame:
             raise ValueError("the metric parameter L must be positive")
         self.geom = geom
         self.L = float(L)
-        s = self.L ** 0.5
         A = geom.A
-        self.denom = jsqrt(A * A + self.L)
-        self.cosb = s / self.denom
+        self.denom2 = A * A + self.L            # L + A^2
+        self.denom = jsqrt(self.denom2)
+        self.cosb = math.sqrt(self.L) / self.denom
         self.sinb = A / self.denom
-
-        e3_scaled = [c / s for c in geom.e3_s]
-        self.X1 = [self.cosb * a - self.sinb * b for a, b in zip(geom.f1, e3_scaled)]
         self.X2 = geom.f2
-        self.X3 = [c / self.denom for c in geom.f3]
-
-        self.X1cov = tuple(self.cosb * c for c in geom.f1cov)
         self.X2cov = geom.f2cov
-        self.X3cov = tuple(
-            self.denom * a + (A / self.denom) * b
-            for a, b in zip(geom.f3cov, geom.f1cov)
-        )
+
+    @cached_property
+    def X1(self):
+        e3_scaled = [c / math.sqrt(self.L) for c in self.geom.e3_s]
+        return [self.cosb * a - self.sinb * b for a, b in zip(self.geom.f1, e3_scaled)]
+
+    @cached_property
+    def X3(self):
+        return [c / self.denom for c in self.geom.f3]
+
+    def X3_values(self):
+        """Values of X3: each f3 value times 1 / denom, as the jet division forms them."""
+        scale = 1.0 / value_of(self.denom)
+        return [value_of(c) * scale for c in self.geom.f3]
+
+    @cached_property
+    def X1cov(self):
+        return tuple(self.cosb * c for c in self.geom.f1cov)
+
+    @cached_property
+    def X3cov(self):
+        return tuple(self.denom * a + self.sinb * b
+                     for a, b in zip(self.geom.f3cov, self.geom.f1cov))
 
     @property
     def beta(self):

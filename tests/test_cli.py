@@ -328,6 +328,53 @@ class TestInputChecks:
         assert "zero-size" not in err
 
 
+class TestWorkCaps:
+    """--samples and --L lists are capped; a value just over a cap is a usage error."""
+
+    over_L = ",".join(["100"] * (cli.MAX_L_VALUES + 1))
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle-check", "--scene", "rt_disk", "--samples", str(cli.MAX_SAMPLES + 1)),
+        ("oracle-check", "--scene", "rt_disk", "--L", over_L),
+        ("gauss-bonnet", "--scene", "rt_disk", "--L", over_L),
+        ("sweep", "--scene", "rt_disk", "--quantity", "K", "--uv", "0.1,1.2", "--L", over_L),
+    ])
+    def test_over_the_cap_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "at most" in err
+
+    def test_at_the_cap_is_accepted(self, capsys):
+        at_cap = ",".join(["100"] * cli.MAX_L_VALUES)
+        code, out, _ = run(capsys, "sweep", "--scene", "rt_disk", "--uv", "0.1,1.2", "--L", at_cap)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + cli.MAX_L_VALUES
+        assert cli._sample_count(str(cli.MAX_SAMPLES)) == cli.MAX_SAMPLES
+
+
+class TestFiniteOutputs:
+    """A NaN or inf result exits 4 and prints nothing, never NaN with exit 0."""
+
+    @pytest.mark.parametrize("command", ["frame-report", "curvature"])
+    def test_tiny_L_overflow_exits_4(self, capsys, command):
+        # 1 / L overflows the scaled connection forms and II_L
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, command, "--scene", "rt_disk", "--uv", "0.1,1.2",
+                                 "--L", "1e-310")
+        assert code == 4 and out == ""
+        assert "non-finite result" in err
+
+    @pytest.mark.parametrize("formula, result, argv", [
+        ("gauss_curvature_L", np.nan, ("--uv", "0.1,1.2")),
+        ("normal_curvature_L", np.array([np.nan]), ("--quantity", "kn", "--t", "0.3")),
+    ])
+    def test_sweep_nan_exits_4(self, capsys, monkeypatch, formula, result, argv):
+        monkeypatch.setattr(cli.cv, formula, lambda *a, **k: result)
+        code, out, err = run(capsys, "sweep", "--scene", "rt_disk", "--L", "10,100", *argv)
+        assert code == 4 and out == ""
+        assert "non-finite result nan" in err
+
+
 class TestGaussBonnetConvergence:
     def test_unconverged_quadrature_exits_4(self, capsys, tmp_path):
         cfg = sc.builtin_scene("rt_disk").config

@@ -18,7 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from srlab.calculus.jets import Composer, Jet, compose  # noqa: E402
+from srlab.calculus.jets import (  # noqa: E402
+    Composer, Jet, compose, jatan2, jcos, jcosh, jexp, jlog, jpow, jsin, jsinh, jsqrt,
+    jtan, jtanh,
+)
 
 WIDTH = 3   # nodes per array coefficient
 
@@ -253,3 +256,96 @@ def test_product_matches_sympy():
         assert_matches(a * b, expected, a.nvars, order)
 
     check()
+
+
+# -- truncation ----------------------------------------------------------------
+#
+# A degree-k coefficient depends only on inputs of degree <= k, and the jet
+# code forms it from the same pairs in the same order at every order, so
+# truncating before an operation gives the same bits as truncating after.
+# The geometry layer relies on this to build each geometry at the order its
+# integrands read. Coefficients here are arbitrary reals, so a change in
+# summation order would show in the last bits.
+
+real = st.floats(-4, 4)
+real_coefficient = st.one_of(
+    st.just(0.0), real, st.lists(real, min_size=WIDTH, max_size=WIDTH).map(np.array))
+# values kept where every series function below is defined
+base_value = st.floats(0.25, 1.25)
+base_coefficient = st.one_of(
+    base_value, st.lists(base_value, min_size=WIDTH, max_size=WIDTH).map(np.array))
+
+
+@st.composite
+def real_jets(draw, nvars, order):
+    n = len(layout(nvars, order))
+    rest = draw(st.lists(real_coefficient, min_size=n - 1, max_size=n - 1))
+    return Jet(nvars, order, [draw(base_coefficient)] + rest)
+
+
+@st.composite
+def truncation_cases(draw):
+    """Two jets on one variable set and an order k no higher than either's."""
+    nvars = draw(st.integers(1, 3))
+    a = draw(real_jets(nvars, draw(st.integers(0, 4))))
+    b = draw(real_jets(nvars, draw(st.integers(0, 4))))
+    return a, b, draw(st.integers(0, min(a.order, b.order)))
+
+
+def assert_bitwise(x, y):
+    assert (x.nvars, x.order) == (y.nvars, y.order)
+    assert len(x.coef) == len(y.coef)
+    for c, d in zip(x.coef, y.coef):
+        assert structural(c) == structural(d)
+        assert np.shape(c) == np.shape(d)
+        assert np.asarray(c).tobytes() == np.asarray(d).tobytes(), (c, d)
+
+
+SERIES = {
+    "sin": jsin, "cos": jcos, "tan": jtan, "sinh": jsinh, "cosh": jcosh,
+    "tanh": jtanh, "exp": jexp, "log": jlog, "sqrt": jsqrt,
+    "pow 2.5": lambda u: jpow(u, 2.5), "pow 3": lambda u: jpow(u, 3),
+    "pow -2": lambda u: jpow(u, -2),
+}
+
+
+@given(truncation_cases())
+def test_truncation_commutes_with_arithmetic(case):
+    a, b, k = case
+    ak, bk = a.truncate(k), b.truncate(k)
+    for op in ("__mul__", "__add__", "__sub__", "__truediv__"):
+        assert_bitwise(getattr(a, op)(b).truncate(k), getattr(ak, op)(bk))
+    assert_bitwise(jatan2(a, b).truncate(k), jatan2(ak, bk))
+
+
+@given(truncation_cases(), st.sampled_from(sorted(SERIES)))
+def test_truncation_commutes_with_series(case, name):
+    a, _, k = case
+    fn = SERIES[name]
+    assert_bitwise(fn(a).truncate(k), fn(a.truncate(k)))
+
+
+@given(st.data(), st.integers(0, 2))
+def test_truncation_commutes_with_deriv(data, i):
+    nvars, order = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    a, k = data.draw(real_jets(nvars, order)), data.draw(st.integers(1, order))
+    i %= nvars
+    assert_bitwise(a.deriv(i).truncate(k - 1), a.truncate(k).deriv(i))
+
+
+@st.composite
+def truncated_compositions(draw):
+    inner, outer_vars = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    order = draw(st.integers(0, 4))
+    disps = [draw(real_jets(inner, order)).centered() for _ in range(outer_vars)]
+    outer = draw(real_jets(outer_vars, draw(st.integers(0, 4))))
+    return outer, disps, draw(st.integers(0, min(order, outer.order)))
+
+
+@given(truncated_compositions())
+def test_truncation_commutes_with_pull(case):
+    outer, disps, k = case
+    full = Composer(disps).pull(outer).truncate(k)
+    # truncating the outer jet alone (the geometry layer's case), or both
+    assert_bitwise(full, Composer(disps).pull(outer.truncate(k)))
+    assert_bitwise(full, Composer([d.truncate(k) for d in disps]).pull(outer.truncate(k)))

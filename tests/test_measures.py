@@ -20,8 +20,8 @@ from srlab import measures as ms
 from srlab.curvature import CurveOnSurface
 from srlab.errors import CharacteristicPointError, SceneError
 from srlab.models import builtin_model
-from srlab.scenes import builtin_scene
-from srlab.surface import SurfacePatch
+from srlab.scenes import builtin_scene, scene_from_config
+from srlab.surface import SurfaceGeometry, SurfacePatch
 
 HEIS = builtin_model("heisenberg")
 ROTO = builtin_model("rototranslation")
@@ -477,3 +477,85 @@ class TestSharedGeometry:
         assert np.array_equal(ms.boundary_integrand_L(cg, 100.0), np.asarray(num.value))
         kn = cv.normal_curvature_L(HEIS, PLANE, circ, t, 100.0, cg=cg)
         assert np.array_equal(kn, np.asarray(num.value) / np.asarray(norm.value))
+
+
+def dense_scene():
+    """An inline frame and surface with no constant component (the benchmark's dense variant 0)."""
+    annulus = builtin_scene("heisenberg_annulus").config
+    return scene_from_config({
+        "model": {"frame": {
+            "e1": ["cos(0.2*z)", "sin(0.2*z)", "-y/2 + 0.1*sin(x)"],
+            "e2": ["-sin(0.2*z)", "cos(0.2*z)", "x/2 + 0.1*cos(y)"],
+        }},
+        "surface": {"phi": ["u + 0.1*sin(v)", "v + 0.1*sin(u)", "0.2*sin(u)*cos(v)"],
+                    "domain": {"u": [-3.0, 3.0], "v": [-3.0, 3.0]}},
+        "region": annulus["region"],
+        "boundary": annulus["boundary"],
+    }, name="dense")
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOrderBudget:
+    """Each geometry is built at the highest order its active integrands read,
+    and every number is the same, bit for bit, as on order-3 geometry."""
+
+    SPEC = ms.QuadratureSpec(order=6, cells=(3, 3), segments=12, max_refine=2)
+    SCENES = ["rt_disk", "heisenberg_annulus", "dense"]
+
+    @staticmethod
+    def load(name):
+        return dense_scene() if name == "dense" else builtin_scene(name)
+
+    def test_declared_orders(self):
+        assert ms._K_dsigma.order == ms._limit_curl.order == 2
+        assert ms.boundary_integrand_limit.order == ms._kn_ds_L(10.0).order == 2
+        assert ms._K_dsigma_L(10.0).order == 3
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_integrands_at_declared_order_match_order_3(self, name):
+        sc = self.load(name)
+        u, v, _ = ms.region_nodes(sc.region, self.SPEC)
+        for fn in (ms._K_dsigma, ms._limit_curl, ms._K_dsigma_L(1e2), ms._K_dsigma_L(1e4)):
+            at_order = fn(SurfaceGeometry(sc.model, sc.patch, u, v, fn.order))
+            assert bitwise(at_order, fn(SurfaceGeometry(sc.model, sc.patch, u, v, 3)))
+        for curve in sc.boundary:
+            t, _ = ms.curve_nodes(curve.t0, curve.t1, self.SPEC)
+            for fn in (ms.boundary_integrand_limit, ms._kn_ds_L(1e2), ms._kn_ds_L(1e4)):
+                at_order = fn(cv.CurveGeometry(sc.model, sc.patch, curve, t, fn.order))
+                assert bitwise(at_order, fn(cv.CurveGeometry(sc.model, sc.patch, curve, t, 3)))
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_report_and_stokes_match_order_3(self, monkeypatch, name):
+        sc = self.load(name)
+        L_values = (1e2, 1e4)
+        orders = {"region": [], "curve": []}
+        surface_geometry, curve_geometry = ms.SurfaceGeometry, cv.CurveGeometry
+
+        def record(kind, build):
+            def wrapper(*args):
+                orders[kind].append(args[-1])
+                return build(*args)
+            return wrapper
+
+        monkeypatch.setattr(ms, "SurfaceGeometry", record("region", surface_geometry))
+        monkeypatch.setattr(cv, "CurveGeometry", record("curve", curve_geometry))
+        report = ms.gauss_bonnet_residual(sc, self.SPEC, L_values=L_values)
+        # the first level evaluates the finite-L area rows, which read order 3
+        assert orders["region"][0] == 3 and set(orders["curve"]) == {2}
+        orders["region"].clear()
+        limit_only = ms.gauss_bonnet_residual(sc, self.SPEC)
+        gap = ms.stokes_consistency_gap(sc, self.SPEC)
+        assert set(orders["region"]) == {2}
+
+        def forced(build):
+            return lambda *args: build(*args[:-1], 3)
+
+        monkeypatch.setattr(ms, "SurfaceGeometry", forced(surface_geometry))
+        monkeypatch.setattr(cv, "CurveGeometry", forced(curve_geometry))
+        assert repr(ms.gauss_bonnet_residual(sc, self.SPEC, L_values=L_values)) == repr(report)
+        assert repr(ms.gauss_bonnet_residual(sc, self.SPEC)) == repr(limit_only)
+        assert bitwise(ms.stokes_consistency_gap(sc, self.SPEC), gap)

@@ -8,7 +8,7 @@ import pytest
 from srlab import scenes as sc
 from srlab.errors import ImmersionError, SceneError
 from srlab.frame import SubRiemannianModel
-from srlab.measures import QuadratureSpec
+from srlab.measures import MAX_REGION_NODES, QuadratureSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -264,6 +264,17 @@ class TestOneScan:
         assert err.value.path == "$.region"
 
 
+class TestLGrid:
+    def test_grid_over_the_cap_rejected(self):
+        cfg = annulus_config()
+        cfg["L_grid"] = [100.0] * (sc.MAX_L_VALUES + 1)
+        with pytest.raises(SceneError, match="at most 64 L values") as err:
+            sc.scene_from_config(cfg)
+        assert err.value.path == "$.L_grid"
+        cfg["L_grid"] = [100.0] * sc.MAX_L_VALUES
+        assert len(sc.scene_from_config(cfg).L_grid) == sc.MAX_L_VALUES
+
+
 class TestQuadratureSettings:
     @pytest.mark.parametrize("quad, path", [
         ({"order": 2.5}, "$.quadrature.order"),
@@ -276,6 +287,9 @@ class TestQuadratureSettings:
         ({"rel_tol": 0.0}, "$.quadrature"),
         ({"order": 1}, "$.quadrature"),
         ({"rel_tol": "1e-8"}, "$.quadrature.rel_tol"),
+        # 12 region nodes over MAX_REGION_NODES, at level 0 and through a refinement
+        ({"order": 2, "cells": [3, 699051], "max_refine": 0}, "$.quadrature"),
+        ({"order": 2, "cells": [1, 419431], "max_refine": 1}, "$.quadrature"),
     ])
     def test_rejected_at_field_path(self, quad, path):
         cfg = annulus_config()
@@ -283,6 +297,18 @@ class TestQuadratureSettings:
         with pytest.raises(SceneError) as err:
             sc.scene_from_config(cfg)
         assert err.value.path == path
+
+    def test_region_node_budget(self):
+        # the check needs no quadrature run, so settings at the budget are cheap to load
+        assert MAX_REGION_NODES == 2 ** 23
+        at_budget = {"order": 2, "cells": [1, 2 ** 21], "max_refine": 0}
+        cfg = annulus_config()
+        cfg["quadrature"] = at_budget
+        assert sc.scene_from_config(cfg).quadrature.cells == (1, 2 ** 21)
+        QuadratureSpec(order=2, cells=(1, 419430), max_refine=1)    # 8388600 nodes
+        QuadratureSpec(max_refine=4)
+        with pytest.raises(ValueError, match="more than 8388608 nodes"):
+            QuadratureSpec(max_refine=5)
 
     def test_integer_settings_load(self):
         cfg = annulus_config()

@@ -8,6 +8,7 @@ and are shared by the frame/surface/curvature pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -99,7 +100,7 @@ def eval_jet(ast, bindings: dict) -> Jet:
     if not isinstance(out, Jet):
         out = Jet.constant(out, ref.nvars, ref.order, ref.point)
     for c in out.coef:
-        if not np.all(np.isfinite(c)):
+        if not (math.isfinite(c) if type(c) is float else np.isfinite(c).all()):
             raise EvaluationError("non-finite value in evaluation")
     return out
 

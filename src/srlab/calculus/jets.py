@@ -110,25 +110,16 @@ def _tables(nvars: int, order: int) -> _Tables:
 
 
 def _any(cond) -> bool:
-    return bool(np.any(cond))
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
 
 
 def _zero(c) -> bool:
-    """True for a structural zero: the Python float 0.0 placeholder, never an array."""
+    """True for a structural zero: the Python float 0.0 placeholder, never an array.
+
+    The jet arithmetic and `Composer.pull` write this same test inline, so
+    an operation makes no function call per coefficient.
+    """
     return type(c) is float and c == 0.0
-
-
-def _add(x, y):
-    if _zero(y):
-        return x
-    if _zero(x):
-        return y
-    return x + y
-
-
-def _sub(x, y):
-    # 0.0 - y is computed: it costs what -y would and keeps IEEE signed zeros
-    return x if _zero(y) else x - y
 
 
 class Jet:
@@ -222,6 +213,8 @@ class Jet:
     # -- arithmetic ---------------------------------------------------------
 
     def _meta(self, other):
+        if type(other) is Jet and other.order == self.order and other.nvars == self.nvars:
+            return self, other
         if isinstance(other, Jet):
             if other.nvars != self.nvars:
                 raise ValueError("jets combine only over a shared variable set")
@@ -233,10 +226,15 @@ class Jet:
         pair = self._meta(other)
         if pair is None:
             coef = list(self.coef)
-            coef[0] = _add(coef[0], other)
+            c = coef[0]
+            if not (type(other) is float and other == 0.0):
+                coef[0] = other if type(c) is float and c == 0.0 else c + other
             return Jet(self.nvars, self.order, coef, self.point)
         a, b = pair
-        coef = [_add(x, y) for x, y in zip(a.coef, b.coef)]
+        # a structural zero passes the other operand through untouched
+        coef = [x if type(y) is float and y == 0.0 else
+                y if type(x) is float and x == 0.0 else x + y
+                for x, y in zip(a.coef, b.coef)]
         return Jet(a.nvars, a.order, coef, a.point or b.point)
 
     __radd__ = __add__
@@ -245,15 +243,19 @@ class Jet:
         pair = self._meta(other)
         if pair is None:
             coef = list(self.coef)
-            coef[0] = _sub(coef[0], other)
+            if not (type(other) is float and other == 0.0):
+                coef[0] = coef[0] - other
             return Jet(self.nvars, self.order, coef, self.point)
         a, b = pair
-        coef = [_sub(x, y) for x, y in zip(a.coef, b.coef)]
+        # 0.0 - y is computed: it costs what -y would and keeps IEEE signed zeros
+        coef = [x if type(y) is float and y == 0.0 else x - y
+                for x, y in zip(a.coef, b.coef)]
         return Jet(a.nvars, a.order, coef, a.point or b.point)
 
     def __rsub__(self, other):
         coef = [-c for c in self.coef]
-        coef[0] = _sub(other, self.coef[0])
+        c = self.coef[0]
+        coef[0] = other if type(c) is float and c == 0.0 else other - c
         return Jet(self.nvars, self.order, coef, self.point)
 
     def __neg__(self):
@@ -262,16 +264,16 @@ class Jet:
     def __mul__(self, other):
         pair = self._meta(other)
         if pair is None:
-            coef = [c if _zero(c) else c * other for c in self.coef]
+            coef = [c if type(c) is float and c == 0.0 else c * other for c in self.coef]
             return Jet(self.nvars, self.order, coef, self.point)
         a, b = pair
         ac, bc = a.coef, b.coef
-        live_b = [j for j, c in enumerate(bc) if not _zero(c)]
+        live_b = [j for j, c in enumerate(bc) if not (type(c) is float and c == 0.0)]
         # out[g] sums ac[i] * bc[j] over the pairs landing on g, in increasing
         # i, skipping structural zeros; a slot no pair reaches stays 0.0
         out = [None] * len(ac)
         for x, row in zip(ac, _tables(a.nvars, a.order).mul_rows):
-            if _zero(x):
+            if type(x) is float and x == 0.0:
                 continue
             n = len(row)
             for j in live_b:
@@ -541,11 +543,12 @@ class Composer:
         if outer.nvars != self.outer_nvars:
             raise ValueError("need one displacement per outer variable")
         order = min(outer.order, self.order)
-        out_pos = _tables(outer.nvars, outer.order).pos
-        acc = Jet.constant(outer.coef[0], self.inner_nvars, order, self.point)
-        for a in _tables(outer.nvars, order).indices:
-            c = outer.coef[out_pos[a]]
-            if sum(a) == 0 or _zero(c):
+        coef = outer.coef
+        acc = Jet.constant(coef[0], self.inner_nvars, order, self.point)
+        # degree-major layout: the order-`order` indices are a prefix of the
+        # outer jet's, and index 0 is the constant term
+        for a, c in zip(_tables(outer.nvars, order).indices[1:], coef[1:]):
+            if type(c) is float and c == 0.0:
                 continue
             acc = acc + self.powers[a].truncate(order) * c
         return acc

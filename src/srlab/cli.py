@@ -7,6 +7,7 @@ identical invocations produce byte-identical text.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -396,14 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # a non-finite result exits 4 through `_fmt` (or an unconverged
+        # quadrature), so numpy's floating-point warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

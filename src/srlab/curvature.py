@@ -22,6 +22,7 @@ curvature of boundary curves in that same metric via Christoffel symbols.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,14 +85,21 @@ def _coframe_on_tangents(geom: SurfaceGeometry):
     return cached
 
 
+def _mix(c1, f1, c2, f2):
+    """c1 f1 + c2 f2 for surface one-forms f1, f2 and jet or number weights."""
+    return SurfaceOneForm(c1 * f1.P + c2 * f2.P, c1 * f1.Q + c2 * f2.Q)
+
+
 class LFormAssembly:
     """Connection forms of the L-adapted frame pulled to the parameter plane.
 
     Builds, as jets in (u, v): the three ambient connection forms restricted
-    to the surface, the angle differentials d(alpha) and d(beta), and the
-    assembled forms W23_L, W12_L, W13_L. Reuses the geometry's pullback
-    composer, so constructing several assemblies for one geometry (an L
-    sweep) repeats no chart-level work.
+    to the surface, the angle differential d(alpha) and the assembled form
+    W23_L, which is all the curvature K_L reads. The companion forms W12_L
+    and W13_L and d(beta), which only the Gauss-equation split reads, are
+    built on first use. Reuses the geometry's pullback composer, so
+    constructing several assemblies for one geometry (an L sweep) repeats no
+    chart-level work.
     """
 
     def __init__(self, geom: SurfaceGeometry, L: float):
@@ -119,27 +127,33 @@ class LFormAssembly:
         self.w13 = restrict(1, 3)
         self.w23 = restrict(2, 3)
 
-        x, y, A = geom.x, geom.y, geom.A
-        sin_a, cos_a = -x, y
+        x, y = geom.x, geom.y
+        self._sin_a, self._cos_a = sin_a, cos_a = -x, y
         # d(alpha) through the angle's sine and cosine, never the branch
         self.dalpha = SurfaceOneForm(
             cos_a * sin_a.deriv(0) - sin_a * cos_a.deriv(0),
             cos_a * sin_a.deriv(1) - sin_a * cos_a.deriv(1),
         )
-        self.dbeta = SurfaceOneForm(
-            (s / lf.denom2) * A.deriv(0), (s / lf.denom2) * A.deriv(1)
-        )
 
-        def mix(c1, f1, c2, f2):
-            return SurfaceOneForm(c1 * f1.P + c2 * f2.P, c1 * f1.Q + c2 * f2.Q)
+        horiz = _mix(-sin_a, self.w13, cos_a, self.w23)     # -sin(a) w13 + cos(a) w23
+        self._dplus = _mix(1.0, self.dalpha, 1.0, self.w12)  # d(alpha) + w12
+        self.omega23 = _mix(-lf.sinb, self._dplus, lf.cosb, horiz)
 
-        horiz = mix(-sin_a, self.w13, cos_a, self.w23)      # -sin(a) w13 + cos(a) w23
-        anti = mix(sin_a, self.w13, -cos_a, self.w23)       # sin(a) w13 - cos(a) w23
-        dplus = mix(1.0, self.dalpha, 1.0, self.w12)        # d(alpha) + w12
+    @cached_property
+    def dbeta(self) -> SurfaceOneForm:
+        A, lf = self.geom.A, self.lf
+        s = math.sqrt(self.L)
+        return SurfaceOneForm((s / lf.denom2) * A.deriv(0), (s / lf.denom2) * A.deriv(1))
 
-        self.omega23 = mix(-lf.sinb, dplus, lf.cosb, horiz)
-        self.omega12 = mix(lf.cosb, dplus, -lf.sinb, anti)
-        self.omega13 = SurfaceOneForm(
+    @cached_property
+    def omega12(self) -> SurfaceOneForm:
+        anti = _mix(self._sin_a, self.w13, -self._cos_a, self.w23)  # sin(a) w13 - cos(a) w23
+        return _mix(self.lf.cosb, self._dplus, -self.lf.sinb, anti)
+
+    @cached_property
+    def omega13(self) -> SurfaceOneForm:
+        sin_a, cos_a = self._sin_a, self._cos_a
+        return SurfaceOneForm(
             -self.dbeta.P + (cos_a * self.w13.P + sin_a * self.w23.P),
             -self.dbeta.Q + (cos_a * self.w13.Q + sin_a * self.w23.Q),
         )

@@ -31,9 +31,23 @@ from .surface import EPS_CHAR, SurfaceGeometry, characteristic_report
 
 CHUNK = 16384
 TWO_PI = 2.0 * math.pi
-# worst-case region nodes of one refinement run, summed over its levels;
-# the shipped settings (8 x 8 cells, order 16, max_refine 3) need 1392640
+# worst-case nodes of one refinement run, summed over its levels: per region
+# and per boundary curve; the shipped settings (8 x 8 cells, 64 segments,
+# order 16, max_refine 3) need 1392640 and 15360
 MAX_REGION_NODES = 2 ** 23
+MAX_CURVE_NODES = 2 ** 20
+
+
+def _worst_case_nodes(level0: int, growth: int, max_refine: int, cap: int) -> int:
+    """Nodes over levels 0..max_refine, level k holding growth^k times level 0.
+
+    The sum stops once it passes `cap`, so a huge `max_refine` costs nothing.
+    """
+    level, total, k = level0, level0, 0
+    while k < max_refine and total <= cap:
+        level, k = growth * level, k + 1
+        total += level
+    return total
 
 
 @dataclass(frozen=True)
@@ -53,17 +67,19 @@ class QuadratureSpec:
             raise ValueError("quadrature tolerance must be positive")
         if min(self.cells) < 1 or self.segments < 1 or self.max_refine < 0:
             raise ValueError("subdivision counts must be positive")
-        # level k has 4^k times the nodes of level 0; stop adding once over
-        level = self.cells[0] * self.cells[1] * self.order ** 2
-        total, k = level, 0
-        while k < self.max_refine and total <= MAX_REGION_NODES:
-            level, k = 4 * level, k + 1
-            total += level
-        if total > MAX_REGION_NODES:
+        region = self.cells[0] * self.cells[1] * self.order ** 2
+        if _worst_case_nodes(region, 4, self.max_refine, MAX_REGION_NODES) > MAX_REGION_NODES:
             raise ValueError(
                 f"region quadrature could need more than {MAX_REGION_NODES} nodes: "
                 f"{self.cells[0]} x {self.cells[1]} cells of {self.order}^2 nodes, "
                 f"4 times more per refinement, max_refine {self.max_refine}"
+            )
+        curve = self.segments * self.order
+        if _worst_case_nodes(curve, 2, self.max_refine, MAX_CURVE_NODES) > MAX_CURVE_NODES:
+            raise ValueError(
+                f"curve quadrature could need more than {MAX_CURVE_NODES} nodes per curve: "
+                f"{self.segments} segments of {self.order} nodes, "
+                f"2 times more per refinement, max_refine {self.max_refine}"
             )
 
     @staticmethod

@@ -82,12 +82,18 @@ def tangents(phi_jets):
 def immersion_ratio(tu, tv) -> np.ndarray:
     """Relative smallest singular value of the 3x2 matrix (Tu, Tv), per point.
 
-    Scalar components broadcast against array ones, as graphs z = f(u, v) need.
+    In closed form, sigma_min / sigma_max = |Tu x Tv| / sigma_max^2, where
+    sigma_max^2 = (E + G)/2 + sqrt(((E - G)/2)^2 + F^2) is the larger
+    eigenvalue of the Gram matrix. Neither term cancels when the ratio is
+    thin, unlike E G - F^2. Scalar components broadcast against array ones,
+    as graphs z = f(u, v) need.
     """
     cols = stack_values([*tu, *tv])                          # (6, ...)
-    jac = np.moveaxis(cols.reshape((2, 3) + cols.shape[1:]), (0, 1), (-1, -2))
-    sv = np.linalg.svd(jac, compute_uv=False)                # (..., 2)
-    return np.min(sv, axis=-1) / np.maximum(np.max(sv, axis=-1), 1e-300)
+    a, b = cols[:3], cols[3:]
+    area = np.sqrt(sum(np.square(c) for c in _cross(a, b)))
+    e, f, g = np.sum(a * a, axis=0), np.sum(a * b, axis=0), np.sum(b * b, axis=0)
+    smax2 = 0.5 * (e + g) + np.hypot(0.5 * (e - g), f)
+    return area / np.maximum(smax2, 1e-300)
 
 
 def characteristic_margin(omega, tu, tv):

@@ -1,7 +1,11 @@
 """Command-line interface tests: outputs, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,8 @@ from srlab.measures import Region
 from srlab.surface import SurfaceGeometry
 
 GOLDEN = Path(__file__).parent / "golden"
+# stdout digests and exit codes of recorded CLI calls on the shipped scenes
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def run(capsys, *argv):
@@ -103,6 +109,13 @@ class TestValidateScan:
         code, out, err = run(capsys, "gauss-bonnet", "--scene", write_scene(tmp_path, fractional))
         assert code == 3 and out == ""
         assert "$.quadrature.order" in err
+
+    def test_curve_node_budget_is_validation_error(self, capsys, tmp_path):
+        def huge(cfg):
+            cfg["quadrature"]["segments"] = 10 ** 9
+        code, out, err = run(capsys, "gauss-bonnet", "--scene", write_scene(tmp_path, huge))
+        assert code == 3 and out == ""
+        assert "$.quadrature" in err and "nodes per curve" in err
 
 
 class TestThinRegions:
@@ -309,6 +322,41 @@ class TestUsage:
         assert "gauss-bonnet" in out
 
 
+class TestSharedParser:
+    """`main` builds its parser once per process; no call leaves state for the next."""
+
+    def test_calls_in_one_process_match_their_records(self, capsys, tmp_path):
+        ref = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        recorded = [entry for kind in ("curvature", "sweep-K", "sweep-kn", "oracle-check",
+                                       "frame-report", "error")
+                    for entry in ref["queries"][kind][:2]]
+        recorded.append(ref["gb_shipped"][0])
+        defaults = ("curvature", "--scene", "rt_disk", "--uv", "0.1,1.2")
+        code, first_default, _ = run(capsys, *defaults)
+        assert code == 0 and "L = 100.0" in first_default
+
+        for entry in recorded:
+            # usage errors in between: a missing option, an unknown command, help
+            assert run(capsys, "curvature", "--scene", "rt_disk")[0] == 2
+            assert run(capsys, "plot")[0] == 2
+            assert run(capsys, "--help")[0] == 0
+            code, out, _ = run(capsys, *entry["argv"])
+            assert code == entry["exit"], entry["argv"]
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"]
+
+            target = tmp_path / "golden.txt"
+            code, out, _ = run(capsys, "validate", "--scene", "rt_disk", "--out", str(target))
+            assert code == 0 and out == ""
+            assert target.read_text(encoding="utf-8") == (
+                GOLDEN / "validate_rt_disk.txt").read_text(encoding="utf-8")
+            code, out, _ = run(capsys, "frame-report", "--scene", "heisenberg_annulus",
+                               "--uv", "1.5,-0.4", "--L", "10")
+            assert code == 0 and out == (
+                GOLDEN / "frame_report_heisenberg_annulus.txt").read_text(encoding="utf-8")
+
+        assert run(capsys, *defaults) == (0, first_default, "")
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("argv", [
         ("curvature", "--scene", "rt_disk", "--uv", "0.1,0.2", "--L", "nan"),
@@ -363,6 +411,19 @@ class TestFiniteOutputs:
                                  "--L", "1e-310")
         assert code == 4 and out == ""
         assert "non-finite result" in err
+
+    def test_overflow_prints_one_stderr_line(self):
+        # in a fresh interpreter, where numpy's warnings are not captured
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "srlab", "frame-report", "--scene", "rt_disk",
+             "--uv", "0.1,1.2", "--L", "1e-310"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: non-finite result")
 
     @pytest.mark.parametrize("formula, result, argv", [
         ("gauss_curvature_L", np.nan, ("--uv", "0.1,1.2")),

@@ -6,6 +6,8 @@ closed form; only then are they trusted as references for the
 connection-form pipeline.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from srlab.calculus import Jet, ScalarField
 from srlab.errors import NumericalError, TransversalityError
 from srlab.frame import ConnectionFormsL
 from srlab.models import builtin_model
+from srlab.scenes import builtin_scene, region_scan_grid
 from srlab.surface import SurfaceGeometry, SurfacePatch
 
 HEIS = builtin_model("heisenberg")
@@ -173,6 +176,27 @@ class TestProjectedForm:
             cv.LFormAssembly(geom, 0.0)
         with pytest.raises(ValueError):
             cv.LFormAssembly(geom, -4.0)
+
+
+class TestGaussEquationGolden:
+    # sha256 of K_L, K, Kbar_L and II_L (float64 bytes) at L = 1 and 100 on
+    # each shipped scene's 15-sample region grid, recorded when W12_L, W13_L
+    # and d(beta) were still built eagerly with W23_L
+    DIGESTS = {
+        "rt_disk": "7118cb14491ae7ef801c64af6df1c893e01526294ebb1c2ca4dbaea685d52230",
+        "heisenberg_annulus": "2ea25e1cd5132a152b5f77a40fceae4f66850d2f6e9fd684b4b5d1989d38de17",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_decomposition_is_bitwise_unchanged(self, name):
+        sc = builtin_scene(name)
+        geom = SurfaceGeometry(sc.model, sc.patch, *region_scan_grid(sc.region, 15))
+        digest = hashlib.sha256()
+        for L in (1.0, 100.0):
+            s = cv.gauss_equation_decomposition(geom, L)
+            for x in (s.K_L, s.K_limit, s.Kbar_L, s.II_L):
+                digest.update(np.ascontiguousarray(x, dtype=float).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[name]
 
 
 class TestGaussCurvature:

@@ -19,8 +19,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from srlab.calculus.jets import (  # noqa: E402
-    Composer, Jet, compose, jatan2, jcos, jcosh, jexp, jlog, jpow, jsin, jsinh, jsqrt,
-    jtan, jtanh,
+    Composer, Jet, _reciprocal, compose, jatan2, jcos, jcosh, jexp, jlog, jpow, jsin, jsinh,
+    jsqrt, jtan, jtanh,
 )
 
 WIDTH = 3   # nodes per array coefficient
@@ -349,3 +349,139 @@ def test_truncation_commutes_with_pull(case):
     # truncating the outer jet alone (the geometry layer's case), or both
     assert_bitwise(full, Composer(disps).pull(outer.truncate(k)))
     assert_bitwise(full, Composer([d.truncate(k) for d in disps]).pull(outer.truncate(k)))
+
+
+# -- bitwise arithmetic over every coefficient type ------------------------------
+#
+# The arithmetic writes the structural-zero test inline and skips the
+# truncation when both operands share their order. These references state
+# the documented rules on {multi-index: coefficient} dicts, down to the
+# order of every sum: a product adds the live pairs in increasing (alpha,
+# beta) order starting from the first product itself, a structural zero
+# passes the other operand through, and a slot with no live pair stays the
+# placeholder 0.0. Results must match them bit for bit, type included.
+
+mixed_coefficient = st.one_of(
+    st.sampled_from([0.0, -0.0]),           # both are structural zeros
+    real,
+    real.map(np.float64),
+    real.map(np.array),                     # 0-d arrays
+    st.lists(real, min_size=WIDTH, max_size=WIDTH).map(np.array),
+)
+mixed_scalar = st.one_of(real, real.map(np.float64),
+                         st.lists(real, min_size=WIDTH, max_size=WIDTH).map(np.array))
+mixed_base = st.one_of(base_value, base_value.map(np.float64), base_value.map(np.array),
+                       st.lists(base_value, min_size=WIDTH, max_size=WIDTH).map(np.array))
+
+
+def exact_mul(a, b, nvars, order):
+    out = {}
+    for alpha, x in a.items():
+        if structural(x):
+            continue
+        for beta, y in b.items():
+            g = tuple(p + q for p, q in zip(alpha, beta))
+            if structural(y) or sum(g) > order:
+                continue
+            out[g] = x * y if g not in out else out[g] + x * y
+    return {g: out.get(g, 0.0) for g in layout(nvars, order)}
+
+
+def exact_add(a, b):
+    return {k: a[k] if structural(b[k]) else b[k] if structural(a[k]) else a[k] + b[k]
+            for k in a}
+
+
+def exact_sub(a, b):
+    return {k: a[k] if structural(b[k]) else a[k] - b[k] for k in a}
+
+
+def exact_scale(a, s):
+    return {k: c if structural(c) else c * s for k, c in a.items()}
+
+
+def assert_exact(jet, ref, nvars, order):
+    assert (jet.nvars, jet.order) == (nvars, order)
+    idx = layout(nvars, order)
+    assert len(jet.coef) == len(idx)
+    for alpha, c in zip(idx, jet.coef):
+        d = ref[alpha]
+        assert type(c) is type(d) and np.shape(c) == np.shape(d), (alpha, c, d)
+        assert np.asarray(c).tobytes() == np.asarray(d).tobytes(), (alpha, c, d)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two jets on one variable set, at equal or different orders."""
+    nvars = draw(st.integers(1, 3))
+    a = draw(jets(nvars, draw(st.integers(0, 4)), mixed_coefficient))
+    order_b = draw(st.one_of(st.just(a.order), st.integers(0, 4)))
+    return a, draw(jets(nvars, order_b, mixed_coefficient))
+
+
+@given(mixed_pairs())
+def test_arithmetic_is_bitwise_on_mixed_coefficients(pair):
+    a, b = pair
+    n, order = a.nvars, min(a.order, b.order)
+    ra, rb = as_dict(a, order), as_dict(b, order)
+    assert_exact(a * b, exact_mul(ra, rb, n, order), n, order)
+    assert_exact(b * a, exact_mul(rb, ra, n, order), n, order)
+    assert_exact(a + b, exact_add(ra, rb), n, order)
+    assert_exact(b + a, exact_add(rb, ra), n, order)
+    assert_exact(a - b, exact_sub(ra, rb), n, order)
+    assert_exact(b - a, exact_sub(rb, ra), n, order)
+
+
+@given(mixed_pairs(), mixed_scalar)
+def test_scalar_arithmetic_is_bitwise_on_mixed_coefficients(pair, s):
+    a = pair[0]
+    ra = as_dict(a)
+    assert_exact(a * s, exact_scale(ra, s), a.nvars, a.order)
+    assert_exact(s * a, exact_scale(ra, s), a.nvars, a.order)
+    if np.all(np.asarray(s) != 0):
+        with np.errstate(over="ignore"):     # a subnormal divisor may overflow
+            assert_exact(a / s, {k: c / s for k, c in ra.items()}, a.nvars, a.order)
+
+
+@given(mixed_pairs(), mixed_base)
+def test_division_is_the_product_with_the_reciprocal(pair, value):
+    a, b = pair
+    b = Jet(b.nvars, b.order, [value] + b.coef[1:])
+    recip = as_dict(_reciprocal(b))
+    order = min(a.order, b.order)
+    expected = exact_mul(as_dict(a, order), {k: recip[k] for k in layout(a.nvars, order)},
+                         a.nvars, order)
+    assert_exact(a / b, expected, a.nvars, order)
+    assert_exact(1.0 / b, exact_scale(recip, 1.0), b.nvars, b.order)
+
+
+def exact_pull(outer, disps):
+    """Composer.pull as documented: powers by repeated products, summed in layout order."""
+    nvars = disps[0].nvars
+    order = min(d.order for d in disps)
+    ds = [as_dict(d, order) for d in disps]
+    powers = {}
+    for a in layout(outer.nvars, order)[1:]:
+        k = next(i for i, e in enumerate(a) if e)
+        b = tuple(e - (i == k) for i, e in enumerate(a))
+        powers[a] = ds[k] if b not in powers else exact_mul(powers[b], ds[k], nvars, order)
+    order = min(order, outer.order)
+    coef = as_dict(outer, order)
+    acc = {g: 0.0 for g in layout(nvars, order)}
+    acc[(0,) * nvars] = outer.value
+    for a in layout(outer.nvars, order)[1:]:
+        if not structural(coef[a]):
+            term = {g: c for g, c in powers[a].items() if sum(g) <= order}
+            acc = exact_add(acc, exact_scale(term, coef[a]))
+    return acc, order
+
+
+@given(st.data())
+def test_pull_is_bitwise_on_mixed_coefficients(data):
+    inner, outer_vars = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 4))
+    disps = [data.draw(jets(inner, order, mixed_coefficient)).centered()
+             for _ in range(outer_vars)]
+    outer = data.draw(jets(outer_vars, data.draw(st.integers(0, 4)), mixed_coefficient))
+    expected, k = exact_pull(outer, disps)
+    assert_exact(Composer(disps).pull(outer), expected, inner, k)

@@ -469,6 +469,21 @@ class TestSharedGeometry:
             assert len(built[kind]) == expected
             assert sum(built[kind]) == sum(node_sets[kind])
 
+    def test_report_builds_no_companion_forms(self, monkeypatch):
+        # K_L and kn_L read only W23_L: W12_L, W13_L and d(beta) stay unbuilt
+        built = []
+        init = cv.LFormAssembly.__init__
+
+        def record(asm, *args):
+            init(asm, *args)
+            built.append(asm)
+
+        monkeypatch.setattr(cv.LFormAssembly, "__init__", record)
+        ms.gauss_bonnet_residual(annulus_scene(), self.COARSE, L_values=(1e2, 1e4))
+        assert built
+        for asm in built:
+            assert not {"omega12", "omega13", "dbeta"} & set(vars(asm))
+
     def test_boundary_integrand_is_normal_curvature_times_length(self):
         circ = CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, TWO_PI))
         t = np.linspace(0.3, 5.9, 5)

@@ -8,7 +8,7 @@ import pytest
 from srlab import scenes as sc
 from srlab.errors import ImmersionError, SceneError
 from srlab.frame import SubRiemannianModel
-from srlab.measures import MAX_REGION_NODES, QuadratureSpec
+from srlab.measures import MAX_CURVE_NODES, MAX_REGION_NODES, QuadratureSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,6 +290,9 @@ class TestQuadratureSettings:
         # 12 region nodes over MAX_REGION_NODES, at level 0 and through a refinement
         ({"order": 2, "cells": [3, 699051], "max_refine": 0}, "$.quadrature"),
         ({"order": 2, "cells": [1, 419431], "max_refine": 1}, "$.quadrature"),
+        # curve nodes over MAX_CURVE_NODES: by one segment, and by far
+        ({"order": 16, "segments": 4370}, "$.quadrature"),
+        ({"segments": 10 ** 9}, "$.quadrature"),
     ])
     def test_rejected_at_field_path(self, quad, path):
         cfg = annulus_config()
@@ -309,6 +312,21 @@ class TestQuadratureSettings:
         QuadratureSpec(max_refine=4)
         with pytest.raises(ValueError, match="more than 8388608 nodes"):
             QuadratureSpec(max_refine=5)
+
+    def test_curve_node_budget(self):
+        # 64 segments x 16 nodes over levels 0..3 is 15360 per curve; the
+        # check runs on the settings alone, so no node is ever built
+        assert MAX_CURVE_NODES == 2 ** 20
+        assert QuadratureSpec().segments * 16 * (1 + 2 + 4 + 8) == 15360
+        QuadratureSpec(segments=4369)                               # 1048560 nodes
+        QuadratureSpec(order=2, segments=2 ** 19, max_refine=0)     # exactly the cap
+        with pytest.raises(ValueError, match="more than 1048576 nodes per curve"):
+            QuadratureSpec(segments=4370)                           # 1048800 nodes
+        with pytest.raises(ValueError, match="more than 1048576 nodes per curve"):
+            QuadratureSpec(order=2, segments=2 ** 19 + 1, max_refine=0)
+        cfg = annulus_config()
+        cfg["quadrature"] = {"order": 2, "segments": 2 ** 19, "max_refine": 0}
+        assert sc.scene_from_config(cfg).quadrature.segments == 2 ** 19
 
     def test_integer_settings_load(self):
         cfg = annulus_config()

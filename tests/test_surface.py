@@ -82,6 +82,24 @@ class TestSharedChecks:
                                compute_uv=False)
             assert ratio[k] == pytest.approx(sv[-1] / sv[0], rel=1e-14)
 
+    def test_immersion_ratio_near_degenerate(self):
+        # Tv = c Tu + 1e-9 |Tu| n with n a unit normal to Tu: ratio about 1e-9.
+        # Both routes are accurate to about one unit of rounding in the ratio
+        # itself, so the gap is bounded in absolute terms, not relative ones.
+        rng = np.random.default_rng(7)
+        tu = rng.normal(size=(3, 12)) * 10.0 ** rng.uniform(-2, 2, 12)
+        n = rng.normal(size=(3, 12))
+        n -= tu * np.sum(n * tu, axis=0) / np.sum(tu * tu, axis=0)
+        n /= np.linalg.norm(n, axis=0)
+        tv = tu * rng.uniform(0.3, 3.0, 12) + 1e-9 * np.linalg.norm(tu, axis=0) * n
+        ratio = immersion_ratio(tuple(tu), tuple(tv))
+        sv = np.linalg.svd(np.stack([tu.T, tv.T], axis=-1), compute_uv=False)
+        expected = sv[:, 1] / sv[:, 0]
+        assert np.all((expected > 1e-10) & (expected < 1e-8))
+        assert np.max(np.abs(ratio - expected)) <= 8 * np.finfo(float).eps
+        # exactly parallel tangents give an exact zero
+        assert immersion_ratio((1.0, 2.0, 3.0), (2.0, 4.0, 6.0)) == 0.0
+
     @pytest.mark.parametrize("name", BUILTIN_SCENES)
     def test_geometry_and_prescan_margins_agree_bitwise(self, name):
         scene = builtin_scene(name)

@@ -98,7 +98,7 @@ def eval_jet(ast, bindings: dict) -> Jet:
         raise EvaluationError("eval_jet needs at least one jet binding")
     out = _eval(ast, bindings)
     if not isinstance(out, Jet):
-        out = Jet.constant(out, ref.nvars, ref.order, ref.point)
+        out = Jet.constant(out, ref.nvars, ref.order)
     for c in out.coef:
         if not (math.isfinite(c) if type(c) is float else np.isfinite(c).all()):
             raise EvaluationError("non-finite value in evaluation")
@@ -209,10 +209,21 @@ def exterior_derivative_oneform(theta: OneFormC, p: Sequence) -> TwoFormValues:
 
 
 def bracket_jets(v: Sequence[Jet], w: Sequence[Jet]) -> list[Jet]:
-    """Lie bracket of jet-valued chart vector fields; order drops by one."""
+    """Lie bracket of jet-valued chart vector fields; order drops by one.
+
+    Both fields are cut once to the lower input order k, and the factors
+    that meet a derivative once more to k - 1, so every product is between
+    jets of one order. Truncation commutes with the arithmetic, so the bits
+    are those of truncating inside each product.
+    """
+    order = min(c.order for c in (*v, *w))
+    v = [c.truncate(order) for c in v]
+    w = [c.truncate(order) for c in w]
+    v_low = [c.truncate(order - 1) for c in v]
+    w_low = [c.truncate(order - 1) for c in w]
     out = []
     for i in range(3):
-        terms = [v[m] * w[i].deriv(m) - w[m] * v[i].deriv(m) for m in range(3)]
+        terms = [v_low[m] * w[i].deriv(m) - w_low[m] * v[i].deriv(m) for m in range(3)]
         out.append(terms[0] + terms[1] + terms[2])
     return out
 

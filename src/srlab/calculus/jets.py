@@ -1,12 +1,14 @@
 """Truncated multivariate Taylor arithmetic (jets).
 
-A Jet stores the Taylor coefficients c_alpha = (d^alpha f)(p) / alpha! of a
-smooth function at a base point, for all multi-indices alpha of total order
-up to `order` in up to three independent variables. Arithmetic, the fixed
-function set, derivative extraction, and truncated composition are all exact
-to the stored order, so no finite-difference noise enters downstream
-geometry. Coefficients may be floats or numpy arrays of equal shape, which
-evaluates a whole batch of base points in one pass.
+A Jet is (nvars, order, coef): the Taylor coefficients c_alpha =
+(d^alpha f)(p) / alpha! of a smooth function at a base point p, for all
+multi-indices alpha of total order up to `order` in up to three independent
+variables. The base point itself is not stored: a caller that needs p
+keeps it. Arithmetic, the fixed function set, derivative extraction, and
+truncated composition are all exact to the stored order, so no
+finite-difference noise enters downstream geometry. Coefficients may be
+floats or numpy arrays of equal shape, which evaluates a whole batch of base
+points in one pass.
 
 A coefficient that is the Python float 0.0 (`type(c) is float and c == 0.0`,
 the placeholder `Jet.constant` and `Jet.variable` write) is a structural
@@ -125,42 +127,40 @@ def _zero(c) -> bool:
 class Jet:
     """Taylor expansion of a scalar quantity at a base point, exact to `order`."""
 
-    __slots__ = ("nvars", "order", "coef", "point")
+    __slots__ = ("nvars", "order", "coef")
 
     # keep numpy from broadcasting ndarray <op> Jet elementwise
     __array_ufunc__ = None
 
-    def __init__(self, nvars: int, order: int, coef: list, point=None):
+    def __init__(self, nvars: int, order: int, coef: list):
         self.nvars = nvars
         self.order = order
         self.coef = coef
-        self.point = point
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(value, nvars: int, order: int, point=None) -> "Jet":
+    def constant(value, nvars: int, order: int) -> "Jet":
         t = _tables(nvars, order)
         coef = [0.0] * t.ncoef
         coef[0] = value
-        return Jet(nvars, order, coef, point)
+        return Jet(nvars, order, coef)
 
     @staticmethod
-    def variable(value, index: int, nvars: int, order: int, point=None) -> "Jet":
+    def variable(value, index: int, nvars: int, order: int) -> "Jet":
         t = _tables(nvars, order)
         coef = [0.0] * t.ncoef
         coef[0] = value
         if order >= 1:
             unit = tuple(1 if k == index else 0 for k in range(nvars))
             coef[t.pos[unit]] = 1.0
-        return Jet(nvars, order, coef, point)
+        return Jet(nvars, order, coef)
 
     @staticmethod
     def seeds(values: Sequence, order: int) -> list["Jet"]:
         """Independent-variable seeds at a common base point."""
         nvars = len(values)
-        point = tuple(values)
-        return [Jet.variable(v, i, nvars, order, point) for i, v in enumerate(values)]
+        return [Jet.variable(v, i, nvars, order) for i, v in enumerate(values)]
 
     # -- accessors ----------------------------------------------------------
 
@@ -198,17 +198,17 @@ class Jet:
         t = _tables(self.nvars, self.order)
         coef = [self.coef[src] * fac if fac != 1 else self.coef[src]
                 for src, fac in t.deriv_maps[k]]
-        return Jet(self.nvars, self.order - 1, coef, self.point)
+        return Jet(self.nvars, self.order - 1, coef)
 
     def centered(self) -> "Jet":
         """self - self.value, with a structural-zero constant term (a displacement)."""
-        return Jet(self.nvars, self.order, [0.0] + self.coef[1:], self.point)
+        return Jet(self.nvars, self.order, [0.0] + self.coef[1:])
 
     def truncate(self, order: int) -> "Jet":
         if order >= self.order:
             return self
         n = _tables(self.nvars, order).ncoef
-        return Jet(self.nvars, order, self.coef[:n], self.point)
+        return Jet(self.nvars, order, self.coef[:n])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -229,13 +229,13 @@ class Jet:
             c = coef[0]
             if not (type(other) is float and other == 0.0):
                 coef[0] = other if type(c) is float and c == 0.0 else c + other
-            return Jet(self.nvars, self.order, coef, self.point)
+            return Jet(self.nvars, self.order, coef)
         a, b = pair
         # a structural zero passes the other operand through untouched
         coef = [x if type(y) is float and y == 0.0 else
                 y if type(x) is float and x == 0.0 else x + y
                 for x, y in zip(a.coef, b.coef)]
-        return Jet(a.nvars, a.order, coef, a.point or b.point)
+        return Jet(a.nvars, a.order, coef)
 
     __radd__ = __add__
 
@@ -245,27 +245,27 @@ class Jet:
             coef = list(self.coef)
             if not (type(other) is float and other == 0.0):
                 coef[0] = coef[0] - other
-            return Jet(self.nvars, self.order, coef, self.point)
+            return Jet(self.nvars, self.order, coef)
         a, b = pair
         # 0.0 - y is computed: it costs what -y would and keeps IEEE signed zeros
         coef = [x if type(y) is float and y == 0.0 else x - y
                 for x, y in zip(a.coef, b.coef)]
-        return Jet(a.nvars, a.order, coef, a.point or b.point)
+        return Jet(a.nvars, a.order, coef)
 
     def __rsub__(self, other):
         coef = [-c for c in self.coef]
         c = self.coef[0]
         coef[0] = other if type(c) is float and c == 0.0 else other - c
-        return Jet(self.nvars, self.order, coef, self.point)
+        return Jet(self.nvars, self.order, coef)
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, [-c for c in self.coef], self.point)
+        return Jet(self.nvars, self.order, [-c for c in self.coef])
 
     def __mul__(self, other):
         pair = self._meta(other)
         if pair is None:
             coef = [c if type(c) is float and c == 0.0 else c * other for c in self.coef]
-            return Jet(self.nvars, self.order, coef, self.point)
+            return Jet(self.nvars, self.order, coef)
         a, b = pair
         ac, bc = a.coef, b.coef
         live_b = [j for j, c in enumerate(bc) if not (type(c) is float and c == 0.0)]
@@ -283,14 +283,14 @@ class Jet:
                 s = out[g]
                 out[g] = x * bc[j] if s is None else s + x * bc[j]
         coef = [0.0 if s is None else s for s in out]
-        return Jet(a.nvars, a.order, coef, a.point or b.point)
+        return Jet(a.nvars, a.order, coef)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * _reciprocal(other)
-        return Jet(self.nvars, self.order, [c / other for c in self.coef], self.point)
+        return Jet(self.nvars, self.order, [c / other for c in self.coef])
 
     def __rtruediv__(self, other):
         return _reciprocal(self) * other
@@ -311,7 +311,7 @@ class Jet:
 def _compose_series(u: Jet, derivs: list) -> Jet:
     """Evaluate f(u) where derivs[k] = f^(k)(u.value), k = 0..u.order."""
     du = u.centered()
-    acc = Jet.constant(derivs[0], u.nvars, u.order, u.point)
+    acc = Jet.constant(derivs[0], u.nvars, u.order)
     power = None
     fact = 1.0
     for k in range(1, u.order + 1):
@@ -406,7 +406,7 @@ def jsqrt(u: Jet) -> Jet:
     if u.order == 0:
         if _any(v < 0):
             raise EvaluationError("sqrt of a negative value")
-        return Jet(u.nvars, 0, [np.sqrt(v)], u.point)
+        return Jet(u.nvars, 0, [np.sqrt(v)])
     if _any(v <= 0):
         raise EvaluationError("sqrt of a non-positive value (derivative undefined)")
     s = np.sqrt(v)
@@ -435,9 +435,9 @@ def jatan2(y, x):
     if not isinstance(y, Jet) and not isinstance(x, Jet):
         return np.arctan2(y, x)
     if not isinstance(y, Jet):
-        y = Jet.constant(y, x.nvars, x.order, x.point)
+        y = Jet.constant(y, x.nvars, x.order)
     if not isinstance(x, Jet):
-        x = Jet.constant(x, y.nvars, y.order, y.point)
+        x = Jet.constant(x, y.nvars, y.order)
     x0, y0 = x.value, y.value
     r2 = x0 * x0 + y0 * y0
     if _any(r2 == 0):
@@ -460,7 +460,7 @@ def _constant_exponent(expo: Jet):
 
 def _int_pow(base: Jet, n: int) -> Jet:
     if n == 0:
-        return Jet.constant(base.value * 0.0 + 1.0, base.nvars, base.order, base.point)
+        return Jet.constant(base.value * 0.0 + 1.0, base.nvars, base.order)
     if n < 0:
         return _int_pow(_reciprocal(base), -n)
     acc = None
@@ -485,7 +485,7 @@ def jpow(base, expo):
         if e is None:
             # genuinely variable exponent: base must stay positive
             if not isinstance(base, Jet):
-                base = Jet.constant(base, expo.nvars, expo.order, expo.point)
+                base = Jet.constant(base, expo.nvars, expo.order)
             if _any(base.value <= 0):
                 raise EvaluationError("power with variable exponent needs a positive base")
             return jexp(expo * jlog(base))
@@ -517,11 +517,9 @@ class Composer:
     """
 
     def __init__(self, displacements: Sequence[Jet]):
-        inner0 = displacements[0]
         self.outer_nvars = len(displacements)
         self.order = min(d.order for d in displacements)
-        self.inner_nvars = inner0.nvars
-        self.point = inner0.point
+        self.inner_nvars = displacements[0].nvars
         ds = [d.truncate(self.order) for d in displacements]
         for d in ds:
             if d.nvars != self.inner_nvars:
@@ -539,12 +537,12 @@ class Composer:
     def pull(self, outer: Jet) -> Jet:
         """Compose: result is exact to min(outer.order, displacement order)."""
         if not isinstance(outer, Jet):
-            return Jet.constant(outer, self.inner_nvars, self.order, self.point)
+            return Jet.constant(outer, self.inner_nvars, self.order)
         if outer.nvars != self.outer_nvars:
             raise ValueError("need one displacement per outer variable")
         order = min(outer.order, self.order)
         coef = outer.coef
-        acc = Jet.constant(coef[0], self.inner_nvars, order, self.point)
+        acc = Jet.constant(coef[0], self.inner_nvars, order)
         # degree-major layout: the order-`order` indices are a prefix of the
         # outer jet's, and index 0 is the constant term
         for a, c in zip(_tables(outer.nvars, order).indices[1:], coef[1:]):

@@ -192,7 +192,7 @@ def cmd_curvature(args) -> int:
 
 def cmd_sweep(args) -> int:
     scene = resolve_scene(args.scene)
-    grid = _parse_L_list(args.L) if args.L else (scene.L_grid or (1e2, 1e3, 1e4))
+    grid = _parse_L_list(args.L) if args.L is not None else (scene.L_grid or (1e2, 1e3, 1e4))
 
     rows = []
     if args.quantity == "K":
@@ -227,7 +227,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gauss_bonnet(args) -> int:
     scene = resolve_scene(args.scene)
-    grid = _parse_L_list(args.L) if args.L else scene.L_grid
+    grid = _parse_L_list(args.L) if args.L is not None else scene.L_grid
     report = ms.gauss_bonnet_residual(scene, L_values=grid)
 
     def quad_result(res):
@@ -347,7 +347,9 @@ def cmd_oracle_check(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="srlab",
         description="Surfaces in 3D sub-Riemannian manifolds: frames, "
@@ -395,12 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_finite_float, default=1e-6, help="worst allowed gap")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused by every later one."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

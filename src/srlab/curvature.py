@@ -54,35 +54,25 @@ class SurfaceOneForm:
         return value_of(self.P), value_of(self.Q)
 
 
-def tangent_components(geom: SurfaceGeometry, vec) -> tuple:
-    """Components (a, b) with vec = a Tu + b Tv, solved per point.
+def basis_components(p, q, w) -> tuple:
+    """Components (a, b) with w = a p + b q, per point, for jets or values.
 
-    Uses Euclidean normal equations in chart components; exact for vectors
-    lying in the tangent plane, which is the only supported input.
+    Euclidean normal equations in chart components; exact for vectors in
+    the span of p and q, which is the only supported input.
     """
-    tu = [value_of(c) for c in geom.Tu]
-    tv = [value_of(c) for c in geom.Tv]
-    w = [value_of(c) for c in vec]
-    e = sum(a * a for a in tu)
-    f = sum(a * b for a, b in zip(tu, tv))
-    g = sum(b * b for b in tv)
-    r1 = sum(a * c for a, c in zip(tu, w))
-    r2 = sum(b * c for b, c in zip(tv, w))
+    e = sum(a * a for a in p)
+    f = sum(a * b for a, b in zip(p, q))
+    g = sum(b * b for b in q)
+    r1 = sum(a * c for a, c in zip(p, w))
+    r2 = sum(b * c for b, c in zip(q, w))
     det = e * g - f * f
     return (r1 * g - r2 * f) / det, (e * r2 - f * r1) / det
 
 
-def _coframe_on_tangents(geom: SurfaceGeometry):
-    """Jets of e^k(Tu), e^k(Tv), k = 1..3, cached on the geometry."""
-    cached = getattr(geom, "_coframe_pairings", None)
-    if cached is None:
-        rows = (geom.cof1_s, geom.cof2_s, geom.omega_s)
-        cached = (
-            tuple(pair_oneform(r, geom.Tu) for r in rows),
-            tuple(pair_oneform(r, geom.Tv) for r in rows),
-        )
-        geom._coframe_pairings = cached
-    return cached
+def tangent_components(geom: SurfaceGeometry, vec) -> tuple:
+    """Components (a, b) with vec = a Tu + b Tv (values), solved per point."""
+    return basis_components([value_of(c) for c in geom.Tu], [value_of(c) for c in geom.Tv],
+                            [value_of(c) for c in vec])
 
 
 def _mix(c1, f1, c2, f2):
@@ -113,7 +103,8 @@ class LFormAssembly:
         # W23_L carries d(alpha), one order below x, so the connection
         # coefficients and tangent pairings are read to that order only
         order = geom.x.order - 1
-        on_tu, on_tv = ([p.truncate(order) for p in side] for side in _coframe_on_tangents(geom))
+        on_tu, on_tv = ([p.truncate(order) for p in side]
+                        for side in (geom.coframe_Tu, geom.coframe_Tv))
         # scaled dual pairings e_L^k(T.): the third dual picks up sqrt(L)
         pu = (on_tu[0], on_tu[1], s * on_tu[2])
         pv = (on_tv[0], on_tv[1], s * on_tv[2])
@@ -204,9 +195,8 @@ def omega23_koszul_values(geom: SurfaceGeometry, L: float):
     s = math.sqrt(L)
     x, y, A = geom.x, geom.y, geom.A
     denom = jsqrt(A * A + L)
-    c2 = (x, y, Jet.constant(0.0, 2, x.order, x.point))
+    c2 = (x, y, Jet.constant(0.0, 2, x.order))
     c3 = (A * y / denom, -(A * x) / denom, s / denom)
-    on_tu, on_tv = _coframe_on_tangents(geom)
     base = geom.frame.shape
 
     def along(vec_index, pairings):
@@ -219,7 +209,7 @@ def omega23_koszul_values(geom: SurfaceGeometry, L: float):
                     total += value_of(c2[i]) * value_of(c3[j]) * vk[k] * gam[i, j, k]
         return total
 
-    return along(0, on_tu), along(1, on_tv)
+    return along(0, geom.coframe_Tu), along(1, geom.coframe_Tv)
 
 
 def gauss_curvature_limit(geom: SurfaceGeometry):
@@ -232,7 +222,7 @@ def gauss_curvature_limit(geom: SurfaceGeometry):
 
 def limit_connection_form(geom: SurfaceGeometry) -> SurfaceOneForm:
     """The limit of W23_L / sqrt(L): the pullback of A e^3."""
-    return SurfaceOneForm(geom.A * geom.omega_Tu, geom.A * geom.omega_Tv)
+    return SurfaceOneForm(geom.A * geom.coframe_Tu[2], geom.A * geom.coframe_Tv[2])
 
 
 def gauss_curvature_limit_via_form(geom: SurfaceGeometry):
@@ -312,7 +302,7 @@ def metric_gauss_curvature(E: Jet, F: Jet, G: Jet):
 
 def induced_metric_components(geom: SurfaceGeometry, L: float):
     """E, F, G jets of the induced metric g_L(T_i, T_j) on the patch."""
-    on_tu, on_tv = _coframe_on_tangents(geom)
+    on_tu, on_tv = geom.coframe_Tu, geom.coframe_Tv
     weights = (1.0, 1.0, float(L))
     E = sum(w * p * p for w, p in zip(weights, on_tu))
     G = sum(w * p * p for w, p in zip(weights, on_tv))
@@ -363,7 +353,6 @@ class CurveGeometry:
     """
 
     def __init__(self, model, patch, curve: CurveOnSurface, t, order: int = 3):
-        self.curve = curve
         cu, cv = curve.jets(t, order)
         self.udot = cu.deriv(0)
         self.vdot = cv.deriv(0)
@@ -381,14 +370,7 @@ class CurveGeometry:
 
         f2_t = [self.pull(c) for c in self.geom.f2]
         f3_t = [self.pull(c) for c in self.geom.f3]
-        m11 = sum(c * c for c in f2_t)
-        m12 = sum(a * b for a, b in zip(f2_t, f3_t))
-        m22 = sum(c * c for c in f3_t)
-        r1 = sum(a * b for a, b in zip(f2_t, self.gamma_dot))
-        r2 = sum(a * b for a, b in zip(f3_t, self.gamma_dot))
-        det = m11 * m22 - m12 * m12
-        self.x = (r1 * m22 - r2 * m12) / det
-        self.y = (m11 * r2 - m12 * r1) / det
+        self.x, self.y = basis_components(f2_t, f3_t, self.gamma_dot)
 
         omega_t = [self.pull(c) for c in self.geom.omega_s]
         shortcut = pair_oneform(omega_t, self.gamma_dot)
@@ -400,6 +382,11 @@ class CurveGeometry:
             )
 
         self.A = self.pull(self.geom.A)
+
+    def speed_L(self, L: float) -> Jet:
+        """|gamma'|_L = sqrt(x^2 + y^2 (A^2 + L)): induced arclength per unit of t."""
+        x, y, A = self.x, self.y, self.A
+        return jsqrt(x * x + y * y * (A * A + L))
 
     def transversality(self):
         """min |y| / |gamma'| over the sampled parameters."""
@@ -436,7 +423,7 @@ def normal_curvature_L_jets(cg: CurveGeometry, L: float):
     needs no transversality.
     """
     x, y, A = cg.x, cg.y, cg.A
-    norm = jsqrt(x * x + y * y * (A * A + L))
+    norm = cg.speed_L(L)
     xl = x / norm
     yl = y * jsqrt(A * A + L) / norm
 

@@ -65,7 +65,30 @@ class SubRiemannianModel:
 
     def frame(self, point, order: int = MAX_ORDER) -> "FrameData":
         """Full frame data at a chart point (components may be arrays)."""
-        return _build_frame(self, point, order)
+        seeds = chart_seeds(point, order)
+        e1 = self.e1.jets(seeds)
+        e2 = self.e2.jets(seeds)
+        omega, tau = _contact_form(e1, e2)
+
+        w = bracket_jets(e1, e2)
+        d_omega = d_oneform_jets(omega)
+        p_coef = -eval_twoform(d_omega, w, e2)
+        q_coef = eval_twoform(d_omega, w, e1)
+        e3 = [w[i] - p_coef * e1[i] - q_coef * e2[i] for i in range(3)]
+
+        det = pair_oneform(_cross(e2, e3), e1)
+        cof1 = tuple(c / det for c in _cross(e2, e3))
+        cof2 = tuple(c / det for c in _cross(e3, e1))
+        coframe = (cof1, cof2, omega)
+
+        b13 = bracket_jets(e1, e3)
+        b23 = bracket_jets(e2, e3)
+        sf = {}
+        for tag, vec in (("a12", w), ("a13", b13), ("a23", b23)):
+            for k in range(3):
+                sf[f"{tag}_{k + 1}"] = pair_oneform(coframe[k], vec)
+
+        return FrameData(tuple(point), e1, e2, e3, omega, coframe, tau, sf)
 
     def contact_form(self, point) -> tuple:
         """Order-0 jets of the normalized contact form omega at a chart point.
@@ -89,9 +112,7 @@ class FrameData:
     curvature work on a surface.
     """
 
-    model: SubRiemannianModel
     point: tuple
-    seeds: dict
     e1: list
     e2: list
     e3: list
@@ -127,33 +148,6 @@ def _contact_form(e1, e2):
             f"has minimum {float(np.min(np.abs(tv))):.3e}"
         )
     return tuple((-1.0 / tau) * c for c in raw), tau
-
-
-def _build_frame(model: SubRiemannianModel, point, order: int) -> FrameData:
-    seeds = chart_seeds(point, order)
-    e1 = model.e1.jets(seeds)
-    e2 = model.e2.jets(seeds)
-    omega, tau = _contact_form(e1, e2)
-
-    w = bracket_jets(e1, e2)
-    d_omega = d_oneform_jets(omega)
-    p_coef = -eval_twoform(d_omega, w, e2)
-    q_coef = eval_twoform(d_omega, w, e1)
-    e3 = [w[i] - p_coef * e1[i] - q_coef * e2[i] for i in range(3)]
-
-    det = pair_oneform(_cross(e2, e3), e1)
-    cof1 = tuple(c / det for c in _cross(e2, e3))
-    cof2 = tuple(c / det for c in _cross(e3, e1))
-    coframe = (cof1, cof2, omega)
-
-    b13 = bracket_jets(e1, e3)
-    b23 = bracket_jets(e2, e3)
-    sf = {}
-    for tag, vec in (("a12", w), ("a13", b13), ("a23", b23)):
-        for k in range(3):
-            sf[f"{tag}_{k + 1}"] = pair_oneform(coframe[k], vec)
-
-    return FrameData(model, tuple(point), seeds, e1, e2, e3, omega, coframe, tau, sf)
 
 
 # -- validation ---------------------------------------------------------------

@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import curvature as cv
-from .calculus.jets import jsqrt
 from .errors import CharacteristicPointError, SceneError
 from .surface import EPS_CHAR, SurfaceGeometry, characteristic_report
 
@@ -36,6 +35,8 @@ TWO_PI = 2.0 * math.pi
 # order 16, max_refine 3) need 1392640 and 15360
 MAX_REGION_NODES = 2 ** 23
 MAX_CURVE_NODES = 2 ** 20
+# per-axis samples of the characteristic pre-scan grid over a region
+SCAN_SAMPLES = 25
 
 
 def _worst_case_nodes(level0: int, growth: int, max_refine: int, cap: int) -> int:
@@ -195,7 +196,7 @@ def ensure_region_in_domain(patch, region: Region):
         )
 
 
-def region_scan_grid(region: Region, samples: int = 25):
+def region_scan_grid(region: Region, samples: int = SCAN_SAMPLES):
     """Sample grid covering the closed region, boundary included."""
     if region.kind == "rectangle":
         (a, b), (c, d) = region.u_interval, region.v_interval
@@ -211,7 +212,7 @@ def region_scan_grid(region: Region, samples: int = 25):
     return uu, vv
 
 
-def scan_region_regular(model, patch, region: Region, samples: int = 25):
+def scan_region_regular(model, patch, region: Region, samples: int = SCAN_SAMPLES):
     """Raise if the closed region comes near a characteristic point."""
     uu, vv = region_scan_grid(region, samples)
     require_regular(characteristic_report(model, patch, uu, vv).margin, samples)
@@ -417,9 +418,7 @@ def length_density_L(model, patch, curve, t, L: float):
     """Density of induced arclength under the L metric against dt."""
     if L <= 0:
         raise ValueError("the metric parameter L must be positive")
-    cg = cv.CurveGeometry(model, patch, curve, t)
-    x, y, A = cg.x, cg.y, cg.A
-    return np.asarray(jsqrt(x * x + y * y * (A * A + L)).value)
+    return np.asarray(cv.CurveGeometry(model, patch, curve, t).speed_L(L).value)
 
 
 @_reads(2)

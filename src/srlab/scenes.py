@@ -27,7 +27,8 @@ from .calculus.jets import stack_values, value_of
 from .curvature import CurveOnSurface
 from .errors import CharacteristicPointError, ImmersionError, SceneError, ValidationError
 from .frame import checked_frame, require_passed
-from .measures import QuadratureSpec, Region, ensure_region_in_domain, region_scan_grid, require_regular
+from .measures import (SCAN_SAMPLES, QuadratureSpec, Region, ensure_region_in_domain,
+                       region_scan_grid, require_regular)
 from .models import builtin_model, inline_model
 from .surface import SurfacePatch, characteristic_margin, immersion_ratio, tangents
 
@@ -37,7 +38,6 @@ BOUNDARY_TOL = 1e-8
 SWEEP_TOL = 1e-6
 JOIN_TOL = 1e-6
 IMMERSION_SCAN_RTOL = 1e-8
-SCAN_SAMPLES = 25
 # most L values an L grid may hold, in a scene file or on the command line
 MAX_L_VALUES = 64
 

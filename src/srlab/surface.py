@@ -132,15 +132,9 @@ class SurfaceGeometry:
 
     def __init__(self, model: SubRiemannianModel, patch: SurfacePatch, u, v,
                  order: int = SURFACE_ORDER):
-        self.model = model
-        self.patch = patch
-        self.u = np.asarray(u, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-
         phi = patch.jets(u, v, order)
         self.phi = phi
         p0 = [np.asarray(j.value) for j in phi]
-        self.point = p0
         self.Tu, self.Tv = tangents(phi)
 
         self._immersion_check()
@@ -156,32 +150,37 @@ class SurfaceGeometry:
         self.omega_s = tuple(pull(self.frame.omega))
         self.cof1_s = tuple(pull(self.frame.coframe[0]))
         self.cof2_s = tuple(pull(self.frame.coframe[1]))
-        self.e1_s = pull(self.frame.e1)
-        self.e2_s = pull(self.frame.e2)
+        e1_s = pull(self.frame.e1)
+        e2_s = pull(self.frame.e2)
         self.e3_s = pull(self.frame.e3)
-
-        self.omega_Tu = pair_oneform(self.omega_s, self.Tu)
-        self.omega_Tv = pair_oneform(self.omega_s, self.Tv)
         self._characteristic_check()
 
+        # e^k(Tu) and e^k(Tv) for k = 1..3, which the finite-L forms and the
+        # induced metric read as well
+        rows = (self.cof1_s, self.cof2_s, self.omega_s)
+        self.coframe_Tu = tuple(pair_oneform(r, self.Tu) for r in rows)
+        self.coframe_Tv = tuple(pair_oneform(r, self.Tv) for r in rows)
+        cof1_Tu, cof2_Tu, omega_Tu = self.coframe_Tu
+        cof1_Tv, cof2_Tv, omega_Tv = self.coframe_Tv
+
         # horizontal tangent direction: t = -omega(Tv) Tu + omega(Tu) Tv
-        t = [self.omega_Tu * b - self.omega_Tv * a for a, b in zip(self.Tu, self.Tv)]
+        t = [omega_Tu * b - omega_Tv * a for a, b in zip(self.Tu, self.Tv)]
         x_raw = pair_oneform(self.cof1_s, t)
         y_raw = pair_oneform(self.cof2_s, t)
         norm_h = jsqrt(x_raw * x_raw + y_raw * y_raw)
 
         # orientation: require (f^2 ^ f^3)(Tu, Tv) > 0, flipping f2 if needed
-        f2_Tu = x_raw * pair_oneform(self.cof1_s, self.Tu) + y_raw * pair_oneform(self.cof2_s, self.Tu)
-        f2_Tv = x_raw * pair_oneform(self.cof1_s, self.Tv) + y_raw * pair_oneform(self.cof2_s, self.Tv)
-        wedge_raw = f2_Tu * self.omega_Tv - f2_Tv * self.omega_Tu
-        self.sign = np.where(np.asarray(wedge_raw.value) >= 0.0, 1.0, -1.0)
+        f2_Tu = x_raw * cof1_Tu + y_raw * cof2_Tu
+        f2_Tv = x_raw * cof1_Tv + y_raw * cof2_Tv
+        wedge_raw = f2_Tu * omega_Tv - f2_Tv * omega_Tu
+        sign = np.where(np.asarray(wedge_raw.value) >= 0.0, 1.0, -1.0)
 
-        self.x = self.sign * x_raw / norm_h
-        self.y = self.sign * y_raw / norm_h
-        self.wedge = self.sign * wedge_raw / norm_h   # (f^2 ^ f^3)(Tu, Tv) > 0
+        self.x = sign * x_raw / norm_h
+        self.y = sign * y_raw / norm_h
+        self.wedge = sign * wedge_raw / norm_h   # (f^2 ^ f^3)(Tu, Tv) > 0
 
-        self.f1 = [self.y * a - self.x * b for a, b in zip(self.e1_s, self.e2_s)]
-        self.f2 = [self.x * a + self.y * b for a, b in zip(self.e1_s, self.e2_s)]
+        self.f1 = [self.y * a - self.x * b for a, b in zip(e1_s, e2_s)]
+        self.f2 = [self.x * a + self.y * b for a, b in zip(e1_s, e2_s)]
 
         normal = _cross(self.Tu, self.Tv)
         pairing = pair_oneform(normal, self.f1)

@@ -376,6 +376,22 @@ class TestInputChecks:
         assert "zero-size" not in err
 
 
+class TestEmptyLList:
+    """An empty --L is a usage error on every subcommand that takes a list."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--scene", "rt_disk", "--quantity", "K", "--uv", "0.1,1.2", "--L", ""),
+        ("sweep", "--scene", "rt_disk", "--quantity", "kn", "--t", "0.3", "--L", ""),
+        ("gauss-bonnet", "--scene", "rt_disk", "--L", ""),
+        ("gauss-bonnet", "--scene", "rt_disk", "--L", ","),
+        ("oracle-check", "--scene", "rt_disk", "--L", ""),
+    ])
+    def test_empty_list_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "expected at least one L value" in err
+
+
 class TestWorkCaps:
     """--samples and --L lists are capped; a value just over a cap is a usage error."""
 

@@ -44,8 +44,8 @@ class TestMetricOracles:
         uu = np.array([0.6, 1.0, 1.7, 2.4])
         vv = np.array([0.0, 2.0, -1.0, 0.3])
         self.su, self.sv = Jet.seeds([uu, vv], 2)
-        self.one = Jet.constant(1.0, 2, 2, self.su.point)
-        self.zero = Jet.constant(0.0, 2, 2, self.su.point)
+        self.one = Jet.constant(1.0, 2, 2)
+        self.zero = Jet.constant(0.0, 2, 2)
 
     def metric_jet(self, text):
         return ScalarField.parse(text, ("u", "v")).jet({"u": self.su, "v": self.sv})
@@ -63,7 +63,7 @@ class TestMetricOracles:
         # E = G = 1 / v^2, F = 0 has curvature minus one (needs v > 0)
         su, sv = Jet.seeds([np.array([0.0, 1.0, -2.0]), np.array([0.5, 1.5, 2.5])], 2)
         conf = ScalarField.parse("1 / v^2", ("u", "v")).jet({"u": su, "v": sv})
-        zero = Jet.constant(0.0, 2, 2, su.point)
+        zero = Jet.constant(0.0, 2, 2)
         k = cv.metric_gauss_curvature(conf, zero, conf)
         assert np.max(np.abs(k + 1.0)) < 1e-10
 
@@ -176,6 +176,32 @@ class TestProjectedForm:
             cv.LFormAssembly(geom, 0.0)
         with pytest.raises(ValueError):
             cv.LFormAssembly(geom, -4.0)
+
+
+class TestBasisComponents:
+    """The one 2x2 normal-equation solve recovers (a, b) from w = a p + b q."""
+
+    def test_values(self):
+        rng = np.random.default_rng(31)
+        p, q = rng.normal(size=(2, 3, 8))
+        a, b = rng.normal(size=(2, 8))
+        got = cv.basis_components(list(p), list(q), list(a * p + b * q))
+        assert np.allclose(got, (a, b), rtol=0, atol=1e-12)
+
+    def test_jets(self):
+        su, sv = Jet.seeds([np.array([0.3, -0.7, 1.2]), np.array([1.1, 0.4, -0.5])], 2)
+
+        def jets(*texts):
+            return [ScalarField.parse(t, ("u", "v")).jet({"u": su, "v": sv}) for t in texts]
+
+        p = jets("1 + u*v", "sin(u)", "2 + v^2")
+        q = jets("cos(v)", "u - v", "exp(u)/3")
+        a, b = jets("0.5 + u", "v*v - 2")
+        w = [a * pi + b * qi for pi, qi in zip(p, q)]
+        for got, want in zip(cv.basis_components(p, q, w), (a, b)):
+            assert got.order == want.order == 2
+            for x, y in zip(got.coef, want.coef):
+                assert np.allclose(x, y, rtol=0, atol=1e-12)
 
 
 class TestGaussEquationGolden:

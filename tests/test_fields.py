@@ -23,6 +23,7 @@ from srlab.calculus import (
     pair_oneform,
     parse,
 )
+from srlab.frame import SubRiemannianModel
 
 E1 = VectorFieldC.parse(("1", "0", "-y/2"))
 E2 = VectorFieldC.parse(("0", "1", "x/2"))
@@ -69,6 +70,60 @@ class TestLieBracket:
         p = (0.3, -0.5, 0.9)
         total = nested(u, v, w, p) + nested(v, w, u, p) + nested(w, u, v, p)
         assert np.max(np.abs(total)) <= 1e-8
+
+
+class TestBracketTruncation:
+    """bracket_jets cuts its operands once, so no product meets two orders,
+    and its bits are those of the per-product formula."""
+
+    MODEL = SubRiemannianModel.from_components(
+        "dense",
+        ("cos(0.2*z)", "sin(0.2*z)", "-y/2 + 0.1*sin(x)"),
+        ("-sin(0.2*z)", "cos(0.2*z)", "x/2 + 0.1*cos(y)"),
+    )
+    POINTS = (np.array([0.3, -1.1, 0.8]), np.array([0.5, 0.2, -0.9]), np.array([0.1, 0.7, -0.4]))
+
+    @staticmethod
+    def per_product(v, w):
+        # each product truncates its operands to the lower order itself
+        out = []
+        for i in range(3):
+            terms = [v[m] * w[i].deriv(m) - w[m] * v[i].deriv(m) for m in range(3)]
+            out.append(terms[0] + terms[1] + terms[2])
+        return out
+
+    @staticmethod
+    def bits(field):
+        return [(c.order, [(np.shape(x), np.asarray(x).tobytes()) for x in c.coef])
+                for c in field]
+
+    def fields(self):
+        fr = self.MODEL.frame(self.POINTS, order=4)
+        assert (fr.e1[0].order, fr.e3[0].order) == (4, 2)
+        return fr.e1, fr.e2, fr.e3
+
+    def test_mixed_orders_match_the_per_product_formula(self):
+        e1, e2, e3 = self.fields()
+        for v, w in ((e1, e3), (e3, e1), (e2, e3), (e1, e2), (e3, e3)):
+            assert self.bits(bracket_jets(v, w)) == self.bits(self.per_product(v, w))
+
+    def test_no_product_meets_two_orders(self, monkeypatch):
+        from srlab.calculus.jets import Jet
+
+        mixed = []
+        meta = Jet._meta
+
+        def recording(self, other):
+            if isinstance(other, Jet) and other.order != self.order:
+                mixed.append((self.order, other.order))
+            return meta(self, other)
+
+        e1, _, e3 = self.fields()
+        monkeypatch.setattr(Jet, "_meta", recording)
+        bracket_jets(e1, e3)
+        assert mixed == []
+        self.per_product(e1, e3)
+        assert mixed     # the wrapper does see the per-product truncations
 
 
 class TestExteriorDerivative:

@@ -249,6 +249,18 @@ class TestLengthDensity:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-5
 
+    @pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus"])
+    def test_density_is_the_speed_in_the_normal_curvature(self, name):
+        # one ds_L expression: the density is the |gamma'|_L of k_n^L, bit for bit
+        sc = builtin_scene(name)
+        for curve in sc.boundary:
+            t = np.linspace(curve.t0, curve.t1, 7)
+            for L in (0.5, 1e2, 1e4):
+                _, speed = cv.normal_curvature_L_jets(
+                    cv.CurveGeometry(sc.model, sc.patch, curve, t), L)
+                density = ms.length_density_L(sc.model, sc.patch, curve, t, L)
+                assert bitwise(density, np.asarray(speed.value))
+
     def test_reversal_leaves_density_unchanged(self):
         fwd = CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, TWO_PI))
         rev = CurveOnSurface.parse(("cos(-t)", "sin(-t)"), (-TWO_PI, 0.0))

@@ -172,6 +172,26 @@ class TestAdaptedFrameHeisenberg:
             assert float(jval(batch.wedge)[k]) == pytest.approx(float(jval(single.wedge)), rel=1e-14)
 
 
+def jet_bits(jet):
+    return jet.order, [(np.shape(c), np.asarray(c).tobytes()) for c in jet.coef]
+
+
+class TestStoredPairings:
+    """The geometry keeps e^k(Tu) and e^k(Tv), k = 1..3, and each is the
+    pairing itself, bit for bit."""
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENES)
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_stored_pairings_are_the_pairings(self, name, order):
+        sc = builtin_scene(name)
+        g = SurfaceGeometry(sc.model, sc.patch, *region_scan_grid(sc.region, 7), order)
+        rows = (g.cof1_s, g.cof2_s, g.omega_s)
+        for stored, tangent in ((g.coframe_Tu, g.Tu), (g.coframe_Tv, g.Tv)):
+            assert len(stored) == 3
+            for jet, row in zip(stored, rows):
+                assert jet_bits(jet) == jet_bits(pair_oneform(row, tangent))
+
+
 class TestAdaptedFrameRototranslation:
     def test_golden_point(self):
         g = SurfaceGeometry(ROTO, RPLANE, 0.7, 1.0)

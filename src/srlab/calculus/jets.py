@@ -26,11 +26,22 @@ orders truncates to the lower one, and derivative extraction lowers the
 order by one, so a jet of order k always carries exact coefficients through
 total degree k, and truncating before an operation gives the same bits as
 truncating after it. A surface geometry of order k seeds its chart frame
-at order k + 1, because contact normalization costs one extra derivative
-for general inline frames. Callers build at the order they read: order 3
-(chart order 4, the hard cap) where second derivatives of the adapted
-frame enter, as in the curl of the finite-L connection form, and order 2
-(chart order 3) for the limit curvature, the Stokes check and curves.
+at order K = k + 1, because contact normalization costs one extra
+derivative for general inline frames. Callers build at the order they
+read: order 3 (chart order 4, the hard cap) where second derivatives of
+the adapted frame enter, as in the curl of the finite-L connection form,
+and order 2 (chart order 3) for the limit curvature, the Stokes check and
+curves. The chart frame and the surface geometry cut each operand to the
+order its readers take before using it, so none of their operations meets
+two orders: in the chart frame the fields carry K, tau and the contact
+form K - 1, the Reeb field and the coframe K - 2, the structure functions
+K - 3; the surface pulls the frame back at k - 1, the order of its
+tangents, and the L-adapted angles and connection forms carry k - 2.
+
+`1.0 / J` is bitwise `_reciprocal(J)`, and `c / J` is `c * _reciprocal(J)`,
+so a divisor shared by several numerators is inverted once and its
+reciprocal multiplies each. On plain values a division stays a division:
+`x / d` and `x * (1 / d)` may differ in the last bit.
 """
 
 from __future__ import annotations

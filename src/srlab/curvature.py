@@ -75,6 +75,15 @@ def tangent_components(geom: SurfaceGeometry, vec) -> tuple:
                             [value_of(c) for c in vec])
 
 
+def _require_second_derivatives(geom: SurfaceGeometry, quantity: str):
+    """Raise ValueError unless `geom` is built to the order `quantity` reads."""
+    if geom.order < 3:
+        raise ValueError(
+            f"{quantity} needs a surface geometry of order 3 or more (it reads "
+            f"second derivatives), got order {geom.order}"
+        )
+
+
 def _mix(c1, f1, c2, f2):
     """c1 f1 + c2 f2 for surface one-forms f1, f2 and jet or number weights."""
     return SurfaceOneForm(c1 * f1.P + c2 * f2.P, c1 * f1.Q + c2 * f2.Q)
@@ -118,23 +127,24 @@ class LFormAssembly:
         self.w13 = restrict(1, 3)
         self.w23 = restrict(2, 3)
 
-        x, y = geom.x, geom.y
-        self._sin_a, self._cos_a = sin_a, cos_a = -x, y
+        sin_a, cos_a = -geom.x, geom.y
+        # the factors of every product are read to `order` too
+        self._sin_a, self._cos_a = s_a, c_a = sin_a.truncate(order), cos_a.truncate(order)
         # d(alpha) through the angle's sine and cosine, never the branch
         self.dalpha = SurfaceOneForm(
-            cos_a * sin_a.deriv(0) - sin_a * cos_a.deriv(0),
-            cos_a * sin_a.deriv(1) - sin_a * cos_a.deriv(1),
+            c_a * sin_a.deriv(0) - s_a * cos_a.deriv(0),
+            c_a * sin_a.deriv(1) - s_a * cos_a.deriv(1),
         )
 
-        horiz = _mix(-sin_a, self.w13, cos_a, self.w23)     # -sin(a) w13 + cos(a) w23
+        horiz = _mix(-s_a, self.w13, c_a, self.w23)         # -sin(a) w13 + cos(a) w23
         self._dplus = _mix(1.0, self.dalpha, 1.0, self.w12)  # d(alpha) + w12
         self.omega23 = _mix(-lf.sinb, self._dplus, lf.cosb, horiz)
 
     @cached_property
     def dbeta(self) -> SurfaceOneForm:
-        A, lf = self.geom.A, self.lf
-        s = math.sqrt(self.L)
-        return SurfaceOneForm((s / lf.denom2) * A.deriv(0), (s / lf.denom2) * A.deriv(1))
+        A = self.geom.A
+        scale = math.sqrt(self.L) / self.lf.denom2
+        return SurfaceOneForm(scale * A.deriv(0), scale * A.deriv(1))
 
     @cached_property
     def omega12(self) -> SurfaceOneForm:
@@ -158,6 +168,7 @@ class LFormAssembly:
 
     def gauss_curvature(self):
         """K_L = d(W32_L)(X2, X3) = -d(W23_L)(X2, X3)."""
+        _require_second_derivatives(self.geom, "K_L")
         (a2, b2), (a3, b3) = self.frame_components()
         return -self.omega23.curl() * (a2 * b3 - b2 * a3)
 
@@ -194,9 +205,9 @@ def omega23_koszul_values(geom: SurfaceGeometry, L: float):
     gam = koszul_connection_oracle(geom.frame, L)
     s = math.sqrt(L)
     x, y, A = geom.x, geom.y, geom.A
-    denom = jsqrt(A * A + L)
+    inv_denom = 1.0 / jsqrt(A * A + L)
     c2 = (x, y, Jet.constant(0.0, 2, x.order))
-    c3 = (A * y / denom, -(A * x) / denom, s / denom)
+    c3 = (A * y * inv_denom, -(A * x) * inv_denom, s * inv_denom)
     base = geom.frame.shape
 
     def along(vec_index, pairings):
@@ -312,6 +323,7 @@ def induced_metric_components(geom: SurfaceGeometry, L: float):
 
 def induced_metric_gauss_oracle(geom: SurfaceGeometry, L: float):
     """Gaussian curvature via the induced metric; independent of the forms."""
+    _require_second_derivatives(geom, "the induced-metric curvature oracle")
     return metric_gauss_curvature(*induced_metric_components(geom, L))
 
 
@@ -424,8 +436,9 @@ def normal_curvature_L_jets(cg: CurveGeometry, L: float):
     """
     x, y, A = cg.x, cg.y, cg.A
     norm = cg.speed_L(L)
-    xl = x / norm
-    yl = y * jsqrt(A * A + L) / norm
+    inv_norm = 1.0 / norm
+    xl = x * inv_norm
+    yl = y * jsqrt(A * A + L) * inv_norm
 
     form = projected_connection_form(cg.geom, L)
     along = cg.pull(form.P) * cg.udot + cg.pull(form.Q) * cg.vdot

@@ -49,6 +49,10 @@ def _cross(a, b):
     )
 
 
+def _cut(jets, order: int) -> list:
+    return [c.truncate(order) for c in jets]
+
+
 @dataclass(frozen=True)
 class SubRiemannianModel:
     """A contact 3-manifold model given by two spanning chart fields."""
@@ -64,29 +68,46 @@ class SubRiemannianModel:
         )
 
     def frame(self, point, order: int = MAX_ORDER) -> "FrameData":
-        """Full frame data at a chart point (components may be arrays)."""
+        """Full frame data at a chart point (components may be arrays).
+
+        Each quantity is built from operands cut to the order it carries
+        (see `FrameData`), so no jet operation meets two orders, and each
+        jet divisor is inverted once. Truncation commutes with the jet
+        arithmetic, so every coefficient is bitwise the one a full-order
+        build would give.
+        """
+        if order < 3:
+            raise ValueError(
+                "the chart frame needs order 3 or more (its structure functions "
+                f"take three derivatives of the fields), got order {order}"
+            )
         seeds = chart_seeds(point, order)
         e1 = self.e1.jets(seeds)
         e2 = self.e2.jets(seeds)
         omega, tau = _contact_form(e1, e2)
 
-        w = bracket_jets(e1, e2)
+        w = bracket_jets(_cut(e1, order - 1), _cut(e2, order - 1))   # order - 2
         d_omega = d_oneform_jets(omega)
-        p_coef = -eval_twoform(d_omega, w, e2)
-        q_coef = eval_twoform(d_omega, w, e1)
-        e3 = [w[i] - p_coef * e1[i] - q_coef * e2[i] for i in range(3)]
+        e1m, e2m = _cut(e1, order - 2), _cut(e2, order - 2)
+        p_coef = -eval_twoform(d_omega, w, e2m)
+        q_coef = eval_twoform(d_omega, w, e1m)
+        e3 = [w[i] - p_coef * e1m[i] - q_coef * e2m[i] for i in range(3)]
 
-        det = pair_oneform(_cross(e2, e3), e1)
-        cof1 = tuple(c / det for c in _cross(e2, e3))
-        cof2 = tuple(c / det for c in _cross(e3, e1))
+        c23 = _cross(e2m, e3)
+        inv_det = 1.0 / pair_oneform(c23, e1m)
+        cof1 = tuple(c * inv_det for c in c23)
+        cof2 = tuple(c * inv_det for c in _cross(e3, e1m))
         coframe = (cof1, cof2, omega)
 
-        b13 = bracket_jets(e1, e3)
-        b23 = bracket_jets(e2, e3)
+        # the structure functions carry order - 3, the order of the
+        # brackets with e3, so the rows and w are cut to it first
+        rows = [_cut(r, order - 3) for r in coframe]
         sf = {}
-        for tag, vec in (("a12", w), ("a13", b13), ("a23", b23)):
+        for tag, vec in (("a12", _cut(w, order - 3)),
+                         ("a13", bracket_jets(e1m, e3)),
+                         ("a23", bracket_jets(e2m, e3))):
             for k in range(3):
-                sf[f"{tag}_{k + 1}"] = pair_oneform(coframe[k], vec)
+                sf[f"{tag}_{k + 1}"] = pair_oneform(rows[k], vec)
 
         return FrameData(tuple(point), e1, e2, e3, omega, coframe, tau, sf)
 
@@ -104,12 +125,18 @@ class SubRiemannianModel:
 class FrameData:
     """Frame, coframe, and structure functions at a point, as chart jets.
 
-    Jet orders decrease along the construction: the raw fields keep the
-    requested order, the normalized contact form loses one (it contains
-    first derivatives), the Reeb field loses two, and the brackets with the
-    Reeb field lose three. The structure functions a13_*, a23_* therefore
-    carry `order - 3` and the chain needs order 4 at the chart level for
-    curvature work on a surface.
+    At chart order K each field carries the order its readers take:
+
+    - e1, e2: K, the seeded fields;
+    - tau, omega: K - 1 (one derivative of e1 x e2);
+    - e3 and the coframe rows e^1, e^2: K - 2 (one more, through d(omega)
+      and [e1, e2]);
+    - sf, all nine structure functions: K - 3 (brackets with e3).
+
+    A surface geometry of order k pulls the coframe and e3 at k - 1 = K - 2
+    and its connection forms read the structure functions at k - 2 = K - 3,
+    so order 4 at the chart level serves the curvature work on a surface.
+    Every coefficient is bitwise the truncation of the full-order formula.
     """
 
     point: tuple
@@ -136,18 +163,21 @@ class FrameData:
 def _contact_form(e1, e2):
     """(omega, tau): omega = -(e1 x e2) / tau with tau = d(e1 x e2)(e1, e2).
 
-    The scaling makes d(omega)(e1, e2) = -1; omega carries one order less
-    than the fields. Raises NonContactError where tau vanishes.
+    The scaling makes d(omega)(e1, e2) = -1; omega and tau carry one order
+    less than the fields, so everything that meets d(e1 x e2) is cut to
+    that order first. Raises NonContactError where tau vanishes.
     """
     raw = _cross(e1, e2)                      # annihilates e1, e2
-    tau = eval_twoform(d_oneform_jets(raw), e1, e2)
+    low = raw[0].order - 1
+    tau = eval_twoform(d_oneform_jets(raw), _cut(e1, low), _cut(e2, low))
     tv = np.asarray(tau.value)
     if np.any(np.abs(tv) < 1e-12):
         raise NonContactError(
             "distribution fails the contact condition: |d(raw form)(e1,e2)| "
             f"has minimum {float(np.min(np.abs(tv))):.3e}"
         )
-    return tuple((-1.0 / tau) * c for c in raw), tau
+    scale = -1.0 / tau
+    return tuple(scale * c for c in _cut(raw, low)), tau
 
 
 # -- validation ---------------------------------------------------------------
@@ -344,8 +374,12 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
     ConnectionFormsL.coefficient(i+1, j+1, k+1).
     """
     s = math.sqrt(L)
-    u = [frame.e1, frame.e2, [c / s for c in frame.e3]]
-    duals = [frame.coframe[0], frame.coframe[1], tuple(c * s for c in frame.omega)]
+    # only values are read: brackets need the fields to order 1, pairings
+    # the duals to order 0
+    e1, e2, e3 = (_cut(f, 1) for f in frame.frames())
+    u = [e1, e2, [c / s for c in e3]]
+    cof1, cof2, omega = (_cut(r, 0) for r in frame.coframe)
+    duals = [cof1, cof2, tuple(c * s for c in omega)]
 
     br = {}
     for a in range(3):

@@ -139,13 +139,15 @@ class SurfaceGeometry:
 
         self._immersion_check()
 
+        self.order = order
         self.frame: FrameData = model.frame(p0, order=order + 1)
-        self.pullback = Composer([j.centered() for j in phi])
-
         # the chart jets only ever meet Tu and Tv, which carry order - 1, so
-        # the degree-order coefficients of a pull would be dropped unread
+        # the pullback is built to that order: its degree-order powers would
+        # be dropped unread
+        self.pullback = Composer([j.centered().truncate(order - 1) for j in phi])
+
         def pull(jets):
-            return [self.pullback.pull(c.truncate(order - 1)) for c in jets]
+            return [self.pullback.pull(c) for c in jets]
 
         self.omega_s = tuple(pull(self.frame.omega))
         self.cof1_s = tuple(pull(self.frame.coframe[0]))
@@ -175,9 +177,10 @@ class SurfaceGeometry:
         wedge_raw = f2_Tu * omega_Tv - f2_Tv * omega_Tu
         sign = np.where(np.asarray(wedge_raw.value) >= 0.0, 1.0, -1.0)
 
-        self.x = sign * x_raw / norm_h
-        self.y = sign * y_raw / norm_h
-        self.wedge = sign * wedge_raw / norm_h   # (f^2 ^ f^3)(Tu, Tv) > 0
+        inv_h = 1.0 / norm_h
+        self.x = sign * x_raw * inv_h
+        self.y = sign * y_raw * inv_h
+        self.wedge = sign * wedge_raw * inv_h   # (f^2 ^ f^3)(Tu, Tv) > 0
 
         self.f1 = [self.y * a - self.x * b for a, b in zip(e1_s, e2_s)]
         self.f2 = [self.x * a + self.y * b for a, b in zip(e1_s, e2_s)]
@@ -190,7 +193,8 @@ class SurfaceGeometry:
                 "horizontal normal is tangent to the surface "
                 f"(min pairing {float(np.min(np.abs(pv))):.3e})"
             )
-        self.f1cov = tuple(c / pairing for c in normal)
+        inv_pairing = 1.0 / pairing
+        self.f1cov = tuple(c * inv_pairing for c in normal)
 
         self.A = -pair_oneform(self.f1cov, self.e3_s)
         self.f3 = [a + self.A * b for a, b in zip(self.e3_s, self.f1)]
@@ -234,6 +238,8 @@ class LAdaptedFrame:
     of the normal away from the horizontal conormal direction. The angle
     jets are built at construction; the frame vectors and covectors on first
     use, since the curvature layer reads only the angles and X3's values.
+    The angle jets carry one order less than A: the connection forms that
+    read them carry d(alpha), one order below the adapted frame.
     """
 
     def __init__(self, geom: SurfaceGeometry, L: float):
@@ -241,11 +247,12 @@ class LAdaptedFrame:
             raise ValueError("the metric parameter L must be positive")
         self.geom = geom
         self.L = float(L)
-        A = geom.A
+        A = geom.A.truncate(geom.A.order - 1)
         self.denom2 = A * A + self.L            # L + A^2
         self.denom = jsqrt(self.denom2)
-        self.cosb = math.sqrt(self.L) / self.denom
-        self.sinb = A / self.denom
+        self.inv_denom = 1.0 / self.denom
+        self.cosb = math.sqrt(self.L) * self.inv_denom
+        self.sinb = A * self.inv_denom
         self.X2 = geom.f2
         self.X2cov = geom.f2cov
 
@@ -256,11 +263,11 @@ class LAdaptedFrame:
 
     @cached_property
     def X3(self):
-        return [c / self.denom for c in self.geom.f3]
+        return [c * self.inv_denom for c in self.geom.f3]
 
     def X3_values(self):
-        """Values of X3: each f3 value times 1 / denom, as the jet division forms them."""
-        scale = 1.0 / value_of(self.denom)
+        """Values of X3: each f3 value times 1 / denom, as the jets `X3` form them."""
+        scale = value_of(self.inv_denom)
         return [value_of(c) * scale for c in self.geom.f3]
 
     @cached_property

@@ -20,6 +20,7 @@ from srlab.measures import Region
 from srlab.surface import SurfaceGeometry
 
 GOLDEN = Path(__file__).parent / "golden"
+DENSE_SCENE = str(GOLDEN / "dense_scene.json")
 # stdout digests and exit codes of recorded CLI calls on the shipped scenes
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -66,7 +67,12 @@ def write_scene(tmp_path, mutate, base="heisenberg_annulus"):
 
 
 class TestGoldenOutputs:
-    """Shipped-scene stdout, byte for byte, as recorded in tests/golden."""
+    """CLI stdout, byte for byte, as recorded in tests/golden.
+
+    The shipped scenes are mostly structural zeros, where a coefficient
+    built to the wrong order can hide; dense_scene.json, an inline frame
+    and surface where every component varies, leaves it nowhere to hide.
+    """
 
     @pytest.mark.parametrize("name, argv", [
         ("validate_rt_disk", ["validate", "--scene", "rt_disk"]),
@@ -75,6 +81,14 @@ class TestGoldenOutputs:
          ["frame-report", "--scene", "rt_disk", "--uv", "0.2,1.3", "--L", "100"]),
         ("frame_report_heisenberg_annulus",
          ["frame-report", "--scene", "heisenberg_annulus", "--uv", "1.5,-0.4", "--L", "10"]),
+        ("validate_dense_scene", ["validate", "--scene", DENSE_SCENE]),
+        ("frame_report_dense_scene",
+         ["frame-report", "--scene", DENSE_SCENE, "--uv", "0.3,1.1", "--L", "100"]),
+        ("curvature_dense_scene",
+         ["curvature", "--scene", DENSE_SCENE, "--uv", "0.3,1.1", "--L", "100"]),
+        ("oracle_check_dense_scene",
+         ["oracle-check", "--scene", DENSE_SCENE, "--samples", "3", "--seed", "5",
+          "--L", "1,10,100"]),
     ])
     def test_stdout_matches_golden(self, capsys, name, argv):
         code, out, err = run(capsys, *argv)

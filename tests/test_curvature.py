@@ -430,3 +430,31 @@ class TestCurves:
             cv.CurveOnSurface.parse(("t",), (0.0, 1.0))
         with pytest.raises(ValueError):
             cv.CurveOnSurface.parse(("t", "t"), (1.0, 1.0))
+
+
+class TestOrderErrors:
+    """Quantities that read second derivatives name the order they need."""
+
+    @staticmethod
+    def geometry(order):
+        sc = builtin_scene("rt_disk")
+        return SurfaceGeometry(sc.model, sc.patch, 0.2, 1.3, order)
+
+    def test_assembly_names_K_L(self):
+        asm = cv.LFormAssembly(self.geometry(2), 10.0)
+        with pytest.raises(ValueError, match="K_L needs a surface geometry of order 3 .*got order 2"):
+            asm.gauss_curvature()
+
+    def test_gauss_curvature_L_names_K_L(self):
+        with pytest.raises(ValueError, match="K_L needs a surface geometry of order 3 .*got order 2"):
+            cv.gauss_curvature_L(self.geometry(2), 10.0)
+
+    def test_induced_metric_oracle_names_itself(self):
+        with pytest.raises(ValueError, match="induced-metric curvature oracle needs a surface "
+                                             "geometry of order 3 .*got order 2"):
+            cv.induced_metric_gauss_oracle(self.geometry(2), 10.0)
+
+    def test_order_3_still_works(self):
+        geom = self.geometry(3)
+        assert np.isfinite(cv.gauss_curvature_L(geom, 10.0))
+        assert np.isfinite(cv.induced_metric_gauss_oracle(geom, 10.0))

@@ -8,11 +8,17 @@ rototranslation pair the Reeb field is (sin z, -cos z, 0) and the single
 nonzero structure function is a23_1 = 1 (its Minkowski analogue gives -1).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from srlab.calculus import bracket_jets, chart_seeds, d_oneform_jets, eval_twoform, pair_oneform
+from srlab.calculus import jets as jets_module
+from srlab.calculus.jets import Jet
 from srlab.errors import DegenerateFrameError, NonContactError, UnknownModelError
 from srlab.frame import (
+    SF_KEYS,
     ConnectionFormsL,
     SubRiemannianModel,
     ensure_valid,
@@ -22,8 +28,12 @@ from srlab.frame import (
     validate_model,
 )
 from srlab.models import BUILTIN_FRAMES, builtin_model
+from srlab.scenes import builtin_scene, load_scene
+from srlab.surface import SurfaceGeometry
 
 MODELS = sorted(BUILTIN_FRAMES)
+# an inline-frame scene where every frame and surface component varies
+DENSE_SCENE = Path(__file__).parent / "golden" / "dense_scene.json"
 
 
 def rand_points(n, seed=7):
@@ -261,3 +271,126 @@ class TestValidation:
     def test_unknown_model_lists_choices(self):
         with pytest.raises(UnknownModelError, match="heisenberg"):
             builtin_model("nope")
+
+
+def cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def full_order_frame(model, point, order):
+    """The frame formulas on untruncated operands: each product cuts its
+    operands to the lower order itself, and every division inverts anew."""
+    seeds = chart_seeds(point, order)
+    e1, e2 = model.e1.jets(seeds), model.e2.jets(seeds)
+    raw = cross(e1, e2)
+    tau = eval_twoform(d_oneform_jets(raw), e1, e2)
+    omega = tuple((-1.0 / tau) * c for c in raw)
+    w = bracket_jets(e1, e2)
+    d_omega = d_oneform_jets(omega)
+    p = -eval_twoform(d_omega, w, e2)
+    q = eval_twoform(d_omega, w, e1)
+    e3 = [w[i] - p * e1[i] - q * e2[i] for i in range(3)]
+    det = pair_oneform(cross(e2, e3), e1)
+    coframe = (tuple(c / det for c in cross(e2, e3)),
+               tuple(c / det for c in cross(e3, e1)), omega)
+    sf = {}
+    for tag, vec in (("a12", w), ("a13", bracket_jets(e1, e3)), ("a23", bracket_jets(e2, e3))):
+        for k in range(3):
+            sf[f"{tag}_{k + 1}"] = pair_oneform(coframe[k], vec)
+    return {"e1": e1, "e2": e2, "e3": e3, "tau": [tau], "omega": omega,
+            "cof1": coframe[0], "cof2": coframe[1], "sf": [sf[k] for k in SF_KEYS]}
+
+
+def jet_bits(jet):
+    return jet.order, [(np.shape(c), np.asarray(c).tobytes()) for c in jet.coef]
+
+
+def frame_models():
+    return {"dense": load_scene(DENSE_SCENE).model,
+            "rt_disk": builtin_scene("rt_disk").model,
+            "heisenberg_annulus": builtin_scene("heisenberg_annulus").model}
+
+
+FRAME_POINTS = (np.array([0.39, -1.16, 0.8]), np.array([1.13, 0.31, -0.9]),
+                np.array([0.03, -0.17, 0.4]))
+
+
+class TestFrameOrders:
+    """Each frame quantity is built to the order its readers take, with no
+    jet operation between two orders, and is bitwise the truncation of the
+    full-order formula."""
+
+    # FrameData field -> orders below the chart order K
+    DROP = {"e1": 0, "e2": 0, "tau": 1, "omega": 1, "e3": 2, "cof1": 2, "cof2": 2, "sf": 3}
+
+    @staticmethod
+    def fields(fr):
+        return {"e1": fr.e1, "e2": fr.e2, "e3": fr.e3, "tau": [fr.tau], "omega": fr.omega,
+                "cof1": fr.coframe[0], "cof2": fr.coframe[1],
+                "sf": [fr.sf[k] for k in SF_KEYS]}
+
+    @pytest.mark.parametrize("name", ["dense", "rt_disk", "heisenberg_annulus"])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_orders_and_bits_match_the_full_order_formula(self, name, order):
+        model = frame_models()[name]
+        got = self.fields(model.frame(FRAME_POINTS, order=order))
+        want = full_order_frame(model, FRAME_POINTS, order)
+        for key, jets in got.items():
+            k = order - self.DROP[key]
+            assert len(jets) == len(want[key])
+            for jet, ref in zip(jets, want[key]):
+                assert jet.order == k, key
+                assert ref.order >= k, key
+                assert jet_bits(jet) == jet_bits(ref.truncate(k)), key
+
+    @staticmethod
+    def record_meta(monkeypatch):
+        """Jet-jet operations as (order, other order) pairs, from now on."""
+        calls = []
+        meta = Jet._meta
+
+        def recording(self, other):
+            if isinstance(other, Jet):
+                calls.append((self.order, other.order))
+            return meta(self, other)
+
+        monkeypatch.setattr(Jet, "_meta", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", ["dense", "rt_disk", "heisenberg_annulus"])
+    def test_no_operation_meets_two_orders(self, name, monkeypatch):
+        model = frame_models()[name]
+        calls = self.record_meta(monkeypatch)
+        model.frame(FRAME_POINTS, order=4)
+        assert calls and all(a == b for a, b in calls)
+        full_order_frame(model, FRAME_POINTS, 4)
+        # the wrapper does see the full-order formula's truncations
+        assert any(a != b for a, b in calls)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_surface_geometry_meets_no_two_orders(self, order, monkeypatch):
+        scene = load_scene(DENSE_SCENE)
+        calls = self.record_meta(monkeypatch)
+        SurfaceGeometry(scene.model, scene.patch, np.array([0.3, -1.2]), np.array([1.1, 0.4]),
+                        order)
+        assert calls and all(a == b for a, b in calls)
+
+    def test_one_reciprocal_per_divisor(self, monkeypatch):
+        # tau (chart order 3) and det (2) in the frame; |t| and the normal
+        # pairing (surface order 2) in the adapted frame
+        scene = load_scene(DENSE_SCENE)
+        calls = []
+        reciprocal = jets_module._reciprocal
+        monkeypatch.setattr(jets_module, "_reciprocal",
+                            lambda u: calls.append(u.order) or reciprocal(u))
+        SurfaceGeometry(scene.model, scene.patch, np.array([0.3, -1.2]), np.array([1.1, 0.4]), 3)
+        assert sorted(calls) == [2, 2, 2, 3]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_low_order_names_the_frame(self, order):
+        with pytest.raises(ValueError, match=f"chart frame needs order 3 .*got order {order}"):
+            builtin_model("heisenberg").frame((0.1, 0.2, 0.3), order=order)

@@ -56,6 +56,17 @@ def _parse_pair(text: str, what: str):
     return pair
 
 
+def _surface_point(scene, text: str):
+    """`--uv` as (u, v), inside the scene's surface domain."""
+    u, v = _parse_pair(text, "--uv")
+    for name, x in (("u", u), ("v", v)):
+        lo, hi = scene.patch.domain[name]
+        if not lo <= x <= hi:
+            raise ValueError(f"--uv: {name} = {x!r} lies outside the surface domain "
+                             f"[{lo!r}, {hi!r}]")
+    return u, v
+
+
 def _parse_L_list(text: str):
     values = tuple(float(p) for p in text.split(",") if p.strip())
     if not values:
@@ -140,7 +151,7 @@ def cmd_validate(args) -> int:
 
 def cmd_frame_report(args) -> int:
     scene = resolve_scene(args.scene)
-    u, v = _parse_pair(args.uv, "--uv")
+    u, v = _surface_point(scene, args.uv)
     geom = SurfaceGeometry(scene.model, scene.patch, u, v)
     fr = geom.frame
     forms = ConnectionFormsL(fr, args.L)
@@ -171,7 +182,7 @@ def cmd_frame_report(args) -> int:
 
 def cmd_curvature(args) -> int:
     scene = resolve_scene(args.scene)
-    u, v = _parse_pair(args.uv, "--uv")
+    u, v = _surface_point(scene, args.uv)
     geom = SurfaceGeometry(scene.model, scene.patch, u, v)
     sample = cv.gauss_equation_decomposition(geom, args.L)
 
@@ -198,7 +209,7 @@ def cmd_sweep(args) -> int:
     if args.quantity == "K":
         if args.uv is None:
             raise ValueError("--quantity K needs --uv")
-        u, v = _parse_pair(args.uv, "--uv")
+        u, v = _surface_point(scene, args.uv)
         geom = SurfaceGeometry(scene.model, scene.patch, u, v)
         limit = float(cv.gauss_curvature_limit(geom))
         rows.append(("L", "K_L", "K_limit", "abs_gap"))
@@ -213,6 +224,9 @@ def cmd_sweep(args) -> int:
         if not 0 <= args.curve < len(scene.boundary):
             raise ValueError(f"--curve must be in [0, {len(scene.boundary) - 1}]")
         curve = scene.boundary[args.curve]
+        if not curve.t0 <= args.t <= curve.t1:
+            raise ValueError(f"--t {args.t!r} lies outside curve {args.curve}'s parameter "
+                             f"interval [{curve.t0!r}, {curve.t1!r}]")
         t = np.asarray([args.t])
         cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
         limit = float(cv.normal_curvature_limit(scene.model, scene.patch, curve, t, cg)[0])

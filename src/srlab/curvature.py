@@ -58,7 +58,9 @@ def basis_components(p, q, w) -> tuple:
     """Components (a, b) with w = a p + b q, per point, for jets or values.
 
     Euclidean normal equations in chart components; exact for vectors in
-    the span of p and q, which is the only supported input.
+    the span of p and q, which is the only supported input. A jet
+    determinant is inverted once; on values both stay divisions, since
+    `x / d` and `x * (1 / d)` may differ in the last bit.
     """
     e = sum(a * a for a in p)
     f = sum(a * b for a, b in zip(p, q))
@@ -66,6 +68,9 @@ def basis_components(p, q, w) -> tuple:
     r1 = sum(a * c for a, c in zip(p, w))
     r2 = sum(b * c for b, c in zip(q, w))
     det = e * g - f * f
+    if isinstance(det, Jet):
+        inv_det = 1.0 / det
+        return (r1 * g - r2 * f) * inv_det, (e * r2 - f * r1) * inv_det
     return (r1 * g - r2 * f) / det, (e * r2 - f * r1) / det
 
 
@@ -120,7 +125,10 @@ class LFormAssembly:
 
         def restrict(i, j):
             coef = [forms.coefficient(i, j, k) for k in (1, 2, 3)]
-            coef = [pull(c.truncate(order) if isinstance(c, Jet) else c) for c in coef]
+            # a float coefficient (a structural zero) becomes a constant jet
+            # at the pairing order, not at the composer's
+            coef = [pull(c.truncate(order)) if isinstance(c, Jet) else Jet.constant(c, 2, order)
+                    for c in coef]
             return SurfaceOneForm(pair_oneform(coef, pu), pair_oneform(coef, pv))
 
         self.w12 = restrict(1, 2)
@@ -440,9 +448,14 @@ def normal_curvature_L_jets(cg: CurveGeometry, L: float):
     xl = x * inv_norm
     yl = y * jsqrt(A * A + L) * inv_norm
 
+    # every term carries the order of (x_L)' and of the pulled form, one
+    # below x, so the factors are cut to it first
+    order = x.order - 1
     form = projected_connection_form(cg.geom, L)
-    along = cg.pull(form.P) * cg.udot + cg.pull(form.Q) * cg.vdot
-    return -yl * xl.deriv(0) + xl * yl.deriv(0) + along, norm
+    along = (cg.pull(form.P) * cg.udot.truncate(order)
+             + cg.pull(form.Q) * cg.vdot.truncate(order))
+    return (-yl.truncate(order) * xl.deriv(0) + xl.truncate(order) * yl.deriv(0) + along,
+            norm)
 
 
 def normal_curvature_L(model, patch, curve, t, L: float, cg: CurveGeometry = None):

@@ -230,19 +230,24 @@ def checked_frame(model: SubRiemannianModel, points):
     def mx(x):
         return float(np.max(np.abs(value_of(x))))
 
-    d_omega = d_oneform_jets(fr.omega)
-    reeb_pair = pair_oneform(fr.omega, fr.e3) - 1.0
+    # the residuals read values only, so every operand is cut to order 0
+    # (d(omega) from omega cut to order 1): the same values, no mixed orders
+    e1, e2, e3 = (_cut(vec, 0) for vec in fr.frames())
+    omega = _cut(fr.omega, 0)
+    d_omega = d_oneform_jets(_cut(fr.omega, 1))
+    reeb_pair = pair_oneform(omega, e3) - 1.0
     contraction = max(
-        mx(eval_twoform(d_omega, fr.e3, fr.e1)),
-        mx(eval_twoform(d_omega, fr.e3, fr.e2)),
+        mx(eval_twoform(d_omega, e3, e1)),
+        mx(eval_twoform(d_omega, e3, e2)),
     )
-    contact_norm = value_of(eval_twoform(d_omega, fr.e1, fr.e2)) + 1.0
+    contact_norm = value_of(eval_twoform(d_omega, e1, e2)) + 1.0
 
     duality = 0.0
-    for i in range(3):
-        for j, vec in enumerate(fr.frames()):
+    for i, row in enumerate(fr.coframe):
+        row = _cut(row, 0)
+        for j, vec in enumerate((e1, e2, e3)):
             delta = 1.0 if i == j else 0.0
-            duality = max(duality, mx(value_of(pair_oneform(fr.coframe[i], vec)) - delta))
+            duality = max(duality, mx(value_of(pair_oneform(row, vec)) - delta))
 
     sfv = fr.sf_values()
     report.update(

@@ -15,6 +15,9 @@ clockwise holes. A set that misses, reverses or repeats a component is
 rejected at `$.boundary`.
 """
 
+import copy
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -431,18 +434,40 @@ def write_scene(scene: Scene, path):
         fh.write("\n")
 
 
-def builtin_scene(name: str) -> Scene:
-    """Load one of the scenes shipped with the package."""
-    if name not in BUILTIN_SCENES:
-        raise SceneError(
-            f"unknown scene {name!r}; shipped scenes: {', '.join(BUILTIN_SCENES)}"
-        )
+@functools.cache
+def _validated_builtin(name: str) -> Scene:
+    """The shipped scene `name`, read and validated once per process."""
     text = resources.files("srlab").joinpath("scenes", f"{name}.json").read_text(encoding="utf-8")
     return scene_from_config(json.loads(text), name=name)
 
 
+def builtin_scene(name: str) -> Scene:
+    """Load one of the scenes shipped with the package.
+
+    A shipped scene is read-only package data, so it is parsed and
+    validated on its first call in a process only; every later call
+    returns the same validated model, patch, region, boundary curves,
+    quadrature and L grid. The memo holds at most one entry per name in
+    BUILTIN_SCENES. Its mutable members, `config`, `tolerances` and
+    `patch.domain`, are copied on every call, so no two returned scenes
+    share a mutable object and an edit to one reaches no later call.
+    """
+    if name not in BUILTIN_SCENES:
+        raise SceneError(
+            f"unknown scene {name!r}; shipped scenes: {', '.join(BUILTIN_SCENES)}"
+        )
+    scene = _validated_builtin(name)
+    patch = dataclasses.replace(scene.patch, domain=dict(scene.patch.domain))
+    return dataclasses.replace(scene, patch=patch, tolerances=dict(scene.tolerances),
+                               config=copy.deepcopy(scene.config))
+
+
 def resolve_scene(ref: str) -> Scene:
-    """Resolve a CLI scene reference: shipped scene name or JSON file path."""
+    """Resolve a CLI scene reference: shipped scene name or JSON file path.
+
+    A file is read and validated on every call, since it may change
+    between calls; a shipped scene is validated once (see `builtin_scene`).
+    """
     if ref in BUILTIN_SCENES:
         return builtin_scene(ref)
     if os.path.exists(ref):

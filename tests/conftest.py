@@ -5,6 +5,8 @@ reproducible and there is no example database) and without a per-example
 deadline, so a slow or busy host cannot make a test flaky.
 """
 
+import pytest
+
 try:
     from hypothesis import settings
 except ImportError:          # the property tests skip themselves then
@@ -13,3 +15,11 @@ except ImportError:          # the property tests skip themselves then
 if settings is not None:
     settings.register_profile("srlab", derandomize=True, deadline=None)
     settings.load_profile("srlab")
+
+
+@pytest.fixture
+def fresh_builtin_scenes():
+    """Start from an empty shipped-scene memo, so the test's first load validates in full."""
+    from srlab import scenes
+
+    scenes._validated_builtin.cache_clear()

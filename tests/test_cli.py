@@ -104,6 +104,7 @@ class TestValidateScan:
         assert code == 0, err
         assert "validation: ok" in out
 
+    @pytest.mark.usefixtures("fresh_builtin_scenes")
     def test_builds_two_frames_and_no_geometry(self, capsys, monkeypatch):
         def counted(cls, attr):
             calls = []
@@ -312,6 +313,7 @@ class TestCurveGeometryBuilds:
         assert code == 0 and len(out.splitlines()) == 4
         assert len(builds) == 1
 
+    @pytest.mark.usefixtures("fresh_builtin_scenes")
     def test_oracle_check_builds_one_per_L_and_curve(self, capsys, monkeypatch, builds):
         frames = counted(monkeypatch, SubRiemannianModel, "frame")
         code, out, _ = run(capsys, "oracle-check", "--scene", "heisenberg_annulus",
@@ -388,6 +390,34 @@ class TestInputChecks:
         assert out == ""
         assert "finite" in err or "at least 1" in err
         assert "zero-size" not in err
+
+
+class TestPointsInRange:
+    """--uv must lie in the surface domain and --t in the curve's interval;
+    both ends of each are in range."""
+
+    @pytest.mark.parametrize("argv, what", [
+        (("curvature", "--scene", "rt_disk", "--uv", "5,5"), "--uv: u = 5.0"),
+        (("frame-report", "--scene", "rt_disk", "--uv", "0.2,0.05"), "--uv: v = 0.05"),
+        (("sweep", "--scene", "rt_disk", "--quantity", "K", "--uv", "0.2,3.5"), "--uv: v = 3.5"),
+        (("sweep", "--scene", "rt_disk", "--quantity", "kn", "--t", "1e308"), "--t 1e+308"),
+        (("sweep", "--scene", "heisenberg_annulus", "--quantity", "kn", "--curve", "1",
+          "--t", "-0.1"), "--t -0.1"),
+    ])
+    def test_outside_is_a_usage_error(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert what in err and "outside" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("curvature", "--scene", "rt_disk", "--uv=-3,0.1"),
+        ("sweep", "--scene", "heisenberg_annulus", "--quantity", "kn", "--t", "0", "--L", "10"),
+        ("sweep", "--scene", "heisenberg_annulus", "--quantity", "kn", "--t", repr(2 * math.pi),
+         "--L", "10"),
+    ])
+    def test_ends_are_in_range(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
 
 
 class TestEmptyLList:

@@ -21,12 +21,14 @@ from srlab.frame import (
     SF_KEYS,
     ConnectionFormsL,
     SubRiemannianModel,
+    checked_frame,
     ensure_valid,
     koszul_connection_oracle,
     metric_matrix,
     scaled_form_deviation,
     validate_model,
 )
+from srlab.measures import gauss_bonnet_residual, stokes_consistency_gap
 from srlab.models import BUILTIN_FRAMES, builtin_model
 from srlab.scenes import builtin_scene, load_scene
 from srlab.surface import SurfaceGeometry
@@ -370,6 +372,20 @@ class TestFrameOrders:
         full_order_frame(model, FRAME_POINTS, 4)
         # the wrapper does see the full-order formula's truncations
         assert any(a != b for a, b in calls)
+
+    @pytest.mark.parametrize("name", ["dense", "rt_disk", "heisenberg_annulus"])
+    def test_checked_frame_meets_no_two_orders(self, name, monkeypatch):
+        model = frame_models()[name]
+        calls = self.record_meta(monkeypatch)
+        checked_frame(model, np.asarray(FRAME_POINTS))
+        assert calls and all(a == b for a, b in calls)
+
+    def test_dense_report_and_stokes_meet_no_two_orders(self, monkeypatch):
+        scene = load_scene(DENSE_SCENE)
+        calls = self.record_meta(monkeypatch)
+        gauss_bonnet_residual(scene, L_values=scene.L_grid)
+        stokes_consistency_gap(scene)
+        assert calls and all(a == b for a, b in calls)
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_surface_geometry_meets_no_two_orders(self, order, monkeypatch):

@@ -1,5 +1,6 @@
 """Scene file loading, schema validation, and round-trip tests."""
 
+import copy
 import json
 import math
 
@@ -70,6 +71,48 @@ class TestBuiltinScenes:
     def test_unknown_builtin(self):
         with pytest.raises(SceneError, match="shipped scenes"):
             sc.builtin_scene("nope")
+
+
+class TestBuiltinMemo:
+    """A shipped scene is validated once per process; a scene file on every call."""
+
+    @pytest.mark.usefixtures("fresh_builtin_scenes")
+    @pytest.mark.parametrize("name", sc.BUILTIN_SCENES)
+    def test_second_load_builds_no_frame(self, monkeypatch, name):
+        frames = count_calls(monkeypatch, SubRiemannianModel, "frame")
+        first = sc.builtin_scene(name)
+        second = sc.resolve_scene(name)
+        assert len(frames) == 1
+        assert second == first
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.config["quadrature"].update(max_refine=0),
+        lambda s: s.config.clear(),
+        lambda s: s.tolerances.update(residual=1.0),
+        lambda s: s.patch.domain.update(v=(-9.0, 9.0)),
+    ])
+    def test_edits_reach_no_later_call(self, edit):
+        def mutable_parts(scene):
+            return copy.deepcopy((scene.config, scene.tolerances, scene.patch.domain))
+
+        want = mutable_parts(sc.builtin_scene("rt_disk"))
+        edit(sc.builtin_scene("rt_disk"))
+        assert mutable_parts(sc.builtin_scene("rt_disk")) == want
+
+    def test_file_scene_is_reread_and_revalidated(self, monkeypatch, tmp_path):
+        path = tmp_path / "edited.json"
+        cfg = annulus_config()
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        frames = count_calls(monkeypatch, SubRiemannianModel, "frame")
+        assert sc.resolve_scene(str(path)).L_grid == ()
+        cfg["L_grid"] = [10.0]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert sc.resolve_scene(str(path)).L_grid == (10.0,)
+        cfg["model"] = {"frame": {"e1": ["1", "0", "0"], "e2": ["0", "1", "0"]}}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(SceneError, match=r"\$\.model"):
+            sc.resolve_scene(str(path))
+        assert len(frames) == 3     # one scan per call
 
 
 class TestRoundTrip:
@@ -237,6 +280,7 @@ class TestCrossValidation:
 
 
 class TestOneScan:
+    @pytest.mark.usefixtures("fresh_builtin_scenes")
     @pytest.mark.parametrize("name", sc.BUILTIN_SCENES)
     def test_load_builds_one_chart_frame(self, monkeypatch, name):
         frames = count_calls(monkeypatch, SubRiemannianModel, "frame")

@@ -358,7 +358,7 @@ class CurveOnSurface:
             raise ValueError("curve interval must have positive length")
         return CurveOnSurface(cu, cv, t0, t1)
 
-    def jets(self, t, order: int = 3):
+    def jets(self, t, order: int = 2):
         tj = Jet.seeds([np.asarray(t, dtype=float)], order)[0]
         return self.u.jet({"t": tj}), self.v.jet({"t": tj})
 
@@ -369,10 +369,17 @@ class CurveGeometry:
     Solves gamma' = x f2 + y f3 by normal equations in chart components and
     cross-checks y against the contact-form shortcut e^3(gamma'). The curve
     jets and the surface geometry under them share `order`; x, y and A
-    carry order - 1 in t, so order 2 already gives the x_L' that k_n^L reads.
+    carry order - 1 in t, so the default order 2 gives the x_L' that k_n^L
+    reads, and everything the limit, the speed and the geodesic-curvature
+    oracle read, on a chart frame of order 3.
     """
 
-    def __init__(self, model, patch, curve: CurveOnSurface, t, order: int = 3):
+    def __init__(self, model, patch, curve: CurveOnSurface, t, order: int = 2):
+        if order < 2:
+            raise ValueError(
+                f"kn_L needs a curve geometry of order 2 or more (it reads x_L'), "
+                f"got order {order}"
+            )
         cu, cv = curve.jets(t, order)
         self.udot = cu.deriv(0)
         self.vdot = cv.deriv(0)
@@ -419,12 +426,6 @@ class CurveGeometry:
                 f"curve is tangent to the horizontal line field: min |y|/|gamma'| "
                 f"= {worst:.3e} (threshold {EPS_TRANS:.0e})"
             )
-
-
-def curve_decomposition(model, patch, curve, t):
-    """Components (x, y) of gamma' in the (f2, f3) tangent basis."""
-    cg = CurveGeometry(model, patch, curve, t)
-    return value_of(cg.x), value_of(cg.y)
 
 
 def normal_curvature_limit(model, patch, curve, t, cg: CurveGeometry = None):

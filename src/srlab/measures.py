@@ -408,19 +408,6 @@ def _dsigma_L(geom: SurfaceGeometry, L: float):
     return np.sqrt(L + A * A) * np.asarray(geom.wedge.value)
 
 
-def hausdorff_length_density(model, patch, curve, t):
-    """Density |e^3(gamma')| of the limit length measure against dt."""
-    cg = cv.CurveGeometry(model, patch, curve, t)
-    return np.abs(np.asarray(cg.y.value))
-
-
-def length_density_L(model, patch, curve, t, L: float):
-    """Density of induced arclength under the L metric against dt."""
-    if L <= 0:
-        raise ValueError("the metric parameter L must be positive")
-    return np.asarray(cv.CurveGeometry(model, patch, curve, t).speed_L(L).value)
-
-
 @_reads(2)
 def boundary_integrand_limit(cg: cv.CurveGeometry):
     """k_n ds against dt: A e^3(gamma'), smooth through isolated tangencies."""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from srlab import cli
+from srlab import curvature as cv
 from srlab import scenes as sc
 from srlab.curvature import CurveGeometry
 from srlab.errors import SamplingError
@@ -314,15 +315,80 @@ class TestCurveGeometryBuilds:
         assert len(builds) == 1
 
     @pytest.mark.usefixtures("fresh_builtin_scenes")
-    def test_oracle_check_builds_one_per_L_and_curve(self, capsys, monkeypatch, builds):
+    def test_oracle_check_builds_one_per_curve(self, capsys, monkeypatch, builds):
         frames = counted(monkeypatch, SubRiemannianModel, "frame")
         code, out, _ = run(capsys, "oracle-check", "--scene", "heisenberg_annulus",
                            "--L", "1,10,100", "--samples", "4")
         assert code == 0 and "oracle check: ok" in out
-        assert len(builds) == 3 * 2
+        assert len(builds) == 2
         # scene load, the region geometry (whose frame the connection check
         # reuses) and one per curve geometry
-        assert len(frames) == 1 + 1 + 3 * 2
+        assert len(frames) == 1 + 1 + 2
+
+
+class TestOracleCheckCurveBatches:
+    """oracle-check evaluates all L rows of a curve on one curve geometry, and
+    prints the gaps that one geometry per (L, curve) pair gives, bit for bit."""
+
+    ARGV = ("oracle-check", "--scene", "heisenberg_annulus", "--L", "1,10,100", "--samples", "4")
+
+    @staticmethod
+    def sample_counts(monkeypatch) -> list:
+        sizes = []
+        orig = CurveGeometry.__init__
+
+        def init(self, model, patch, curve, t, *rest):
+            sizes.append(np.size(t))
+            orig(self, model, patch, curve, t, *rest)
+
+        monkeypatch.setattr(CurveGeometry, "__init__", init)
+        return sizes
+
+    def test_gaps_match_one_geometry_per_L_and_curve(self, capsys):
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 0
+        printed = [line.rsplit(" ", 1)[1] for line in out.splitlines()
+                   if "geodesic-curvature oracle" in line]
+
+        scene = sc.builtin_scene("heisenberg_annulus")
+        rng = np.random.default_rng(0)
+        cli._sample_region_points(scene.region, 4, rng)
+        expected = []
+        for L in (1.0, 10.0, 100.0):
+            for curve in scene.boundary:
+                t = rng.uniform(curve.t0, curve.t1, 4)
+                cg = CurveGeometry(scene.model, scene.patch, curve, t, 3)
+                kn = cv.normal_curvature_L(scene.model, scene.patch, curve, t, L, cg)
+                kg = cv.geodesic_curvature_oracle(scene.model, scene.patch, curve, t, L, cg)
+                expected.append(repr(float(np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg))))))
+        assert printed == expected
+
+    @pytest.mark.parametrize("cap,sizes", [(8, [8, 8, 4, 4]), (4, [4] * 6)])
+    def test_builds_split_by_L_row_at_the_sample_cap(self, capsys, monkeypatch, cap, sizes):
+        _, whole, _ = run(capsys, *self.ARGV)
+        built = self.sample_counts(monkeypatch)
+        monkeypatch.setattr(cli, "MAX_SAMPLES", cap)
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 0 and out == whole
+        assert built == sizes
+
+    def test_tangent_boundary_curve_exits_4(self, capsys, tmp_path):
+        # on the rototranslation plane the horizontal line field is d/dv, so
+        # the rectangle's sides u = const are tangent to it; nothing varies
+        # along the side before them, so its values come out 0-d
+        def rectangle(cfg):
+            cfg["region"] = {"type": "rectangle", "u": [-0.5, 0.5], "v": [1.0, 2.0],
+                             "euler_characteristic": 1}
+            cfg["boundary"] = [
+                {"curve": ["t", "1"], "t": [-0.5, 0.5]},
+                {"curve": ["0.5", "t"], "t": [1.0, 2.0]},
+                {"curve": ["-t", "2"], "t": [-0.5, 0.5]},
+                {"curve": ["-0.5", "-t"], "t": [-2.0, -1.0]},
+            ]
+        code, out, err = run(capsys, "oracle-check", "--scene",
+                             write_scene(tmp_path, rectangle, "rt_disk"), "--L", "1,10")
+        assert code == 4 and out == ""
+        assert "tangent to the horizontal line field" in err
 
 
 class TestUsage:

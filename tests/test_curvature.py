@@ -335,12 +335,12 @@ T12 = np.linspace(0.05, 6.2, 12)
 
 class TestCurves:
     def test_circle_decomposition(self):
-        x, y = cv.curve_decomposition(HEIS, PLANE, CIRCLE, T12)
-        assert np.max(np.abs(x)) < 1e-12
-        assert np.max(np.abs(y + 0.5)) < 1e-12
+        cg = cv.CurveGeometry(HEIS, PLANE, CIRCLE, T12)
+        assert np.max(np.abs(np.asarray(cg.x.value))) < 1e-12
+        assert np.max(np.abs(np.asarray(cg.y.value) + 0.5)) < 1e-12
         # radius two: the contact pairing scales with the enclosed rate
         big = cv.CurveOnSurface.parse(("2*cos(t)", "2*sin(t)"), (0.0, 2 * np.pi))
-        _, y2 = cv.curve_decomposition(HEIS, PLANE, big, T12)
+        y2 = np.asarray(cv.CurveGeometry(HEIS, PLANE, big, T12).y.value)
         assert np.max(np.abs(y2 + 2.0)) < 1e-12
 
     def test_decomposition_matches_contact_pairing(self):
@@ -453,6 +453,12 @@ class TestOrderErrors:
         with pytest.raises(ValueError, match="induced-metric curvature oracle needs a surface "
                                              "geometry of order 3 .*got order 2"):
             cv.induced_metric_gauss_oracle(self.geometry(2), 10.0)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_curve_geometry_names_kn_L(self, order):
+        with pytest.raises(ValueError, match=f"kn_L needs a curve geometry of order 2 .*x_L'.*"
+                                             f"got order {order}"):
+            cv.CurveGeometry(HEIS, PLANE, CIRCLE, T12, order)
 
     def test_order_3_still_works(self):
         geom = self.geometry(3)

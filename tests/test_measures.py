@@ -219,11 +219,21 @@ class TestDensities:
             ms.area_density_L(HEIS, PLANE, 1.0, 0.0, 0.0)
         circ = CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, TWO_PI))
         with pytest.raises(ValueError):
-            ms.length_density_L(HEIS, PLANE, circ, np.array([0.1]), -2.0)
+            cv.normal_curvature_L_jets(cv.CurveGeometry(HEIS, PLANE, circ, np.array([0.1])), -2.0)
 
     def test_characteristic_point_raises(self):
         with pytest.raises(CharacteristicPointError):
             ms.hausdorff_area_density(HEIS, PLANE, 0.0, 0.0)
+
+
+def hausdorff_length_density(model, patch, curve, t):
+    """Density |e^3(gamma')| of the limit length measure against dt."""
+    return np.abs(np.asarray(cv.CurveGeometry(model, patch, curve, t).y.value))
+
+
+def length_density_L(model, patch, curve, t, L: float):
+    """Density |gamma'|_L of induced arclength under the L metric against dt."""
+    return np.asarray(cv.CurveGeometry(model, patch, curve, t).speed_L(L).value)
 
 
 class TestLengthDensity:
@@ -231,20 +241,20 @@ class TestLengthDensity:
         for r0 in (1.0, 1.5):
             circ = CurveOnSurface.parse((f"{r0}*cos(t)", f"{r0}*sin(t)"), (0.0, TWO_PI))
             t = np.linspace(0.2, 6.0, 9)
-            dens = ms.hausdorff_length_density(HEIS, PLANE, circ, t)
+            dens = hausdorff_length_density(HEIS, PLANE, circ, t)
             assert np.allclose(dens, r0 * r0 / 2.0, rtol=0, atol=1e-13)
             total = ms.integrate_curve(
-                lambda s: ms.hausdorff_length_density(HEIS, PLANE, circ, s),
+                lambda s: hausdorff_length_density(HEIS, PLANE, circ, s),
                 0.0, TWO_PI, QUAD)
             assert total.value == pytest.approx(math.pi * r0 * r0, rel=1e-12)
 
     def test_scaled_finite_L_density_converges(self):
         circ = CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, TWO_PI))
         t = np.linspace(0.3, 5.9, 5)
-        limit = ms.hausdorff_length_density(HEIS, PLANE, circ, t)
+        limit = hausdorff_length_density(HEIS, PLANE, circ, t)
         gaps = []
         for L in (1e2, 1e4, 1e6):
-            scaled = ms.length_density_L(HEIS, PLANE, circ, t, L) / math.sqrt(L)
+            scaled = length_density_L(HEIS, PLANE, circ, t, L) / math.sqrt(L)
             gaps.append(np.max(np.abs(scaled - limit)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-5
@@ -258,15 +268,15 @@ class TestLengthDensity:
             for L in (0.5, 1e2, 1e4):
                 _, speed = cv.normal_curvature_L_jets(
                     cv.CurveGeometry(sc.model, sc.patch, curve, t), L)
-                density = ms.length_density_L(sc.model, sc.patch, curve, t, L)
+                density = length_density_L(sc.model, sc.patch, curve, t, L)
                 assert bitwise(density, np.asarray(speed.value))
 
     def test_reversal_leaves_density_unchanged(self):
         fwd = CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, TWO_PI))
         rev = CurveOnSurface.parse(("cos(-t)", "sin(-t)"), (-TWO_PI, 0.0))
         t = np.linspace(0.2, 6.0, 7)
-        a = ms.hausdorff_length_density(HEIS, PLANE, fwd, t)
-        b = ms.hausdorff_length_density(HEIS, PLANE, rev, -t)
+        a = hausdorff_length_density(HEIS, PLANE, fwd, t)
+        b = hausdorff_length_density(HEIS, PLANE, rev, -t)
         assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 
@@ -554,6 +564,23 @@ class TestOrderBudget:
             for fn in (ms.boundary_integrand_limit, ms._kn_ds_L(1e2), ms._kn_ds_L(1e4)):
                 at_order = fn(cv.CurveGeometry(sc.model, sc.patch, curve, t, fn.order))
                 assert bitwise(at_order, fn(cv.CurveGeometry(sc.model, sc.patch, curve, t, 3)))
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_single_point_curve_quantities_at_default_order_match_order_3(self, name):
+        sc = self.load(name)
+        for curve in sc.boundary:
+            # clear of t = 0 and pi, where the rt_disk boundary is tangent to the horizontal
+            t = curve.t0 + (curve.t1 - curve.t0) * np.array([0.05, 0.2, 0.35, 0.6, 0.8, 0.95])
+            cgs = (cv.CurveGeometry(sc.model, sc.patch, curve, t),
+                   cv.CurveGeometry(sc.model, sc.patch, curve, t, 3))
+            assert cgs[0].geom.order == 2
+            for attr in ("x", "y", "A"):
+                assert bitwise(*(getattr(cg, attr).value for cg in cgs))
+            assert bitwise(*(cv.normal_curvature_limit(sc.model, sc.patch, curve, t, cg)
+                             for cg in cgs))
+            for L in (1.0, 1e2, 1e4):
+                for fn in (cv.normal_curvature_L, cv.geodesic_curvature_oracle):
+                    assert bitwise(*(fn(sc.model, sc.patch, curve, t, L, cg) for cg in cgs))
 
     @pytest.mark.parametrize("name", SCENES)
     def test_report_and_stokes_match_order_3(self, monkeypatch, name):

@@ -430,7 +430,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("oracle-check", cmd_oracle_check,
             "max discrepancies against the independent oracles")
-    p.add_argument("--L", default="1,10,100", help="comma-separated L values")
+    p.add_argument("--L", default="1,10,100",
+                   help="comma-separated L values; the oracles lose digits past about L = 1e9")
     p.add_argument("--samples", type=_sample_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite_float, default=1e-6, help="worst allowed gap")

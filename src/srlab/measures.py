@@ -16,9 +16,21 @@ Quadrature is composite Gauss-Legendre with a fixed summation order
 (lexicographic over cells, pairwise within and across cells), so results are
 bitwise reproducible. Disk and annulus regions integrate in polar parameters
 with the Jacobian folded into the weights.
+
+A pass of at least two CHUNKs of nodes (the region passes; curve passes
+stay smaller) is split into contiguous blocks of whole chunks, one per CPU,
+and every block but the first is evaluated in a forked child, with one
+geometry alive per process. Each node's value comes from the same code on
+the same chunk whichever process computes it, and the parent sums the whole
+arrays in the fixed order, so the bits are those of a serial pass. Smaller
+passes, a host with one CPU, a process with other threads running and a
+failed fork run serially.
 """
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +40,11 @@ from . import curvature as cv
 from .errors import CharacteristicPointError, SceneError
 from .surface import EPS_CHAR, SurfaceGeometry, characteristic_report
 
-CHUNK = 16384
+# nodes per geometry build
+CHUNK = 8192
+# processes a pass of two or more chunks is split over: the CPUs this
+# process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 TWO_PI = 2.0 * math.pi
 # worst-case nodes of one refinement run, summed over its levels: per region
 # and per boundary curve; the shipped settings (8 x 8 cells, 64 segments,
@@ -316,20 +332,113 @@ def _pass(build, integrands, coords, weights, per_cell: int) -> list:
     Each CHUNK of nodes gets one geometry from `build(*coords, order)`, at
     the highest surface order the integrands declare (`fn.order`), which
     every integrand evaluates on; the geometry is released before the next
-    chunk is built, so at most one is alive at a time.
+    chunk is built, so at most one is alive per process. The chunks are
+    split into blocks (`_blocks`) filled across processes (`_fill_blocks`);
+    the chunks and the summation order are those of a serial pass, so the
+    sums are bitwise the same.
     """
     total = coords[0].size
     if total == 0 or np.all(weights == 0.0):
         return [0.0] * len(integrands)
     order = max(fn.order for fn in integrands)
     outs = [np.empty(total) for _ in integrands]
-    for start in range(0, total, CHUNK):
-        sl = slice(start, min(start + CHUNK, total))
-        geom = build(*(c[sl] for c in coords), order)
-        for out, fn in zip(outs, integrands):
-            out[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
-        del geom
+
+    def fill(start, stop):
+        for lo in range(start, stop, CHUNK):
+            sl = slice(lo, min(lo + CHUNK, stop))
+            geom = build(*(c[sl] for c in coords), order)
+            for out, fn in zip(outs, integrands):
+                out[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
+            del geom
+
+    _fill_blocks(fill, outs, _blocks(total))
     return [_reduce(out, weights, per_cell) for out in outs]
+
+
+def _blocks(total: int) -> list:
+    """Split [0, total) into at most WORKERS contiguous (start, stop) runs of whole chunks.
+
+    Every block holds at least one full CHUNK, so a pass below two CHUNKs
+    is a single block.
+    """
+    chunks = -(-total // CHUNK)
+    workers = max(1, min(WORKERS, total // CHUNK))
+    cuts = [min(total, CHUNK * (chunks * i // workers)) for i in range(workers + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _fill_blocks(fill, outs, blocks):
+    """Run `fill(start, stop)` on every block: the first here, the others in forked children.
+
+    A child writes its slice of each output array to a pipe as raw float64
+    bytes and always leaves through `os._exit`, so it never flushes stdio.
+    Blocks are taken in node order; a block whose child fails is filled
+    again here, so its error surfaces as in a serial pass. Everything runs
+    here, in order, without `os.fork`, with other threads running (a forked
+    child would inherit their locks) or once a fork fails. Any exception,
+    `KeyboardInterrupt` and signal-raised ones included, kills and reaps
+    every child not yet reaped. Children are forked, not spawned: the
+    integrands are closures, and a fresh interpreter costs more than a
+    shipped-size pass.
+    """
+    children = {}   # block index -> [pid or None once reaped, read end of its pipe]
+    try:
+        if len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+            for i in range(1, len(blocks)):
+                try:
+                    children[i] = _fork_block(fill, outs, blocks[i], children)
+                except OSError:
+                    break
+        for i, block in enumerate(blocks):
+            if i not in children or not _collect(children[i], outs, block):
+                fill(*block)
+    finally:
+        for pid, fd in children.values():
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _fork_block(fill, outs, block, children) -> list:
+    """Fork a child that fills `block` and writes its slice of each output to a pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in [read_end, *(fd for _, fd in children.values())]:
+                os.close(fd)
+            fill(*block)
+            for out in outs:
+                view = memoryview(out[slice(*block)]).cast("B")
+                while view:
+                    view = view[os.write(write_end, view):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return [pid, read_end]
+
+
+def _collect(child, outs, block) -> bool:
+    """Read a child's slices into `outs` and reap it; False if it failed."""
+    pid, fd = child
+    complete = True
+    for out in outs:
+        view = memoryview(out[slice(*block)]).cast("B")
+        while view and complete:
+            n = os.readv(fd, [view])
+            complete = n > 0
+            view = view[n:]
+    _, status = os.waitpid(pid, 0)
+    child[0] = None
+    return complete and status == 0
 
 
 def _refine(nodes, build, integrands, spec: QuadratureSpec, per_cell: int) -> list:
@@ -390,20 +499,8 @@ def integrate_curve(fn, t0: float, t1: float, spec: QuadratureSpec) -> Quadratur
 # -- densities ----------------------------------------------------------------
 
 
-def hausdorff_area_density(model, patch, u, v):
-    """Density of the limit (Hausdorff) surface measure against du dv."""
-    geom = SurfaceGeometry(model, patch, u, v)
-    return np.asarray(geom.wedge.value)
-
-
-def area_density_L(model, patch, u, v, L: float):
-    """Density of the surface measure under the L metric: sqrt(L + A^2) dsigma."""
-    if L <= 0:
-        raise ValueError("the metric parameter L must be positive")
-    return _dsigma_L(SurfaceGeometry(model, patch, u, v), L)
-
-
 def _dsigma_L(geom: SurfaceGeometry, L: float):
+    """Density of the surface measure under the L metric: sqrt(L + A^2) dsigma."""
     A = np.asarray(geom.A.value)
     return np.sqrt(L + A * A) * np.asarray(geom.wedge.value)
 

@@ -1,9 +1,14 @@
-"""Session settings for the property tests.
+"""Session settings for the property tests, and a check on child processes.
 
 Hypothesis runs derandomized (examples depend only on the test, so a run is
 reproducible and there is no example database) and without a per-example
 deadline, so a slow or busy host cannot make a test flaky.
+
+Region quadrature forks worker processes; every test must leave none of
+them behind, running or unreaped.
 """
+
+import os
 
 import pytest
 
@@ -23,3 +28,13 @@ def fresh_builtin_scenes():
     from srlab import scenes
 
     scenes._validated_builtin.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_stray_children():
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:     # no child at all: the expected case
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave {left})")

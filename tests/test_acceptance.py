@@ -124,7 +124,8 @@ def test_criterion_04_heisenberg_goldens(announce):
     geom = SurfaceGeometry(HEIS, PLANE, 1.0, 0.0)
     a_gap = abs(abs(float(np.asarray(geom.A.value))) - 2.0)
     k_gap = abs(float(cv.gauss_curvature_limit(geom)) + 2.0)
-    dens_gap = abs(ms.hausdorff_area_density(HEIS, PLANE, 1.0, 0.0) - 0.5)
+    # the limit area density against du dv is (f^2 ^ f^3)(Tu, Tv)
+    dens_gap = abs(float(np.asarray(geom.wedge.value)) - 0.5)
     t = np.asarray([0.0, 1.0, 2.0, 4.0])
     kn = cv.normal_curvature_limit(HEIS, PLANE, CIRCLE, t)
     kn_gap = float(np.max(np.abs(np.abs(kn) - 2.0)))

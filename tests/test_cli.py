@@ -285,6 +285,13 @@ class TestOracleCheck:
         assert "oracle check: ok" in out
         assert "Koszul" in out and "induced-metric" in out and "geodesic" in out
 
+    @pytest.mark.parametrize("name", ["heisenberg_annulus", "rt_disk"])
+    def test_oracles_agree_at_the_top_of_the_usable_L_range(self, capsys, name):
+        # past about L = 1e9 the oracles lose digits: the annulus fails from 1e10 here
+        code, out, _ = run(capsys, "oracle-check", "--scene", name,
+                           "--L", "1e9", "--samples", "20", "--seed", "5")
+        assert code == 0 and "oracle check: ok" in out
+
     def test_deterministic_given_seed(self, capsys):
         args = ("oracle-check", "--scene", "rt_disk", "--L", "10",
                 "--samples", "6", "--seed", "3")

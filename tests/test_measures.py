@@ -8,19 +8,22 @@ compared against a plain high-order quadrature of sin(v), which is what
 K dsigma reduces to on that patch.
 """
 
+import json
 import math
+import os
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from srlab import cli
 from srlab import curvature as cv
 from srlab import measures as ms
 from srlab.curvature import CurveOnSurface
 from srlab.errors import CharacteristicPointError, SceneError
 from srlab.models import builtin_model
-from srlab.scenes import builtin_scene, scene_from_config
+from srlab.scenes import builtin_scene, load_scene, scene_from_config
 from srlab.surface import SurfaceGeometry, SurfacePatch
 
 HEIS = builtin_model("heisenberg")
@@ -180,50 +183,62 @@ class TestRegionQuadrature:
         assert res.value == pytest.approx(math.pi, rel=1e-14)
 
 
+def hausdorff_area_density(model, patch, u, v):
+    """Density (f^2 ^ f^3)(Tu, Tv) of the limit (Hausdorff) surface measure against du dv."""
+    return np.asarray(SurfaceGeometry(model, patch, u, v).wedge.value)
+
+
+def area_density_L(model, patch, u, v, L: float):
+    """Density sqrt(L + A^2) dsigma of the surface measure under the L metric against du dv."""
+    geom = SurfaceGeometry(model, patch, u, v)
+    A = np.asarray(geom.A.value)
+    return np.sqrt(L + A * A) * np.asarray(geom.wedge.value)
+
+
 class TestDensities:
     def test_heisenberg_limit_area_density(self):
-        assert ms.hausdorff_area_density(HEIS, PLANE, 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
-        assert ms.hausdorff_area_density(HEIS, PLANE, 2.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert hausdorff_area_density(HEIS, PLANE, 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert hausdorff_area_density(HEIS, PLANE, 2.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_finite_L_density_ratio(self):
-        limit = ms.hausdorff_area_density(HEIS, PLANE, 1.0, 0.0)
-        at4 = ms.area_density_L(HEIS, PLANE, 1.0, 0.0, 4.0)
+        limit = hausdorff_area_density(HEIS, PLANE, 1.0, 0.0)
+        at4 = area_density_L(HEIS, PLANE, 1.0, 0.0, 4.0)
         assert at4 / (2.0 * limit) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_density_ratio_tends_to_one(self):
-        limit = ms.hausdorff_area_density(HEIS, PLANE, 1.0, 0.0)
+        limit = hausdorff_area_density(HEIS, PLANE, 1.0, 0.0)
         gaps = []
         for L in (1e2, 1e4, 1e6):
-            ratio = ms.area_density_L(HEIS, PLANE, 1.0, 0.0, L) / (math.sqrt(L) * limit)
+            ratio = area_density_L(HEIS, PLANE, 1.0, 0.0, L) / (math.sqrt(L) * limit)
             gaps.append(abs(ratio - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-5
 
     def test_rototranslation_density(self):
-        assert ms.hausdorff_area_density(ROTO, RPLANE, 0.3, math.pi / 2) == pytest.approx(1.0, abs=1e-14)
+        assert hausdorff_area_density(ROTO, RPLANE, 0.3, math.pi / 2) == pytest.approx(1.0, abs=1e-14)
         for v in (0.4, 0.9, 2.1):
-            got = ms.hausdorff_area_density(ROTO, RPLANE, -0.7, v)
+            got = hausdorff_area_density(ROTO, RPLANE, -0.7, v)
             assert got == pytest.approx(abs(math.sin(v)), rel=1e-13)
 
     def test_density_positive_at_regular_points(self):
         rng = np.random.default_rng(7)
         r = rng.uniform(0.5, 2.5, 40)
         th = rng.uniform(0.0, TWO_PI, 40)
-        vals = ms.hausdorff_area_density(HEIS, PLANE, r * np.cos(th), r * np.sin(th))
+        vals = hausdorff_area_density(HEIS, PLANE, r * np.cos(th), r * np.sin(th))
         assert np.all(vals > 0)
-        vals_l = ms.area_density_L(HEIS, PLANE, r * np.cos(th), r * np.sin(th), 10.0)
+        vals_l = area_density_L(HEIS, PLANE, r * np.cos(th), r * np.sin(th), 10.0)
         assert np.all(vals_l > 0)
 
     def test_rejects_nonpositive_L(self):
         with pytest.raises(ValueError):
-            ms.area_density_L(HEIS, PLANE, 1.0, 0.0, 0.0)
+            ms._K_dsigma_L(0.0)
         circ = CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, TWO_PI))
         with pytest.raises(ValueError):
             cv.normal_curvature_L_jets(cv.CurveGeometry(HEIS, PLANE, circ, np.array([0.1])), -2.0)
 
     def test_characteristic_point_raises(self):
         with pytest.raises(CharacteristicPointError):
-            ms.hausdorff_area_density(HEIS, PLANE, 0.0, 0.0)
+            hausdorff_area_density(HEIS, PLANE, 0.0, 0.0)
 
 
 def hausdorff_length_density(model, patch, curve, t):
@@ -460,27 +475,46 @@ class TestSharedGeometry:
         assert rep.finite_rows == rows
 
     @pytest.mark.parametrize("L_values", [(), (1e2, 1e3, 1e4)])
-    def test_one_geometry_per_chunk_per_level(self, monkeypatch, L_values):
+    def test_one_geometry_per_chunk_per_level(self, monkeypatch, tmp_path, L_values):
         monkeypatch.setattr(ms, "CHUNK", 700)
-        built = {"region": [], "curve": []}
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        # builds happen in forked children too, which a list in this process
+        # cannot see: each build appends "kind size pid" to a file instead
+        log = tmp_path / "builds"
         node_sets = {"region": [], "curve": []}
 
-        def log_sizes(owner, name, log, size):
+        def log_builds(owner, name, kind, size):
             orig = getattr(owner, name)
 
             def wrapper(*args):
-                result = orig(*args)
-                log.append(size(args, result))
-                return result
+                fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+                try:
+                    os.write(fd, f"{kind} {size(args)} {os.getpid()}\n".encode())
+                finally:
+                    os.close(fd)
+                return orig(*args)
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        log_sizes(ms, "SurfaceGeometry", built["region"], lambda a, r: np.size(a[2]))
-        log_sizes(cv, "CurveGeometry", built["curve"], lambda a, r: np.size(a[3]))
-        log_sizes(ms, "region_nodes", node_sets["region"], lambda a, r: r[0].size)
-        log_sizes(ms, "curve_nodes", node_sets["curve"], lambda a, r: r[0].size)
+        def log_node_sets(name, log):
+            orig = getattr(ms, name)
+
+            def wrapper(*args):
+                result = orig(*args)
+                log.append(result[0].size)
+                return result
+
+            monkeypatch.setattr(ms, name, wrapper)
+
+        log_builds(ms, "SurfaceGeometry", "region", lambda a: np.size(a[2]))
+        log_builds(cv, "CurveGeometry", "curve", lambda a: np.size(a[3]))
+        log_node_sets("region_nodes", node_sets["region"])
+        log_node_sets("curve_nodes", node_sets["curve"])
         sc = annulus_scene()
         ms.gauss_bonnet_residual(sc, self.COARSE, L_values=L_values)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        built = {kind: [int(size) for k, size, _ in lines if k == kind] for kind in node_sets}
+        assert len({pid for _, _, pid in lines}) > 1
 
         # one node set per level, at most max_refine + 1 levels per pass
         assert len(node_sets["region"]) == len(set(node_sets["region"]))
@@ -613,3 +647,114 @@ class TestOrderBudget:
         assert repr(ms.gauss_bonnet_residual(sc, self.SPEC, L_values=L_values)) == repr(report)
         assert repr(ms.gauss_bonnet_residual(sc, self.SPEC)) == repr(limit_only)
         assert bitwise(ms.stokes_consistency_gap(sc, self.SPEC), gap)
+
+
+def no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedPasses:
+    """Region passes split over forked processes give the serial bits and
+    leave no process behind, whatever the pass raises."""
+
+    COARSE = TestSharedGeometry.COARSE
+
+    @staticmethod
+    def count_forks(monkeypatch) -> list:
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.parametrize("name", TestOrderBudget.SCENES)
+    def test_workers_give_the_serial_bits(self, monkeypatch, name):
+        sc = TestOrderBudget.load(name)
+        L_values = (1e2, 1e3, 1e4)
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        forks = self.count_forks(monkeypatch)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            report = ms.gauss_bonnet_residual(sc, self.COARSE, L_values=L_values)
+            assert len(report.finite_rows) == len(L_values)
+            runs.append((repr(report), repr(ms.stokes_consistency_gap(sc, self.COARSE)), len(forks)))
+            no_children()
+        (serial, serial_gap, serial_forks), (forked, forked_gap, _) = runs
+        assert serial_forks == 0 and forks
+        assert forked == serial and forked_gap == serial_gap
+
+    def test_blocks_are_whole_chunks(self, monkeypatch):
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        assert ms._blocks(1399) == [(0, 1399)]
+        assert ms._blocks(1400) == [(0, 700), (700, 1400)]
+        assert ms._blocks(2101) == [(0, 1400), (1400, 2101)]
+        assert ms._blocks(4096) == [(0, 2100), (2100, 4096)]
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        assert ms._blocks(4096) == [(0, 4096)]
+
+    @staticmethod
+    def characteristic_scene(tmp_path) -> str:
+        """The annulus scene with its plane's characteristic point moved onto a
+        quadrature node of the second block of the first region pass.
+
+        The node lies between the points of the pre-scan grid, so the scene
+        loads and the error comes from a chunk build in a child.
+        """
+        annulus = builtin_scene("heisenberg_annulus")
+        u, v, _ = ms.region_nodes(annulus.region, annulus.quadrature)
+        node = ms._blocks(u.size)[1][0] + 845
+        cfg = dict(annulus.config, surface={
+            "phi": [f"u - {float(u[node])!r}", f"v - {float(v[node])!r}", "0"],
+            "domain": {"u": [-3.0, 3.0], "v": [-3.0, 3.0]},
+        })
+        path = tmp_path / "characteristic_node.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return str(path)
+
+    def test_typed_error_from_a_child_block(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        path = self.characteristic_scene(tmp_path)
+        sc = load_scene(path)
+        forks = self.count_forks(monkeypatch)
+        errors, exits = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            with pytest.raises(CharacteristicPointError, match="surface patch touches") as err:
+                ms.gauss_bonnet_residual(sc)
+            errors.append(str(err.value))
+            no_children()
+            code = cli.main(["gauss-bonnet", "--scene", path])
+            exits.append((code, capsys.readouterr()))
+            no_children()
+        assert forks
+        assert errors[0] == errors[1]
+        assert exits[0] == exits[1] and exits[0][0] == 4 and exits[0][1].out == ""
+
+    def test_exception_in_the_parent_block_reaps_every_child(self, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        forks = self.count_forks(monkeypatch)
+        sc = annulus_scene()
+        parent = os.getpid()
+
+        def build(u, v, order):
+            if os.getpid() == parent:
+                raise Stop
+            return SurfaceGeometry(sc.model, sc.patch, u, v, order)
+
+        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
+        with pytest.raises(Stop):
+            ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
+        assert forks
+        no_children()

@@ -3,40 +3,29 @@
 from .expr import parse
 from .fields import (
     CHART_VARS,
-    OneFormC,
     ScalarField,
-    TwoFormValues,
     VectorFieldC,
     bracket_jets,
     chart_seeds,
     d_oneform_jets,
-    directional_derivative,
     eval_jet,
     eval_twoform,
-    exterior_derivative_oneform,
-    lie_bracket,
     pair_oneform,
 )
-from .jets import Jet, compose, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
+from .jets import Jet, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
 
 __all__ = [
     "parse",
     "CHART_VARS",
-    "OneFormC",
     "ScalarField",
-    "TwoFormValues",
     "VectorFieldC",
     "bracket_jets",
     "chart_seeds",
     "d_oneform_jets",
-    "directional_derivative",
     "eval_jet",
     "eval_twoform",
-    "exterior_derivative_oneform",
-    "lie_bracket",
     "pair_oneform",
     "Jet",
-    "compose",
     "jatan2",
     "jcos",
     "jexp",

@@ -1,15 +1,15 @@
 """Expression-backed fields on the chart and jet-level exterior calculus.
 
-Scalar fields, coordinate vector fields, and one/two-forms wrap parsed
-expressions over fixed context variables. The jet-level helpers at the bottom
-(bracket, exterior derivative, pairings) operate on plain sequences of jets
-and are shared by the frame/surface/curvature pipeline.
+Scalar fields and coordinate vector fields wrap parsed expressions over
+fixed context variables. The jet-level helpers at the bottom (bracket,
+exterior derivative, pairings) operate on plain sequences of jets and are
+shared by the frame/surface/curvature pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +24,6 @@ __all__ = [
     "chart_seeds",
     "ScalarField",
     "VectorFieldC",
-    "OneFormC",
-    "TwoFormValues",
-    "directional_derivative",
-    "lie_bracket",
-    "exterior_derivative_oneform",
     "bracket_jets",
     "d_oneform_jets",
     "pair_oneform",
@@ -145,64 +140,6 @@ class VectorFieldC:
 
     def jets(self, bindings: dict) -> list[Jet]:
         return [c.jet(bindings) for c in self.components]
-
-    def at(self, p: Sequence) -> np.ndarray:
-        return np.array([c.at(p) for c in self.components])
-
-
-@dataclass(frozen=True)
-class OneFormC:
-    """One-form in chart components (coefficients of dx, dy, dz)."""
-
-    components: tuple[ScalarField, ScalarField, ScalarField]
-
-    @staticmethod
-    def parse(texts: Sequence[str]) -> "OneFormC":
-        if len(texts) != 3:
-            raise EvaluationError("a chart one-form needs 3 components")
-        return OneFormC(tuple(ScalarField.parse(t) for t in texts))
-
-    def jets(self, bindings: dict) -> list[Jet]:
-        return [c.jet(bindings) for c in self.components]
-
-    def at(self, p: Sequence) -> np.ndarray:
-        return np.array([c.at(p) for c in self.components])
-
-
-@dataclass(frozen=True)
-class TwoFormValues:
-    """Two-form sample: coefficients on dx^dy, dx^dz, dy^dz at a point."""
-
-    dxdy: float
-    dxdz: float
-    dydz: float
-
-    def __call__(self, v: Sequence, w: Sequence):
-        return eval_twoform((self.dxdy, self.dxdz, self.dydz), v, w)
-
-
-def directional_derivative(f: ScalarField, v: VectorFieldC, p: Sequence) -> float:
-    """(Vf)(p) = sum_m v^m(p) d_m f(p)."""
-    bindings = chart_seeds(p, 1)
-    fj = f.jet(bindings)
-    out = 0.0
-    for m, comp in enumerate(v.components):
-        out = out + comp.at(p) * fj.partial(m)
-    return float(np.asarray(out))
-
-
-def lie_bracket(v: VectorFieldC, w: VectorFieldC, p: Sequence) -> np.ndarray:
-    """[v, w](p) in chart components."""
-    bindings = chart_seeds(p, 2)
-    out = bracket_jets(v.jets(bindings), w.jets(bindings))
-    return np.array([float(np.asarray(c.value)) for c in out])
-
-
-def exterior_derivative_oneform(theta: OneFormC, p: Sequence) -> TwoFormValues:
-    """d(theta) at p on the basis dx^dy, dx^dz, dy^dz."""
-    bindings = chart_seeds(p, 2)
-    c = d_oneform_jets(theta.jets(bindings))
-    return TwoFormValues(*(float(np.asarray(x.value)) for x in c))
 
 
 # -- jet-level helpers shared with the geometry pipeline ---------------------

@@ -58,7 +58,6 @@ from ..errors import EvaluationError
 __all__ = [
     "MAX_ORDER",
     "Jet",
-    "compose",
     "jsin",
     "jcos",
     "jtan",
@@ -178,21 +177,6 @@ class Jet:
     @property
     def value(self):
         return self.coef[0]
-
-    def partial(self, i: int):
-        """First partial derivative with respect to variable i."""
-        t = _tables(self.nvars, self.order)
-        unit = tuple(1 if k == i else 0 for k in range(self.nvars))
-        return self.coef[t.pos[unit]]
-
-    def partial2(self, i: int, j: int):
-        """Second mixed partial; symmetric in (i, j) by construction."""
-        t = _tables(self.nvars, self.order)
-        a = [0] * self.nvars
-        a[i] += 1
-        a[j] += 1
-        fact = 2.0 if i == j else 1.0
-        return self.coef[t.pos[tuple(a)]] * fact
 
     def derivative(self, alpha: Sequence[int]):
         """Mixed partial d^alpha f at the base point (Taylor coef times alpha!)."""
@@ -573,18 +557,6 @@ def stack_values(comps, shape=()) -> np.ndarray:
     vals = [value_of(c) for c in comps]
     shape = np.broadcast_shapes(shape, *(v.shape for v in vals))
     return np.stack([np.broadcast_to(v, shape) for v in vals])
-
-
-def compose(outer: Jet, displacements: Sequence[Jet]) -> Jet:
-    """Truncated Taylor composition: outer evaluated at base + displacements.
-
-    Each displacement is a jet over a common inner variable set whose constant
-    term is exactly zero (see `Jet.centered`). The result is exact to
-    min(outer.order, inner order).
-    """
-    if len(displacements) != outer.nvars:
-        raise ValueError("need one displacement per outer variable")
-    return Composer(displacements).pull(outer)
 
 
 JET_FUNCTIONS = {

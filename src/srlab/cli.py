@@ -89,6 +89,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float of at least 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
+    return value
+
+
 def _sample_count(text: str) -> int:
     """argparse type: an integer from 1 to MAX_SAMPLES."""
     try:
@@ -434,7 +442,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="comma-separated L values; the oracles lose digits past about L = 1e9")
     p.add_argument("--samples", type=_sample_count, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_finite_float, default=1e-6, help="worst allowed gap")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="worst allowed gap (at least 0)")
 
     return parser
 

@@ -46,10 +46,6 @@ class SurfaceOneForm:
         """Coefficient of d(P du + Q dv) on du ^ dv."""
         return value_of(self.Q.deriv(0)) - value_of(self.P.deriv(1))
 
-    def __call__(self, a, b):
-        """Evaluate on a vector a * d/du + b * d/dv (values)."""
-        return value_of(self.P) * a + value_of(self.Q) * b
-
     def values(self):
         return value_of(self.P), value_of(self.Q)
 
@@ -97,6 +93,15 @@ def _mix(c1, f1, c2, f2):
 class LFormAssembly:
     """Connection forms of the L-adapted frame pulled to the parameter plane.
 
+    The L-adapted frame is orthonormal for g_L: X1 = cos(b) f1 - sin(b) e3 /
+    sqrt(L) is normal to the surface and (X2, X3) = (f2, f3 / sqrt(L + A^2))
+    frame the tangent plane. cos(b) = sqrt(L / (L + A^2)) measures the tilt
+    of the normal away from the horizontal conormal direction; the angle
+    b = beta closes to zero as L grows. The curvatures read only the angle
+    jets and the values of X3, so only those are formed. The angle jets
+    carry one order less than A: the connection forms that read them carry
+    d(alpha), one order below the adapted frame.
+
     Builds, as jets in (u, v): the three ambient connection forms restricted
     to the surface, the angle differential d(alpha) and the assembled form
     W23_L, which is all the curvature K_L reads. The companion forms W12_L
@@ -107,12 +112,17 @@ class LFormAssembly:
     """
 
     def __init__(self, geom: SurfaceGeometry, L: float):
+        forms = ConnectionFormsL(geom.frame, L)     # refuses L <= 0
         self.geom = geom
-        self.lf = lf = geom.l_frame(L)
-        self.L = lf.L
+        self.L = forms.L
         s = math.sqrt(self.L)
 
-        forms = ConnectionFormsL(geom.frame, self.L)
+        A = geom.A.truncate(geom.A.order - 1)
+        self.denom2 = A * A + self.L            # L + A^2
+        self.inv_denom = 1.0 / jsqrt(self.denom2)
+        self.cosb = s * self.inv_denom
+        self.sinb = A * self.inv_denom
+
         pull = geom.pullback.pull
         # W23_L carries d(alpha), one order below x, so the connection
         # coefficients and tangent pairings are read to that order only
@@ -146,18 +156,18 @@ class LFormAssembly:
 
         horiz = _mix(-s_a, self.w13, c_a, self.w23)         # -sin(a) w13 + cos(a) w23
         self._dplus = _mix(1.0, self.dalpha, 1.0, self.w12)  # d(alpha) + w12
-        self.omega23 = _mix(-lf.sinb, self._dplus, lf.cosb, horiz)
+        self.omega23 = _mix(-self.sinb, self._dplus, self.cosb, horiz)
 
     @cached_property
     def dbeta(self) -> SurfaceOneForm:
         A = self.geom.A
-        scale = math.sqrt(self.L) / self.lf.denom2
+        scale = math.sqrt(self.L) / self.denom2
         return SurfaceOneForm(scale * A.deriv(0), scale * A.deriv(1))
 
     @cached_property
     def omega12(self) -> SurfaceOneForm:
         anti = _mix(self._sin_a, self.w13, -self._cos_a, self.w23)  # sin(a) w13 - cos(a) w23
-        return _mix(self.lf.cosb, self._dplus, -self.lf.sinb, anti)
+        return _mix(self.cosb, self._dplus, -self.sinb, anti)
 
     @cached_property
     def omega13(self) -> SurfaceOneForm:
@@ -167,11 +177,16 @@ class LFormAssembly:
             -self.dbeta.Q + (cos_a * self.w13.Q + sin_a * self.w23.Q),
         )
 
+    def X3_values(self):
+        """Values of X3: each f3 value times 1 / sqrt(L + A^2)."""
+        scale = value_of(self.inv_denom)
+        return [value_of(c) * scale for c in self.geom.f3]
+
     def frame_components(self):
         """(a, b) parameter components of X2 and X3 (values)."""
         geom = self.geom
         a2, b2 = tangent_components(geom, geom.f2)
-        a3, b3 = tangent_components(geom, self.lf.X3_values())
+        a3, b3 = tangent_components(geom, self.X3_values())
         return (a2, b2), (a3, b3)
 
     def gauss_curvature(self):
@@ -269,16 +284,6 @@ def gauss_equation_decomposition(geom: SurfaceGeometry, L: float) -> CurvatureSa
     ii = asm.second_fundamental()
     return CurvatureSample(L=float(L), K_L=k, K_limit=gauss_curvature_limit(geom),
                            Kbar_L=k - ii, II_L=ii)
-
-
-def scaled_form_limit_deviation(geom: SurfaceGeometry, L: float):
-    """Max-abs gap between W23_L / sqrt(L) and the limit form, per component."""
-    finite = LFormAssembly(geom, L).omega23
-    limit = limit_connection_form(geom)
-    s = math.sqrt(L)
-    dp = np.max(np.abs(value_of(finite.P) / s - value_of(limit.P)))
-    dq = np.max(np.abs(value_of(finite.Q) / s - value_of(limit.Q)))
-    return max(float(dp), float(dq))
 
 
 # -- independent curvature oracle (induced metric) ---------------------------

@@ -189,23 +189,16 @@ DUALITY_TOL = 1e-10
 STRUCTURE_TOL = 1e-8
 
 
-def validate_model(model: SubRiemannianModel, points) -> dict:
-    """Run the frame consistency checks at the given points.
-
-    `points` is a (3,) or (3, n) array. Returns a dict of check name to
-    {value, tolerance, passed, kind} where kind says whether the value is a
-    minimum that must stay above tolerance or a maximum residual that must
-    stay below it. Degeneracy and contact failures raise immediately since
-    nothing downstream is meaningful; the remaining checks are collected.
-    """
-    return checked_frame(model, points)[1]
-
-
 def checked_frame(model: SubRiemannianModel, points):
-    """The order-3 chart frame at `points` and its `validate_model` report.
+    """The order-3 chart frame at `points` and its consistency report.
 
-    Frame independence is checked first, so dependent fields raise
-    DegenerateFrameError instead of failing inside the frame build.
+    `points` is a (3,) or (3, n) array. The report maps each check name to
+    {value, tolerance, passed, kind}, where kind says whether the value is
+    a minimum that must stay above tolerance or a maximum residual that
+    must stay below it. Degeneracy and contact failures raise immediately,
+    since nothing downstream is meaningful; the remaining checks are
+    collected. Frame independence is checked first, so dependent fields
+    raise DegenerateFrameError instead of failing inside the frame build.
     """
     pts = np.asarray(points, dtype=float)
     base = np.atleast_1d(pts[0]).shape
@@ -264,10 +257,6 @@ def checked_frame(model: SubRiemannianModel, points):
 def _entry(value, tolerance, kind):
     passed = value >= tolerance if kind == "min" else value <= tolerance
     return {"value": value, "tolerance": tolerance, "passed": bool(passed), "kind": kind}
-
-
-def ensure_valid(model: SubRiemannianModel, points) -> dict:
-    return require_passed(validate_model(model, points))
 
 
 def require_passed(report: dict) -> dict:

@@ -231,7 +231,7 @@ def region_scan_grid(region: Region, samples: int = SCAN_SAMPLES):
 def scan_region_regular(model, patch, region: Region, samples: int = SCAN_SAMPLES):
     """Raise if the closed region comes near a characteristic point."""
     uu, vv = region_scan_grid(region, samples)
-    require_regular(characteristic_report(model, patch, uu, vv).margin, samples)
+    require_regular(characteristic_report(model, patch, uu, vv), samples)
 
 
 def require_regular(margin, samples: int):

@@ -237,6 +237,7 @@ def _build_quadrature(cfg, path: str) -> QuadratureSpec:
 
 def _build_tolerances(cfg, path: str) -> dict:
     cfg = _as_dict(cfg, path)
+    _reject_unknown(cfg, {"residual"}, path)
     out = {}
     for key, value in cfg.items():
         num = _as_number(value, f"{path}.{key}")

@@ -4,21 +4,19 @@ A patch is an immersion Phi(u, v) into the chart. At a regular (that is,
 non-characteristic) point the tangent plane meets the horizontal distribution
 in a line; the unit horizontal direction of that line is f2, the horizontal
 normal is f1, and f3 = e3 + A f1 completes a tangent basis, where the
-function A is read off the horizontal conormal f^1. A one-parameter family
-of orthonormal tangent frames (X2, X3) with normal X1 tracks the metric
-family; the angle beta between the normal and f1 closes to zero as L grows.
+function A is read off the horizontal conormal f^1. The tangent frames of
+the metric family are built from these where the connection forms read
+them (`curvature.LFormAssembly`).
 
 All quantities are carried as jets in (u, v) so the curvature layer can take
 exact derivatives. Parameter inputs may be numpy arrays for batch work.
 """
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .calculus import Jet, ScalarField, jatan2, pair_oneform
+from .calculus import Jet, ScalarField, pair_oneform
 from .calculus.jets import Composer, jsqrt, stack_values, value_of
 from .errors import CharacteristicPointError, ImmersionError, TransversalityError
 from .frame import FrameData, SubRiemannianModel, _cross
@@ -50,27 +48,6 @@ class SurfacePatch:
 
     def point(self, u, v) -> np.ndarray:
         return stack_values(self.jets(u, v, order=0))
-
-
-@dataclass(frozen=True)
-class CharacteristicReport:
-    """Relative size of the contact form on the tangent plane."""
-
-    margin: object
-
-    @property
-    def characteristic(self):
-        return np.asarray(self.margin) < EPS_CHAR
-
-    @property
-    def classification(self) -> str:
-        flag = self.characteristic
-        if np.asarray(flag).ndim:
-            raise ValueError("classification string is for scalar reports; use labels()")
-        return "characteristic" if flag else "regular"
-
-    def labels(self) -> np.ndarray:
-        return np.where(self.characteristic, "characteristic", "regular")
 
 
 def tangents(phi_jets):
@@ -108,11 +85,14 @@ def characteristic_margin(omega, tu, tv):
     return float(margin) if margin.ndim == 0 else margin
 
 
-def characteristic_report(model: SubRiemannianModel, patch: SurfacePatch, u, v) -> CharacteristicReport:
-    """Classify parameter points without building the adapted frame."""
+def characteristic_report(model: SubRiemannianModel, patch: SurfacePatch, u, v):
+    """Characteristic margin at parameter points, without building the adapted frame.
+
+    A point is characteristic where the margin is below EPS_CHAR.
+    """
     phi = patch.jets(u, v, order=1)
     p0 = [np.asarray(j.value) for j in phi]
-    return CharacteristicReport(characteristic_margin(model.contact_form(p0), *tangents(phi)))
+    return characteristic_margin(model.contact_form(p0), *tangents(phi))
 
 
 class SurfaceGeometry:
@@ -198,8 +178,6 @@ class SurfaceGeometry:
 
         self.A = -pair_oneform(self.f1cov, self.e3_s)
         self.f3 = [a + self.A * b for a, b in zip(self.e3_s, self.f1)]
-        self.f2cov = tuple(self.x * a + self.y * b for a, b in zip(self.cof1_s, self.cof2_s))
-        self.f3cov = self.omega_s
 
     # -- construction checks ------------------------------------------------
 
@@ -218,79 +196,3 @@ class SurfaceGeometry:
                 "surface patch touches a characteristic point: min margin "
                 f"{float(np.min(self.margin)):.3e} (threshold {EPS_CHAR:.0e})"
             )
-
-    # -- reporting helpers ----------------------------------------------------
-
-    @property
-    def alpha(self):
-        """Frame angle in (-pi, pi]: f1 = cos(alpha) e1 + sin(alpha) e2."""
-        return jatan2(-np.asarray(self.x.value), np.asarray(self.y.value))
-
-    def l_frame(self, L: float) -> "LAdaptedFrame":
-        return LAdaptedFrame(self, L)
-
-
-class LAdaptedFrame:
-    """Orthonormal frame of the metric family adapted to the surface.
-
-    X1 is normal to the surface, (X2, X3) = (f2, f3 / sqrt(L + A^2)) frame
-    the tangent plane, and cos(beta) = sqrt(L / (L + A^2)) measures the tilt
-    of the normal away from the horizontal conormal direction. The angle
-    jets are built at construction; the frame vectors and covectors on first
-    use, since the curvature layer reads only the angles and X3's values.
-    The angle jets carry one order less than A: the connection forms that
-    read them carry d(alpha), one order below the adapted frame.
-    """
-
-    def __init__(self, geom: SurfaceGeometry, L: float):
-        if L <= 0:
-            raise ValueError("the metric parameter L must be positive")
-        self.geom = geom
-        self.L = float(L)
-        A = geom.A.truncate(geom.A.order - 1)
-        self.denom2 = A * A + self.L            # L + A^2
-        self.denom = jsqrt(self.denom2)
-        self.inv_denom = 1.0 / self.denom
-        self.cosb = math.sqrt(self.L) * self.inv_denom
-        self.sinb = A * self.inv_denom
-        self.X2 = geom.f2
-        self.X2cov = geom.f2cov
-
-    @cached_property
-    def X1(self):
-        e3_scaled = [c / math.sqrt(self.L) for c in self.geom.e3_s]
-        return [self.cosb * a - self.sinb * b for a, b in zip(self.geom.f1, e3_scaled)]
-
-    @cached_property
-    def X3(self):
-        return [c * self.inv_denom for c in self.geom.f3]
-
-    def X3_values(self):
-        """Values of X3: each f3 value times 1 / denom, as the jets `X3` form them."""
-        scale = value_of(self.inv_denom)
-        return [value_of(c) * scale for c in self.geom.f3]
-
-    @cached_property
-    def X1cov(self):
-        return tuple(self.cosb * c for c in self.geom.f1cov)
-
-    @cached_property
-    def X3cov(self):
-        return tuple(self.denom * a + self.sinb * b
-                     for a, b in zip(self.geom.f3cov, self.geom.f1cov))
-
-    @property
-    def beta(self):
-        return jatan2(np.asarray(self.sinb.value), np.asarray(self.cosb.value))
-
-
-def continuity_ok(f2_values: np.ndarray) -> bool:
-    """Check that consecutive f2 samples never reverse direction.
-
-    `f2_values` has shape (3, n) with columns ordered along a path of nearby
-    regular points. Returns False if any adjacent pair has a non-positive
-    dot product, which would indicate the orientation rule flipped between
-    neighbors.
-    """
-    dots = np.einsum("ck,ck->k", f2_values[:, 1:], f2_values[:, :-1])
-    return bool(np.all(dots > 0.0))

@@ -126,6 +126,14 @@ class TestValidateScan:
         assert code == 3 and out == ""
         assert "$.quadrature.order" in err
 
+    def test_misspelt_tolerance_key_is_validation_error(self, capsys, tmp_path):
+        def misspelt(cfg):
+            cfg["tolerances"] = {"residul": 1e-6}
+        path = write_scene(tmp_path, misspelt, "rt_disk")
+        code, out, err = run(capsys, "gauss-bonnet", "--scene", path, "--L", "100")
+        assert code == 3 and out == ""
+        assert "$.tolerances" in err and "residul" in err
+
     def test_curve_node_budget_is_validation_error(self, capsys, tmp_path):
         def huge(cfg):
             cfg["quadrature"]["segments"] = 10 ** 9
@@ -456,6 +464,8 @@ class TestInputChecks:
         ("gauss-bonnet", "--scene", "rt_disk", "--L", "100,inf"),
         ("oracle-check", "--scene", "rt_disk", "--samples", "0"),
         ("oracle-check", "--scene", "rt_disk", "--tol", "nan"),
+        # a negative tolerance could never pass
+        ("oracle-check", "--scene", "rt_disk", "--tol", "-1"),
     ])
     def test_non_finite_and_empty_inputs_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -463,6 +473,12 @@ class TestInputChecks:
         assert out == ""
         assert "finite" in err or "at least 1" in err
         assert "zero-size" not in err
+
+    def test_zero_tol_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "oracle-check", "--scene", "rt_disk", "--samples", "3",
+                           "--L", "1", "--tol", "0")
+        assert code in (0, 4)
+        assert "tolerance 0.0)" in out
 
 
 class TestPointsInRange:

@@ -148,7 +148,8 @@ class TestProjectedForm:
                 cval(forms.coefficient(i, j, k)) * pairings[k - 1]
                 for k in (1, 2, 3)
             )
-            gap = np.max(np.abs(restricted(a, b) - ambient))
+            p, q = restricted.values()
+            gap = np.max(np.abs(p * a + q * b - ambient))
             assert gap < 1e-10 * (1.0 + np.max(np.abs(ambient)))
 
     def test_limit_form_golden_point(self):
@@ -166,7 +167,14 @@ class TestProjectedForm:
         geom = SurfaceGeometry(model, patch, *pts)
         p, q = cv.limit_connection_form(geom).values()
         size = max(np.max(np.abs(p)), np.max(np.abs(q)))
-        devs = [cv.scaled_form_limit_deviation(geom, L) for L in (1e2, 1e3, 1e4)]
+
+        def deviation(L):
+            # max-abs gap between W23_L / sqrt(L) and the limit form A e^3
+            fp, fq = cv.projected_connection_form(geom, L).values()
+            s = np.sqrt(L)
+            return max(np.max(np.abs(fp / s - p)), np.max(np.abs(fq / s - q)))
+
+        devs = [deviation(L) for L in (1e2, 1e3, 1e4)]
         assert devs[-1] < 1e-2 * size
         assert devs[0] > devs[1] > devs[2]
 

@@ -22,11 +22,10 @@ from srlab.frame import (
     ConnectionFormsL,
     SubRiemannianModel,
     checked_frame,
-    ensure_valid,
     koszul_connection_oracle,
     metric_matrix,
+    require_passed,
     scaled_form_deviation,
-    validate_model,
 )
 from srlab.measures import gauss_bonnet_residual, stokes_consistency_gap
 from srlab.models import BUILTIN_FRAMES, builtin_model
@@ -257,18 +256,19 @@ class TestScaledFormDeviation:
 class TestValidation:
     @pytest.mark.parametrize("name", MODELS)
     def test_builtins_pass_100_points(self, name):
-        report = ensure_valid(builtin_model(name), rand_points(100, seed=19))
+        _, report = checked_frame(builtin_model(name), rand_points(100, seed=19))
+        assert require_passed(report) is report
         assert all(entry["passed"] for entry in report.values())
 
     def test_degenerate_frame(self):
         model = SubRiemannianModel.from_components("bad", ("1", "0", "0"), ("2", "0", "0"))
         with pytest.raises(DegenerateFrameError):
-            validate_model(model, rand_points(10))
+            checked_frame(model, rand_points(10))
 
     def test_integrable_distribution_is_not_contact(self):
         model = SubRiemannianModel.from_components("flat", ("1", "0", "0"), ("0", "1", "0"))
         with pytest.raises(NonContactError):
-            validate_model(model, rand_points(10))
+            checked_frame(model, rand_points(10))
 
     def test_unknown_model_lists_choices(self):
         with pytest.raises(UnknownModelError, match="heisenberg"):

@@ -9,7 +9,8 @@ import pytest
 from srlab import scenes as sc
 from srlab.errors import ImmersionError, SceneError
 from srlab.frame import SubRiemannianModel
-from srlab.measures import MAX_CURVE_NODES, MAX_REGION_NODES, QuadratureSpec
+from srlab.measures import (MAX_CURVE_NODES, MAX_REGION_NODES, QuadratureSpec,
+                            gauss_bonnet_residual)
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,6 +223,9 @@ class TestSchemaErrors:
     def test_bad_tolerance(self):
         self.check(lambda c: c.update(tolerances={"residual": 0.0}),
                    "$.tolerances.residual")
+        # a misspelt key would otherwise drop the residual gate without a word
+        self.check(lambda c: c.update(tolerances={"residul": 1e-6}),
+                   "unknown fields: residul (scene field $.tolerances)")
 
     def test_bad_L_grid(self):
         self.check(lambda c: c.update(L_grid=[100.0, -1.0]), "$.L_grid[1]")
@@ -277,6 +281,31 @@ class TestCrossValidation:
         }}
         with pytest.raises(SceneError, match=r"\$\.model"):
             sc.scene_from_config(cfg)
+
+
+class TestScaleRange:
+    """The Heisenberg annulus rescaled by s: e1 = (s, 0, -y/2), e2 = (0, s, x/2)
+    and phi = s (u, v, 0). The contact form scales, tau = -s^3, but the limit
+    area does not. The absolute floors (contact 1e-12, transversality 1e-14)
+    leave the scene loadable from s = 1e-4 to 1e4; at s = 3e-5, |tau| =
+    2.7e-14 fails the contact floor at `$.model`."""
+
+    QUAD = QuadratureSpec(order=6, cells=(3, 3), segments=12, max_refine=2)
+
+    @staticmethod
+    def scaled(s: float):
+        cfg = annulus_config()
+        cfg["model"] = {"frame": {"e1": [repr(s), "0", "-y/2"], "e2": ["0", repr(s), "x/2"]}}
+        cfg["surface"]["phi"] = [f"{s!r}*u", f"{s!r}*v", "0"]
+        return sc.scene_from_config(cfg)
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-2, 1e2, 1e4])
+    def test_limit_area_is_scale_free(self, s):
+        unit = gauss_bonnet_residual(self.scaled(1.0), self.QUAD)
+        report = gauss_bonnet_residual(self.scaled(s), self.QUAD)
+        assert unit.area.value == pytest.approx(-TWO_PI, rel=1e-12)
+        assert report.area.value == pytest.approx(unit.area.value, rel=1e-12)
+        assert abs(report.residual) <= 1e-12
 
 
 class TestOneScan:

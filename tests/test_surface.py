@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from srlab.calculus import pair_oneform
+from srlab.calculus.jets import value_of as jval
+from srlab.curvature import LFormAssembly
 from srlab.errors import CharacteristicPointError, ImmersionError
 from srlab.frame import metric_matrix, _cross
 from srlab.measures import region_scan_grid
 from srlab.models import builtin_model
 from srlab.scenes import BUILTIN_SCENES, builtin_scene
 from srlab.surface import (
-    CharacteristicReport,
+    EPS_CHAR,
     SurfaceGeometry,
     SurfacePatch,
     characteristic_report,
-    continuity_ok,
     immersion_ratio,
 )
 
@@ -31,32 +32,29 @@ PLANE = SurfacePatch.parse(("u", "v", "0"))
 RPLANE = SurfacePatch.parse(("u", "0", "v"))
 
 
-def jval(j):
-    return np.asarray(j.value)
-
-
 def vec_values(vec, shape=()):
     return np.stack([np.broadcast_to(jval(c), shape) for c in vec])
 
 
 class TestCharacteristicClassification:
+    """A point is characteristic where its margin is below EPS_CHAR."""
+
     def test_heisenberg_plane_regular_point(self):
-        rep = characteristic_report(HEIS, PLANE, 1.0, 0.0)
-        assert rep.margin == pytest.approx(0.25, abs=1e-14)
-        assert rep.classification == "regular"
+        margin = characteristic_report(HEIS, PLANE, 1.0, 0.0)
+        assert margin == pytest.approx(0.25, abs=1e-14)
+        assert margin >= EPS_CHAR
 
     def test_heisenberg_plane_origin(self):
-        rep = characteristic_report(HEIS, PLANE, 0.0, 0.0)
-        assert rep.margin == pytest.approx(0.0, abs=1e-15)
-        assert rep.classification == "characteristic"
+        margin = characteristic_report(HEIS, PLANE, 0.0, 0.0)
+        assert margin == pytest.approx(0.0, abs=1e-15)
+        assert margin < EPS_CHAR
 
     def test_rototranslation_plane_at_pi(self):
-        rep = characteristic_report(ROTO, RPLANE, 0.3, np.pi)
-        assert rep.classification == "characteristic"
+        assert characteristic_report(ROTO, RPLANE, 0.3, np.pi) < EPS_CHAR
 
     def test_batch_labels(self):
-        rep = characteristic_report(HEIS, PLANE, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-        assert list(rep.labels()) == ["regular", "characteristic"]
+        margin = characteristic_report(HEIS, PLANE, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        assert list(margin < EPS_CHAR) == [False, True]
 
     def test_geometry_refuses_characteristic_point(self):
         with pytest.raises(CharacteristicPointError):
@@ -106,8 +104,8 @@ class TestSharedChecks:
         for samples in (15, 25):
             uu, vv = region_scan_grid(scene.region, samples)
             geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
-            report = characteristic_report(scene.model, scene.patch, uu, vv)
-            assert np.array_equal(geom.margin, report.margin)
+            margin = characteristic_report(scene.model, scene.patch, uu, vv)
+            assert np.array_equal(geom.margin, margin)
 
 
 class TestAdaptedFrameHeisenberg:
@@ -116,7 +114,9 @@ class TestAdaptedFrameHeisenberg:
         assert float(jval(g.A)) == pytest.approx(-2.0, abs=1e-12)
         assert vec_values(g.f3) == pytest.approx([0.0, -2.0, 0.0], abs=1e-12)
         assert vec_values(g.f2) == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
-        assert float(g.alpha) == pytest.approx(np.pi / 2, abs=1e-12)
+        # the frame angle: f1 = cos(alpha) e1 + sin(alpha) e2, sin(alpha) = -x
+        alpha = np.arctan2(-float(jval(g.x)), float(jval(g.y)))
+        assert alpha == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_closed_form_A(self):
         rng = np.random.default_rng(5)
@@ -155,8 +155,8 @@ class TestAdaptedFrameHeisenberg:
         cos_a, sin_a = jval(g.y), -jval(g.x)
         A = jval(g.A)
         f1c = vec_values(g.f1cov, shape)
-        f2c = vec_values(g.f2cov, shape)
-        f3c = vec_values(g.f3cov, shape)
+        f2c = vec_values(f2cov(g), shape)
+        f3c = vec_values(g.omega_s, shape)
         e1_back = cos_a * f1c - sin_a * f2c + A * cos_a * f3c
         e2_back = sin_a * f1c + cos_a * f2c + A * sin_a * f3c
         assert e1_back == pytest.approx(vec_values(g.cof1_s, shape), abs=1e-10)
@@ -215,20 +215,40 @@ class TestAdaptedFrameRototranslation:
         assert vec_values(b.f3) == pytest.approx(vec_values(a.f3), abs=1e-12)
 
 
+def f2cov(g):
+    """The covector f^2 = x e^1 + y e^2; f^1 is `g.f1cov` and f^3 is `g.omega_s`."""
+    return tuple(g.x * a + g.y * b for a, b in zip(g.cof1_s, g.cof2_s))
+
+
+def x1_values(asm):
+    """The unit normal X1 = cos(b) f1 - sin(b) e3 / sqrt(L), from the assembly's angles."""
+    g = asm.geom
+    e3_scaled = [c / np.sqrt(asm.L) for c in g.e3_s]
+    return [asm.cosb * a - asm.sinb * b for a, b in zip(g.f1, e3_scaled)]
+
+
+def beta(asm):
+    return np.arctan2(jval(asm.sinb), jval(asm.cosb))
+
+
 class TestLAdaptedFrame:
+    """The L-adapted frame (X1, X2, X3) = (normal, f2, f3 / sqrt(L + A^2))
+    that LFormAssembly reads: its angles and the values of X3."""
+
     def test_golden_beta(self):
-        lf = SurfaceGeometry(HEIS, PLANE, 1.0, 0.0).l_frame(4.0)
-        assert abs(float(jval(lf.sinb))) == pytest.approx(2.0 / np.sqrt(8.0), abs=1e-12)
-        assert abs(float(lf.beta)) == pytest.approx(np.pi / 4, abs=1e-12)
+        asm = LFormAssembly(SurfaceGeometry(HEIS, PLANE, 1.0, 0.0), 4.0)
+        assert abs(float(jval(asm.sinb))) == pytest.approx(2.0 / np.sqrt(8.0), abs=1e-12)
+        assert abs(float(beta(asm))) == pytest.approx(np.pi / 4, abs=1e-12)
 
     @pytest.mark.parametrize("L", [1.0, 25.0, 400.0])
     def test_gram_matrix_is_identity(self, L):
         u = np.array([1.0, 0.8, -1.3])
         v = np.array([0.1, -0.7, 0.6])
         g = SurfaceGeometry(HEIS, PLANE, u, v)
-        lf = g.l_frame(L)
+        asm = LFormAssembly(g, L)
         gl = metric_matrix(g.frame, L)
-        cols = np.stack([vec_values(x, u.shape) for x in (lf.X1, lf.X2, lf.X3)], axis=1)
+        frame = (x1_values(asm), g.f2, asm.X3_values())
+        cols = np.stack([vec_values(x, u.shape) for x in frame], axis=1)
         gram = np.einsum("ain,abn,bjn->ijn", cols, gl, cols)
         expect = np.repeat(np.eye(3)[:, :, None], u.size, axis=2)
         assert np.max(np.abs(gram - expect)) <= 1e-10
@@ -237,19 +257,22 @@ class TestLAdaptedFrame:
         u = np.array([0.9, 1.4])
         v = np.array([0.3, -0.5])
         g = SurfaceGeometry(ROTO, RPLANE, u, v + 1.2)
-        lf = g.l_frame(30.0)
+        asm = LFormAssembly(g, 30.0)
         gl = metric_matrix(g.frame, 30.0)
-        x1 = vec_values(lf.X1, u.shape)
+        x1 = vec_values(x1_values(asm), u.shape)
         for tangent in (g.Tu, g.Tv):
             t = vec_values(tangent, u.shape)
             pair = np.einsum("an,abn,bn->n", x1, gl, t)
             assert np.max(np.abs(pair)) <= 1e-10
 
     def test_dual_frame_relations(self):
+        # dual covectors: X^1 = cos(b) f^1, X^2 = f^2, X^3 = sqrt(L + A^2) f^3 + sin(b) f^1
         g = SurfaceGeometry(HEIS, PLANE, np.array([1.1, -0.8]), np.array([0.5, 1.3]))
-        lf = g.l_frame(9.0)
-        frames = (lf.X1, lf.X2, lf.X3)
-        covs = (lf.X1cov, lf.X2cov, lf.X3cov)
+        asm = LFormAssembly(g, 9.0)
+        frames = (x1_values(asm), g.f2, asm.X3_values())
+        denom = 1.0 / asm.inv_denom
+        covs = (tuple(asm.cosb * c for c in g.f1cov), f2cov(g),
+                tuple(denom * a + asm.sinb * b for a, b in zip(g.omega_s, g.f1cov)))
         for i, cov in enumerate(covs):
             for j, vec in enumerate(frames):
                 want = 1.0 if i == j else 0.0
@@ -257,39 +280,38 @@ class TestLAdaptedFrame:
                 assert np.max(np.abs(got - want)) <= 1e-10, (i, j)
         # the normal covector vanishes on the tangent plane
         for tangent in (g.Tu, g.Tv):
-            assert np.max(np.abs(jval(pair_oneform(lf.X1cov, tangent)))) <= 1e-10
+            assert np.max(np.abs(jval(pair_oneform(covs[0], tangent)))) <= 1e-10
 
     def test_beta_shrinks_with_L(self):
-        g = SurfaceGeometry(HEIS, PLANE, 1.0, 0.0)
-        assert abs(float(g.l_frame(1e6).beta)) <= 2.1e-3
-        assert float(jval(g.l_frame(1e6).cosb)) == pytest.approx(1.0, abs=1e-5)
+        asm = LFormAssembly(SurfaceGeometry(HEIS, PLANE, 1.0, 0.0), 1e6)
+        assert abs(float(beta(asm))) <= 2.1e-3
+        assert float(jval(asm.cosb)) == pytest.approx(1.0, abs=1e-5)
 
     def test_beta_derivative_identity(self):
         # d(beta) = sqrt(L)/(L + A^2) dA, checked against finite differences
         L, u0, v0, h = 7.0, 1.1, 0.4, 1e-5
 
         def beta_at(u):
-            return float(SurfaceGeometry(HEIS, PLANE, u, v0).l_frame(L).beta)
+            return float(beta(LFormAssembly(SurfaceGeometry(HEIS, PLANE, u, v0), L)))
 
         fd = (beta_at(u0 + h) - beta_at(u0 - h)) / (2 * h)
         g = SurfaceGeometry(HEIS, PLANE, u0, v0)
-        dA_du = g.A.partial(0)
+        dA_du = g.A.derivative((1, 0))
         want = np.sqrt(L) / (L + float(jval(g.A)) ** 2) * float(dA_du)
         assert fd == pytest.approx(want, rel=1e-6)
+        assert float(jval(LFormAssembly(g, L).dbeta.P)) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_nonpositive_L(self):
         g = SurfaceGeometry(HEIS, PLANE, 1.0, 0.0)
         with pytest.raises(ValueError):
-            g.l_frame(-1.0)
+            LFormAssembly(g, -1.0)
 
 
 class TestContinuity:
     def test_smooth_arc_passes(self):
+        # consecutive f2 samples along a path of nearby regular points never
+        # reverse direction, so the orientation rule does not flip
         t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         g = SurfaceGeometry(HEIS, PLANE, 1.5 * np.cos(t), 1.5 * np.sin(t))
-        assert continuity_ok(vec_values(g.f2, t.shape))
-
-    def test_synthetic_flip_fails(self):
-        vals = np.ones((3, 5))
-        vals[:, 3] *= -1.0
-        assert not continuity_ok(vals)
+        f2 = vec_values(g.f2, t.shape)
+        assert np.all(np.sum(f2[:, 1:] * f2[:, :-1], axis=0) > 0.0)

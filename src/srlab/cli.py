@@ -238,10 +238,10 @@ def cmd_sweep(args) -> int:
                              f"interval [{curve.t0!r}, {curve.t1!r}]")
         t = np.asarray([args.t])
         cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
-        limit = float(cv.normal_curvature_limit(scene.model, scene.patch, curve, t, cg)[0])
+        limit = float(cv.normal_curvature_limit(cg)[0])
         rows.append(("L", "kn_L", "kn_limit", "abs_gap"))
         for L in grid:
-            kn = float(cv.normal_curvature_L(scene.model, scene.patch, curve, t, L, cg)[0])
+            kn = float(cv.normal_curvature_L(cg, L)[0])
             rows.append((_fmt(L), _fmt(kn), _fmt(limit), _fmt(abs(kn - limit))))
 
     _write_lines([",".join(row) for row in rows], args.out)
@@ -284,7 +284,11 @@ def cmd_gauss_bonnet(args) -> int:
         scale = max(abs(report.area.value), 2.0 * np.pi)
         payload["residual_tolerance"] = tol * scale
         payload["residual_ok"] = bool(abs(report.residual) <= tol * scale)
-    _write_lines([json.dumps(payload, indent=2)], args.out)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericalError("non-finite result in the report; no output written") from None
+    _write_lines([text], args.out)
     unconverged = _unconverged_parts(report)
     if unconverged:
         print(f"numerical error: quadrature did not converge: {', '.join(unconverged)}",
@@ -333,8 +337,8 @@ def _curve_oracle_gaps(scene, curve, ts, grid):
     cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
     gaps = []
     for k, L in enumerate(grid):
-        kn = cv.normal_curvature_L(scene.model, scene.patch, curve, t, L, cg)
-        kg = cv.geodesic_curvature_oracle(scene.model, scene.patch, curve, t, L, cg)
+        kn = cv.normal_curvature_L(cg, L)
+        kg = cv.geodesic_curvature_oracle(cg, L)
         own = slice(k * len(ts[k]), (k + 1) * len(ts[k]))
         # a curve along which nothing varies gives 0-d values
         kn, kg = (np.broadcast_to(a, t.shape)[own] for a in (kn, kg))

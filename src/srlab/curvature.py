@@ -433,10 +433,8 @@ class CurveGeometry:
             )
 
 
-def normal_curvature_limit(model, patch, curve, t, cg: CurveGeometry = None):
+def normal_curvature_limit(cg: CurveGeometry):
     """Limit normal curvature sign(y) A along a transverse curve."""
-    if cg is None:
-        cg = CurveGeometry(model, patch, curve, t)
     cg.require_transverse()
     return np.sign(value_of(cg.y)) * value_of(cg.A)
 
@@ -464,14 +462,12 @@ def normal_curvature_L_jets(cg: CurveGeometry, L: float):
             norm)
 
 
-def normal_curvature_L(model, patch, curve, t, L: float, cg: CurveGeometry = None):
+def normal_curvature_L(cg: CurveGeometry, L: float):
     """Signed curvature of the curve in the surface under the L metric.
 
     The numerator of `normal_curvature_L_jets` per unit of induced arclength,
     so any parametrization may be used.
     """
-    if cg is None:
-        cg = CurveGeometry(model, patch, curve, t)
     cg.require_transverse()
     num, norm = normal_curvature_L_jets(cg, L)
     return value_of(num) / value_of(norm)
@@ -511,15 +507,13 @@ def metric_geodesic_curvature(comps, dcomps, cdot, cddot):
     return pairing / (v2 * np.sqrt(v2))  # g(a, J cdot) / v^3 = g(a, n) / v^2
 
 
-def geodesic_curvature_oracle(model, patch, curve, t, L: float, cg: CurveGeometry = None):
+def geodesic_curvature_oracle(cg: CurveGeometry, L: float):
     """Geodesic curvature of the curve in the induced 2D metric.
 
     Independent of the connection-form pipeline: only the induced metric
     components, their parameter derivatives, and the curve's first two
     derivatives enter. The orientation matches N_L = -y_L X2 + x_L X3.
     """
-    if cg is None:
-        cg = CurveGeometry(model, patch, curve, t)
     cg.require_transverse()
     E, F, G = induced_metric_components(cg.geom, L)
 

@@ -19,15 +19,17 @@ with the Jacobian folded into the weights.
 
 A pass of at least two CHUNKs of nodes (the region passes; curve passes
 stay smaller) is split into contiguous blocks of whole chunks, one per CPU,
-and every block but the first is evaluated in a forked child, with one
-geometry alive per process. Each node's value comes from the same code on
-the same chunk whichever process computes it, and the parent sums the whole
-arrays in the fixed order, so the bits are those of a serial pass. Smaller
-passes, a host with one CPU, a process with other threads running and a
-failed fork run serially.
+and every block but the first is evaluated in a forked child, which writes
+its values into arrays shared with the parent; one geometry is alive per
+process. Each node's value comes from the same code on the same chunk
+whichever process computes it, and the parent sums the whole arrays in the
+fixed order, so the bits are those of a serial pass. Smaller passes, a host
+with one CPU, a process with other threads running and a failed fork run
+serially.
 """
 
 import math
+import mmap
 import os
 import signal
 import threading
@@ -332,8 +334,9 @@ def _pass(build, integrands, coords, weights, per_cell: int) -> list:
     Each CHUNK of nodes gets one geometry from `build(*coords, order)`, at
     the highest surface order the integrands declare (`fn.order`), which
     every integrand evaluates on; the geometry is released before the next
-    chunk is built, so at most one is alive per process. The chunks are
-    split into blocks (`_blocks`) filled across processes (`_fill_blocks`);
+    chunk is built, so at most one is alive per process. The values go to
+    arrays over an anonymous shared mapping, made before any fork, which
+    the processes filling the blocks (`_blocks`, `_fill_blocks`) write into;
     the chunks and the summation order are those of a serial pass, so the
     sums are bitwise the same.
     """
@@ -341,7 +344,9 @@ def _pass(build, integrands, coords, weights, per_cell: int) -> list:
     if total == 0 or np.all(weights == 0.0):
         return [0.0] * len(integrands)
     order = max(fn.order for fn in integrands)
-    outs = [np.empty(total) for _ in integrands]
+    # no close(): the mapping goes with its last view, when the pass returns
+    shared = mmap.mmap(-1, 8 * total * len(integrands))
+    outs = np.frombuffer(shared, dtype=np.float64).reshape(len(integrands), total)
 
     def fill(start, stop):
         for lo in range(start, stop, CHUNK):
@@ -351,7 +356,7 @@ def _pass(build, integrands, coords, weights, per_cell: int) -> list:
                 out[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
             del geom
 
-    _fill_blocks(fill, outs, _blocks(total))
+    _fill_blocks(fill, _blocks(total))
     return [_reduce(out, weights, per_cell) for out in outs]
 
 
@@ -367,78 +372,47 @@ def _blocks(total: int) -> list:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _fill_blocks(fill, outs, blocks):
+def _fill_blocks(fill, blocks):
     """Run `fill(start, stop)` on every block: the first here, the others in forked children.
 
-    A child writes its slice of each output array to a pipe as raw float64
-    bytes and always leaves through `os._exit`, so it never flushes stdio.
-    Blocks are taken in node order; a block whose child fails is filled
-    again here, so its error surfaces as in a serial pass. Everything runs
-    here, in order, without `os.fork`, with other threads running (a forked
-    child would inherit their locks) or once a fork fails. Any exception,
-    `KeyboardInterrupt` and signal-raised ones included, kills and reaps
-    every child not yet reaped. Children are forked, not spawned: the
-    integrands are closures, and a fresh interpreter costs more than a
-    shipped-size pass.
+    `fill` writes into memory shared with the children, and a child always
+    leaves through `os._exit`, so it never flushes stdio. Children are
+    waited for in node order; a block whose child exits nonzero is filled
+    again here, over whatever the child wrote, so its error surfaces as in
+    a serial pass. Everything runs here, in order, without `os.fork`, with
+    other threads running (a forked child would inherit their locks) or
+    once a fork fails. Any exception, `KeyboardInterrupt` and signal-raised
+    ones included, kills and reaps every child not yet reaped. Children are
+    forked, not spawned: the integrands are closures, and a fresh
+    interpreter costs more than a shipped-size pass.
     """
-    children = {}   # block index -> [pid or None once reaped, read end of its pipe]
+    children = {}   # block index -> pid, until reaped
     try:
         if len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
             for i in range(1, len(blocks)):
                 try:
-                    children[i] = _fork_block(fill, outs, blocks[i], children)
+                    pid = os.fork()
                 except OSError:
                     break
+                if pid == 0:
+                    code = 1
+                    try:
+                        fill(*blocks[i])
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children[i] = pid
         for i, block in enumerate(blocks):
-            if i not in children or not _collect(children[i], outs, block):
-                fill(*block)
-    finally:
-        for pid, fd in children.values():
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            os.close(fd)
-
-
-def _fork_block(fill, outs, block, children) -> list:
-    """Fork a child that fills `block` and writes its slice of each output to a pipe."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            for fd in [read_end, *(fd for _, fd in children.values())]:
-                os.close(fd)
+            if i in children:
+                _, status = os.waitpid(children[i], 0)
+                del children[i]
+                if status == 0:
+                    continue
             fill(*block)
-            for out in outs:
-                view = memoryview(out[slice(*block)]).cast("B")
-                while view:
-                    view = view[os.write(write_end, view):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return [pid, read_end]
-
-
-def _collect(child, outs, block) -> bool:
-    """Read a child's slices into `outs` and reap it; False if it failed."""
-    pid, fd = child
-    complete = True
-    for out in outs:
-        view = memoryview(out[slice(*block)]).cast("B")
-        while view and complete:
-            n = os.readv(fd, [view])
-            complete = n > 0
-            view = view[n:]
-    _, status = os.waitpid(pid, 0)
-    child[0] = None
-    return complete and status == 0
+    finally:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _refine(nodes, build, integrands, spec: QuadratureSpec, per_cell: int) -> list:

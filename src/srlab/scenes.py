@@ -419,11 +419,10 @@ def _normalize(cfg: dict) -> dict:
 def load_scene(path) -> Scene:
     """Read and validate a scene JSON file."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"invalid JSON: {exc}", "$") from exc
+        try:
+            cfg = json.loads(fh.read())
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise SceneError(f"invalid JSON: {exc}", "$") from exc
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return scene_from_config(cfg, name=name)
 

@@ -127,7 +127,7 @@ def test_criterion_04_heisenberg_goldens(announce):
     # the limit area density against du dv is (f^2 ^ f^3)(Tu, Tv)
     dens_gap = abs(float(np.asarray(geom.wedge.value)) - 0.5)
     t = np.asarray([0.0, 1.0, 2.0, 4.0])
-    kn = cv.normal_curvature_limit(HEIS, PLANE, CIRCLE, t)
+    kn = cv.normal_curvature_limit(cv.CurveGeometry(HEIS, PLANE, CIRCLE, t))
     kn_gap = float(np.max(np.abs(np.abs(kn) - 2.0)))
     length = ms.integrate_curve(
         lambda s: np.abs(np.asarray(cv.CurveGeometry(HEIS, PLANE, CIRCLE, s).y.value)),
@@ -165,8 +165,9 @@ def test_criterion_06_convergence_sweep(announce):
     k_monotone = all(a > b for a, b in zip(k_errs, k_errs[1:]))
 
     t = np.asarray([0.0, 1.0, 2.0])
-    kn_limit = np.asarray(cv.normal_curvature_limit(HEIS, PLANE, CIRCLE, t))
-    kn_errs = [np.abs(np.asarray(cv.normal_curvature_L(HEIS, PLANE, CIRCLE, t, L)) - kn_limit)
+    cg = cv.CurveGeometry(HEIS, PLANE, CIRCLE, t)
+    kn_limit = np.asarray(cv.normal_curvature_limit(cg))
+    kn_errs = [np.abs(np.asarray(cv.normal_curvature_L(cg, L)) - kn_limit)
                for L in grid]
     kn_monotone = all(np.all(a > b) for a, b in zip(kn_errs, kn_errs[1:]))
 
@@ -242,8 +243,9 @@ def test_criterion_10_curvature_oracles(announce):
                 np.abs(kl - oracle) / np.maximum(1.0, np.abs(oracle)))))
             for curve in scene.boundary:
                 t = rng.uniform(curve.t0, curve.t1, 10)
-                kn = np.asarray(cv.normal_curvature_L(scene.model, scene.patch, curve, t, L))
-                kg = np.asarray(cv.geodesic_curvature_oracle(scene.model, scene.patch, curve, t, L))
+                cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
+                kn = np.asarray(cv.normal_curvature_L(cg, L))
+                kg = np.asarray(cv.geodesic_curvature_oracle(cg, L))
                 worst_kn = max(worst_kn, float(np.max(
                     np.abs(kn - kg) / np.maximum(1.0, np.abs(kg)))))
     ok = worst_k <= 1e-6 and worst_kn <= 1e-6

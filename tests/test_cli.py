@@ -373,8 +373,8 @@ class TestOracleCheckCurveBatches:
             for curve in scene.boundary:
                 t = rng.uniform(curve.t0, curve.t1, 4)
                 cg = CurveGeometry(scene.model, scene.patch, curve, t, 3)
-                kn = cv.normal_curvature_L(scene.model, scene.patch, curve, t, L, cg)
-                kg = cv.geodesic_curvature_oracle(scene.model, scene.patch, curve, t, L, cg)
+                kn = cv.normal_curvature_L(cg, L)
+                kg = cv.geodesic_curvature_oracle(cg, L)
                 expected.append(repr(float(np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg))))))
         assert printed == expected
 
@@ -583,6 +583,33 @@ class TestFiniteOutputs:
         code, out, err = run(capsys, "sweep", "--scene", "rt_disk", "--L", "10,100", *argv)
         assert code == 4 and out == ""
         assert "non-finite result nan" in err
+
+    def test_gauss_bonnet_nan_exits_4_before_writing(self, capsys, tmp_path):
+        # at L = 1e308 the annulus row's boundary part and gap come out NaN
+        path = tmp_path / "report.json"
+        for out_arg in ((), ("--out", str(path))):
+            code, out, err = run(capsys, "gauss-bonnet", "--scene", "heisenberg_annulus",
+                                 "--L", "1e308", *out_arg)
+            assert code == 4 and out == ""
+            assert err.splitlines() == [
+                "numerical error: non-finite result in the report; no output written"]
+        assert not path.exists()
+
+
+class TestMalformedSceneFiles:
+    """A scene file that is not UTF-8 text or nests too deeply for the JSON
+    parser is a scene error at `$` (exit 3), like any other invalid JSON."""
+
+    @pytest.mark.parametrize("data", [b'{"model": "\xff\xfe"}', b"[" * 100000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_exits_3_at_the_root(self, capsys, tmp_path, data):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(data)
+        for command in ("validate", "gauss-bonnet"):
+            code, out, err = run(capsys, command, "--scene", str(path))
+            assert code == 3 and out == ""
+            assert err.startswith("validation error: invalid JSON: ")
+            assert err.rstrip().endswith("(scene field $)")
 
 
 class TestGaussBonnetConvergence:

@@ -366,14 +366,15 @@ class TestCurves:
     def test_normal_curvature_limit_circle(self, radius, expected):
         curve = cv.CurveOnSurface.parse(
             (f"{radius}*cos(t)", f"{radius}*sin(t)"), (0.0, 2 * np.pi))
-        kn = cv.normal_curvature_limit(HEIS, PLANE, curve, T12)
+        kn = cv.normal_curvature_limit(cv.CurveGeometry(HEIS, PLANE, curve, T12))
         assert np.max(np.abs(kn - expected)) < 1e-12
 
     def test_normal_curvature_finite_L(self):
-        kn = cv.normal_curvature_L(HEIS, PLANE, CIRCLE, T12, 1e4)
+        cg = cv.CurveGeometry(HEIS, PLANE, CIRCLE, T12)
+        kn = cv.normal_curvature_L(cg, 1e4)
         assert np.max(np.abs(kn - 2.0)) < 0.04
         # frozen golden value at L = 100: 51/26 on the unit circle
-        kn100 = cv.normal_curvature_L(HEIS, PLANE, CIRCLE, T12, 100.0)
+        kn100 = cv.normal_curvature_L(cg, 100.0)
         assert np.max(np.abs(kn100 - 51.0 / 26.0)) < 1e-9
 
     def test_derivative_terms_negligible_on_circle(self):
@@ -381,7 +382,7 @@ class TestCurves:
         # curvature is carried almost entirely by the connection form
         L = 1e6
         cg = cv.CurveGeometry(HEIS, PLANE, CIRCLE, T12)
-        kn = cv.normal_curvature_L(HEIS, PLANE, CIRCLE, T12, L, cg=cg)
+        kn = cv.normal_curvature_L(cg, L)
         form = cv.projected_connection_form(cg.geom, L)
         p_t, q_t = cg.pull(form.P), cg.pull(form.Q)
         along = np.asarray((p_t * cg.udot + q_t * cg.vdot).value)
@@ -393,8 +394,8 @@ class TestCurves:
     @pytest.mark.parametrize("L", [1.0, 10.0, 100.0])
     def test_oracle_equivalence_circle(self, L):
         cg = cv.CurveGeometry(HEIS, PLANE, CIRCLE, T12)
-        kn = cv.normal_curvature_L(HEIS, PLANE, CIRCLE, T12, L, cg=cg)
-        kg = cv.geodesic_curvature_oracle(HEIS, PLANE, CIRCLE, T12, L, cg=cg)
+        kn = cv.normal_curvature_L(cg, L)
+        kg = cv.geodesic_curvature_oracle(cg, L)
         rel = np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg)))
         assert rel < 1e-6
 
@@ -405,28 +406,30 @@ class TestCurves:
             ("0.8*cos(t)", "1.5 + 0.8*sin(t)"), (0.0, 2 * np.pi))
         t8 = np.linspace(0.3, 5.9, 8)
         cg = cv.CurveGeometry(ROTO, RPLANE, curve, t8)
-        kn = cv.normal_curvature_L(ROTO, RPLANE, curve, t8, 10.0, cg=cg)
-        kg = cv.geodesic_curvature_oracle(ROTO, RPLANE, curve, t8, 10.0, cg=cg)
+        kn = cv.normal_curvature_L(cg, 10.0)
+        kg = cv.geodesic_curvature_oracle(cg, 10.0)
         rel = np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg)))
         assert rel < 1e-6
 
     def test_reversal_flips_sign(self):
         rev = cv.CurveOnSurface.parse(("cos(-t)", "sin(-t)"), (-2 * np.pi, 0.0))
-        kn = cv.normal_curvature_limit(HEIS, PLANE, CIRCLE, T12)
-        kn_rev = cv.normal_curvature_limit(HEIS, PLANE, rev, -T12)
+        cg = cv.CurveGeometry(HEIS, PLANE, CIRCLE, T12)
+        cg_rev = cv.CurveGeometry(HEIS, PLANE, rev, -T12)
+        kn = cv.normal_curvature_limit(cg)
+        kn_rev = cv.normal_curvature_limit(cg_rev)
         assert np.max(np.abs(kn + kn_rev)) < 1e-12
-        a = cv.normal_curvature_L(HEIS, PLANE, CIRCLE, T12, 10.0)
-        b = cv.normal_curvature_L(HEIS, PLANE, rev, -T12, 10.0)
+        a = cv.normal_curvature_L(cg, 10.0)
+        b = cv.normal_curvature_L(cg_rev, 10.0)
         assert np.max(np.abs(a + b)) < 1e-12
 
     def test_tangent_curve_rejected(self):
         # a radial ray in the plane is tangent to the horizontal directions
         ray = cv.CurveOnSurface.parse(("t", "0"), (0.5, 2.0))
-        t = np.linspace(0.5, 2.0, 5)
+        cg = cv.CurveGeometry(HEIS, PLANE, ray, np.linspace(0.5, 2.0, 5))
         with pytest.raises(TransversalityError):
-            cv.normal_curvature_limit(HEIS, PLANE, ray, t)
+            cv.normal_curvature_limit(cg)
         with pytest.raises(TransversalityError):
-            cv.normal_curvature_L(HEIS, PLANE, ray, t, 10.0)
+            cv.normal_curvature_L(cg, 10.0)
 
     def test_stationary_curve_rejected(self):
         frozen = cv.CurveOnSurface.parse(("1", "0.5"), (0.0, 1.0))

@@ -546,7 +546,7 @@ class TestSharedGeometry:
         cg = cv.CurveGeometry(HEIS, PLANE, circ, t)
         num, norm = cv.normal_curvature_L_jets(cg, 100.0)
         assert np.array_equal(ms.boundary_integrand_L(cg, 100.0), np.asarray(num.value))
-        kn = cv.normal_curvature_L(HEIS, PLANE, circ, t, 100.0, cg=cg)
+        kn = cv.normal_curvature_L(cg, 100.0)
         assert np.array_equal(kn, np.asarray(num.value) / np.asarray(norm.value))
 
 
@@ -610,11 +610,10 @@ class TestOrderBudget:
             assert cgs[0].geom.order == 2
             for attr in ("x", "y", "A"):
                 assert bitwise(*(getattr(cg, attr).value for cg in cgs))
-            assert bitwise(*(cv.normal_curvature_limit(sc.model, sc.patch, curve, t, cg)
-                             for cg in cgs))
+            assert bitwise(*(cv.normal_curvature_limit(cg) for cg in cgs))
             for L in (1.0, 1e2, 1e4):
                 for fn in (cv.normal_curvature_L, cv.geodesic_curvature_oracle):
-                    assert bitwise(*(fn(sc.model, sc.patch, curve, t, L, cg) for cg in cgs))
+                    assert bitwise(*(fn(cg, L) for cg in cgs))
 
     @pytest.mark.parametrize("name", SCENES)
     def test_report_and_stokes_match_order_3(self, monkeypatch, name):
@@ -737,6 +736,39 @@ class TestForkedPasses:
         assert forks
         assert errors[0] == errors[1]
         assert exits[0] == exits[1] and exits[0][0] == 4 and exits[0][1].out == ""
+
+    def test_partial_writes_of_a_failed_child_never_reach_a_sum(self, monkeypatch):
+        """A child writes into the parent's arrays; if it fails mid-block,
+        the parent fills the whole block again before anything is summed."""
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        forks = self.count_forks(monkeypatch)
+        sc = annulus_scene()
+        parent = os.getpid()
+        child_chunks = []
+
+        @ms._reads(2)
+        def flaky(geom):
+            values = ms._K_dsigma(geom)
+            if os.getpid() == parent:
+                return values
+            child_chunks.append(values.size)
+            if len(child_chunks) > 1:
+                raise RuntimeError("the child fails after writing part of its block")
+            return np.full_like(values, np.nan)
+
+        def build(u, v, order):
+            return SurfaceGeometry(sc.model, sc.patch, u, v, order)
+
+        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
+        sums = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            sums.append(ms._pass(build, [flaky], (u, v), w, self.COARSE.order ** 2))
+            no_children()
+        start, stop = ms._blocks(u.size)[1]
+        assert stop - start >= 2 * ms.CHUNK
+        assert len(forks) == 1 and not child_chunks
+        assert math.isfinite(sums[0][0]) and bitwise(sums[1], sums[0])
 
     def test_exception_in_the_parent_block_reaps_every_child(self, monkeypatch):
         class Stop(BaseException):

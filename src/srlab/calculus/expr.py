@@ -12,6 +12,11 @@ Grammar (whitespace insensitive):
 Identifiers are either context variables, the constants pi and e, or one of
 the fixed functions sin cos tan sinh cosh tanh exp log sqrt atan2. Unknown
 identifiers and wrong arities are parse errors with a source position.
+
+The parser and the evaluator recurse, so an expression with more than
+MAX_OPERATORS operators, or nesting parentheses, calls, minus signs and
+powers more than MAX_NESTING levels deep, is a parse error: either would
+take them near Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ FUNCTIONS = {
 }
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+MAX_OPERATORS = 500
+MAX_NESTING = 160
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,7 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.variables = variables
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -172,11 +181,18 @@ class _Parser:
         return node
 
     def unary(self):
+        # every recursion of the parser passes through here
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary(), tok.pos)
-        return self.power()
+            node = Neg(self.unary(), tok.pos)
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -226,7 +242,11 @@ def parse(text: str, variables: tuple[str, ...] = ("x", "y", "z")):
     """Parse expression text into an AST over the given context variables."""
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 0)
-    parser = _Parser(_tokenize(text), tuple(variables))
+    tokens = _tokenize(text)
+    ops = [tok for tok in tokens if tok.kind == "op"]
+    if len(ops) > MAX_OPERATORS:
+        raise ParseError(f"more than {MAX_OPERATORS} operators", ops[MAX_OPERATORS].pos)
+    parser = _Parser(tokens, tuple(variables))
     node = parser.expr()
     tok = parser.peek()
     if tok.kind != "end":

@@ -9,6 +9,7 @@ shared by the frame/surface/curvature pipeline.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 CHART_VARS = ("x", "y", "z")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": jpow}
 
 
 def _eval(node, b):
@@ -44,35 +47,19 @@ def _eval(node, b):
     if isinstance(node, E.Neg):
         return -_eval(node.arg, b)
     if isinstance(node, E.BinOp):
-        left = _eval(node.left, b)
-        right = _eval(node.right, b)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            return jpow(left, right)
-        except ZeroDivisionError:
-            raise EvaluationError("division by zero", node.pos) from None
-        except EvaluationError as err:
-            if err.position is None:
-                raise EvaluationError(err.message, node.pos) from None
-            raise
-    if isinstance(node, E.Call):
-        args = [_eval(a, b) for a in node.args]
-        try:
-            return JET_FUNCTIONS[node.name](*args)
-        except ZeroDivisionError:
-            raise EvaluationError("division by zero", node.pos) from None
-        except EvaluationError as err:
-            if err.position is None:
-                raise EvaluationError(err.message, node.pos) from None
-            raise
-    raise EvaluationError(f"unknown AST node {node!r}")
+        fn, args = _BINARY[node.op], (_eval(node.left, b), _eval(node.right, b))
+    elif isinstance(node, E.Call):
+        fn, args = JET_FUNCTIONS[node.name], [_eval(a, b) for a in node.args]
+    else:
+        raise EvaluationError(f"unknown AST node {node!r}")
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        raise EvaluationError("division by zero", node.pos) from None
+    except EvaluationError as err:
+        if err.position is None:
+            raise EvaluationError(err.message, node.pos) from None
+        raise
 
 
 def eval_jet(ast, bindings: dict) -> Jet:

@@ -109,20 +109,12 @@ def _sample_count(text: str) -> int:
     return value
 
 
-def _write_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # -- subcommands ----------------------------------------------------------------
+# Each takes the resolved scene and the parsed arguments and returns
+# (output lines, exit code); `main` writes the lines.
 
 
-def cmd_validate(args) -> int:
-    scene = resolve_scene(args.scene)
+def cmd_validate(scene, args) -> tuple:
     frame, checks, margin = scan_region(scene.model, scene.patch, scene.region, samples=15)
     ms.require_regular(margin, 15)
 
@@ -153,12 +145,10 @@ def cmd_validate(args) -> int:
         lines.append(f"boundary curve {i}: max distance to region edge {_fmt(dist)}")
 
     lines.append("validation: " + ("ok" if not failed else "FAILED " + ", ".join(failed)))
-    _write_lines(lines, args.out)
-    return EXIT_OK if not failed else EXIT_VALIDATION
+    return lines, EXIT_OK if not failed else EXIT_VALIDATION
 
 
-def cmd_frame_report(args) -> int:
-    scene = resolve_scene(args.scene)
+def cmd_frame_report(scene, args) -> tuple:
     u, v = _surface_point(scene, args.uv)
     # the report reads values only, so surface order 2 (chart order 3) serves it
     geom = SurfaceGeometry(scene.model, scene.patch, u, v, order=2)
@@ -185,12 +175,10 @@ def cmd_frame_report(args) -> int:
         lines.append(f"  {key}: {_fmt(dev)}")
     lines.append(f"surface quantities: A = {_fmt(np.asarray(geom.A.value))}, "
                  f"area density = {_fmt(np.asarray(geom.wedge.value))}")
-    _write_lines(lines, args.out)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_curvature(args) -> int:
-    scene = resolve_scene(args.scene)
+def cmd_curvature(scene, args) -> tuple:
     u, v = _surface_point(scene, args.uv)
     geom = SurfaceGeometry(scene.model, scene.patch, u, v)
     sample = cv.gauss_equation_decomposition(geom, args.L)
@@ -206,12 +194,10 @@ def cmd_curvature(args) -> int:
         f"identity residual: {_fmt(sample.K_L - sample.Kbar_L - sample.II_L)}",
         f"gap |K_L - K|: {_fmt(abs(sample.K_L - sample.K_limit))}",
     ]
-    _write_lines(lines, args.out)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    scene = resolve_scene(args.scene)
+def cmd_sweep(scene, args) -> tuple:
     grid = _parse_L_list(args.L) if args.L is not None else (scene.L_grid or (1e2, 1e3, 1e4))
 
     rows = []
@@ -244,12 +230,10 @@ def cmd_sweep(args) -> int:
             kn = float(cv.normal_curvature_L(cg, L)[0])
             rows.append((_fmt(L), _fmt(kn), _fmt(limit), _fmt(abs(kn - limit))))
 
-    _write_lines([",".join(row) for row in rows], args.out)
-    return EXIT_OK
+    return [",".join(row) for row in rows], EXIT_OK
 
 
-def cmd_gauss_bonnet(args) -> int:
-    scene = resolve_scene(args.scene)
+def cmd_gauss_bonnet(scene, args) -> tuple:
     grid = _parse_L_list(args.L) if args.L is not None else scene.L_grid
     report = ms.gauss_bonnet_residual(scene, L_values=grid)
 
@@ -288,14 +272,12 @@ def cmd_gauss_bonnet(args) -> int:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:
         raise NumericalError("non-finite result in the report; no output written") from None
-    _write_lines([text], args.out)
     unconverged = _unconverged_parts(report)
     if unconverged:
         print(f"numerical error: quadrature did not converge: {', '.join(unconverged)}",
               file=sys.stderr)
-    if payload.get("residual_ok") is False or unconverged:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    failed = payload.get("residual_ok") is False or unconverged
+    return [text], EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def _unconverged_parts(report) -> list:
@@ -346,8 +328,7 @@ def _curve_oracle_gaps(scene, curve, ts, grid):
     return gaps
 
 
-def cmd_oracle_check(args) -> int:
-    scene = resolve_scene(args.scene)
+def cmd_oracle_check(scene, args) -> tuple:
     grid = _parse_L_list(args.L)
     n = args.samples
     rng = np.random.default_rng(args.seed)
@@ -391,8 +372,7 @@ def cmd_oracle_check(args) -> int:
         f"oracle check: {'ok' if ok else 'FAILED'} "
         f"(worst gap {_fmt(worst)}, tolerance {_fmt(args.tol)})"
     )
-    _write_lines(lines, args.out)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return lines, EXIT_OK if ok else EXIT_NUMERICAL
 
 
 # -- parser -------------------------------------------------------------------
@@ -460,7 +440,14 @@ def main(argv=None) -> int:
         # a non-finite result exits 4 through `_fmt` (or an unconverged
         # quadrature), so numpy's floating-point warnings would only repeat it
         with np.errstate(all="ignore"):
-            return args.func(args)
+            lines, code = args.func(resolve_scene(args.scene), args)
+        text = "\n".join(lines) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

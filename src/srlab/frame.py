@@ -326,12 +326,6 @@ class ConnectionFormsL:
                     out[i - 1, j - 1, k - 1] = value_of(self.coefficient(i, j, k))
         return out
 
-    def form_on_unscaled_basis(self, i: int, j: int):
-        """Components of omega_i^j on (e^1, e^2, e^3) rather than the scaled duals."""
-        s = math.sqrt(self.L)
-        c = [self.coefficient(i, j, k) for k in (1, 2, 3)]
-        return (c[0], c[1], c[2] * s)
-
 
 LIMIT_FORMS = {
     (1, 2): np.array([0.0, 0.0, -0.5]),
@@ -348,12 +342,14 @@ def scaled_form_deviation(frame: FrameData, L: float) -> dict:
     constant limit forms -e^3/2, -e^2/2, e^1/2.
     """
     forms = ConnectionFormsL(frame, L)
+    s = math.sqrt(forms.L)
     scale = {(1, 2): 1.0 / L, (1, 3): L ** -0.5, (2, 3): L ** -0.5}
     out = {}
     for (i, j), limit in LIMIT_FORMS.items():
-        comps = forms.form_on_unscaled_basis(i, j)
+        c1, c2, c3 = (forms.coefficient(i, j, k) for k in (1, 2, 3))
         dev = 0.0
-        for c, lim in zip(comps, limit):
+        # components on (e^1, e^2, e^3), not on the scaled duals
+        for c, lim in zip((c1, c2, c3 * s), limit):
             dev = max(dev, float(np.max(np.abs(value_of(c) * scale[(i, j)] - lim))))
         out[f"w{i}{j}"] = dev
     return out

@@ -101,17 +101,6 @@ class QuadratureSpec:
                 f"2 times more per refinement, max_refine {self.max_refine}"
             )
 
-    @staticmethod
-    def from_config(cfg: dict) -> "QuadratureSpec":
-        known = {"order", "cells", "segments", "rel_tol", "max_refine"}
-        extra = set(cfg) - known
-        if extra:
-            raise ValueError(f"unknown quadrature settings: {sorted(extra)}")
-        kwargs = dict(cfg)
-        if "cells" in kwargs:
-            kwargs["cells"] = tuple(kwargs["cells"])
-        return QuadratureSpec(**kwargs)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -144,7 +133,9 @@ class Region:
                 raise ValueError("annulus region needs a center and two radii")
             r1, r2 = self.radii
             if not (0 < r1 <= r2):
-                raise ValueError("annulus radii must satisfy 0 < inner <= outer")
+                raise ValueError("annulus radii must satisfy 0 < inner < outer")
+            if r1 == r2:
+                raise ValueError("annulus has zero area: inner and outer radii are equal")
         else:
             raise ValueError(f"unknown region type: {self.kind!r}")
 
@@ -230,10 +221,10 @@ def region_scan_grid(region: Region, samples: int = SCAN_SAMPLES):
     return uu, vv
 
 
-def scan_region_regular(model, patch, region: Region, samples: int = SCAN_SAMPLES):
+def scan_region_regular(model, patch, region: Region):
     """Raise if the closed region comes near a characteristic point."""
-    uu, vv = region_scan_grid(region, samples)
-    require_regular(characteristic_report(model, patch, uu, vv), samples)
+    uu, vv = region_scan_grid(region)
+    require_regular(characteristic_report(model, patch, uu, vv), SCAN_SAMPLES)
 
 
 def require_regular(margin, samples: int):
@@ -341,8 +332,6 @@ def _pass(build, integrands, coords, weights, per_cell: int) -> list:
     sums are bitwise the same.
     """
     total = coords[0].size
-    if total == 0 or np.all(weights == 0.0):
-        return [0.0] * len(integrands)
     order = max(fn.order for fn in integrands)
     # no close(): the mapping goes with its last view, when the pass returns
     shared = mmap.mmap(-1, 8 * total * len(integrands))
@@ -531,7 +520,7 @@ def _kn_ds_L(L: float):
     return _reads(2)(lambda cg: boundary_integrand_L(cg, L) / root)
 
 
-def _region_integrals(scene, integrands, quad: QuadratureSpec) -> list:
+def _region_integrals(scene, integrands) -> list:
     """One refinement run over the region, one result per integrand."""
     ensure_region_in_domain(scene.patch, scene.region)
     scan_region_regular(scene.model, scene.patch, scene.region)
@@ -539,42 +528,41 @@ def _region_integrals(scene, integrands, quad: QuadratureSpec) -> list:
     def build(u, v, order):
         return SurfaceGeometry(scene.model, scene.patch, u, v, order)
 
-    return _region_pass(build, integrands, scene.region, quad)
+    return _region_pass(build, integrands, scene.region, scene.quadrature)
 
 
-def _boundary_integrals(scene, integrands, quad: QuadratureSpec) -> list:
+def _boundary_integrals(scene, integrands) -> list:
     """One refinement run per boundary curve, one result per integrand."""
     out = []
     for curve in scene.boundary:
         def build(t, order, curve=curve):
             return cv.CurveGeometry(scene.model, scene.patch, curve, t, order)
 
-        out.append(_curve_pass(build, integrands, curve.t0, curve.t1, quad))
+        out.append(_curve_pass(build, integrands, curve.t0, curve.t1, scene.quadrature))
     return out
 
 
-def integrate_K_dsigma(scene, quad: QuadratureSpec = None) -> QuadratureResult:
+def integrate_K_dsigma(scene) -> QuadratureResult:
     """Integral of the limit Gaussian curvature against the limit measure."""
-    return _region_integrals(scene, [_K_dsigma], quad or scene.quadrature)[0]
+    return _region_integrals(scene, [_K_dsigma])[0]
 
 
-def integrate_kn_ds(scene, quad: QuadratureSpec = None) -> tuple:
+def integrate_kn_ds(scene) -> tuple:
     """Limit boundary integrals, one QuadratureResult per boundary curve."""
-    curves = _boundary_integrals(scene, [boundary_integrand_limit], quad or scene.quadrature)
+    curves = _boundary_integrals(scene, [boundary_integrand_limit])
     return tuple(res for res, in curves)
 
 
-def stokes_consistency_gap(scene, quad: QuadratureSpec = None):
+def stokes_consistency_gap(scene):
     """Relative gap between the region integral of d(A e^3) and the boundary sum.
 
     An independent route to Gauss-Bonnet: the exterior derivative of the limit
     form is integrated as a plain two-form (no densities), and Stokes' theorem
     says it must match the boundary line integrals.
     """
-    quad = quad or scene.quadrature
-    region_val = _region_integrals(scene, [_limit_curl], quad)[0].value
+    region_val = _region_integrals(scene, [_limit_curl])[0].value
     boundary_val = 0.0
-    for res in integrate_kn_ds(scene, quad):
+    for res in integrate_kn_ds(scene):
         boundary_val += res.value
     scale = max(1.0, abs(region_val), abs(boundary_val))
     return abs(region_val - boundary_val) / scale
@@ -610,12 +598,11 @@ def _finite_row(chi: int, L: float, area: QuadratureResult, boundary) -> FiniteL
     )
 
 
-def finite_L_gauss_bonnet(scene, L: float, quad: QuadratureSpec = None) -> FiniteLRow:
+def finite_L_gauss_bonnet(scene, L: float) -> FiniteLRow:
     """The scaled finite-L Gauss-Bonnet sum against 2 pi chi / sqrt(L)."""
     area_fn, curve_fn = _K_dsigma_L(L), _kn_ds_L(L)
-    quad = quad or scene.quadrature
-    area = _region_integrals(scene, [area_fn], quad)[0]
-    boundary = [res for res, in _boundary_integrals(scene, [curve_fn], quad)]
+    area = _region_integrals(scene, [area_fn])[0]
+    boundary = [res for res, in _boundary_integrals(scene, [curve_fn])]
     return _finite_row(scene.region.chi, L, area, boundary)
 
 
@@ -630,8 +617,7 @@ class GaussBonnetReport:
     finite_rows: tuple = ()
 
 
-def gauss_bonnet_residual(scene, quad: QuadratureSpec = None,
-                          L_values=()) -> GaussBonnetReport:
+def gauss_bonnet_residual(scene, L_values=()) -> GaussBonnetReport:
     """Residual of the limit Gauss-Bonnet identity, with optional finite-L rows.
 
     The residual is the area integral plus the boundary integrals, summed
@@ -642,9 +628,8 @@ def gauss_bonnet_residual(scene, quad: QuadratureSpec = None,
     L_values = tuple(L_values)
     area_fns = [_K_dsigma] + [_K_dsigma_L(L) for L in L_values]
     curve_fns = [boundary_integrand_limit] + [_kn_ds_L(L) for L in L_values]
-    quad = quad or scene.quadrature
-    area, *area_L = _region_integrals(scene, area_fns, quad)
-    curves = _boundary_integrals(scene, curve_fns, quad)
+    area, *area_L = _region_integrals(scene, area_fns)
+    curves = _boundary_integrals(scene, curve_fns)
     boundary = tuple(parts[0] for parts in curves)
     residual = area.value
     for res in boundary:

@@ -25,7 +25,3 @@ def builtin_model(name: str) -> SubRiemannianModel:
             f"unknown model {name!r}; available: {', '.join(sorted(BUILTIN_FRAMES))}"
         ) from None
     return SubRiemannianModel.from_components(name, e1, e2)
-
-
-def inline_model(e1_texts, e2_texts, name: str = "inline") -> SubRiemannianModel:
-    return SubRiemannianModel.from_components(name, tuple(e1_texts), tuple(e2_texts))

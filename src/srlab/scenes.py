@@ -29,10 +29,10 @@ import numpy as np
 from .calculus.jets import stack_values, value_of
 from .curvature import CurveOnSurface
 from .errors import CharacteristicPointError, ImmersionError, SceneError, ValidationError
-from .frame import checked_frame, require_passed
+from .frame import SubRiemannianModel, checked_frame, require_passed
 from .measures import (SCAN_SAMPLES, QuadratureSpec, Region, ensure_region_in_domain,
                        region_scan_grid, require_regular)
-from .models import builtin_model, inline_model
+from .models import builtin_model
 from .surface import SurfacePatch, characteristic_margin, immersion_ratio, tangents
 
 BUILTIN_SCENES = ("heisenberg_annulus", "rt_disk")
@@ -86,7 +86,10 @@ def _as_list(value, path: str, length: int = None) -> list:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneError("expected a number", path)
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:   # an int beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise SceneError("expected a finite number", path)
     return out
@@ -141,7 +144,7 @@ def _build_model(cfg, path: str):
         e1 = _as_exprs(_need(frame, "e1", f"{path}.frame"), f"{path}.frame.e1", 3)
         e2 = _as_exprs(_need(frame, "e2", f"{path}.frame"), f"{path}.frame.e2", 3)
         try:
-            return inline_model(e1, e2)
+            return SubRiemannianModel.from_components("inline", e1, e2)
         except ValidationError as exc:
             raise SceneError(str(exc), f"{path}.frame") from exc
     raise SceneError("model needs either a 'builtin' name or inline 'frame' expressions", path)
@@ -186,8 +189,6 @@ def _build_region(cfg, path: str) -> Region:
             radii = [_as_number(x, f"{path}.radii[{i}]")
                      for i, x in enumerate(_as_list(_need(cfg, "radii", path), f"{path}.radii", 2))]
             region = Region.annulus(center, radii)
-            if radii[0] == radii[1]:
-                raise SceneError("annulus has zero area: inner and outer radii are equal", path)
         else:
             raise SceneError(f"unknown region type {kind!r}", f"{path}.type")
     except ValueError as exc:
@@ -220,17 +221,18 @@ def _build_boundary(cfg, path: str) -> tuple:
 
 
 def _build_quadrature(cfg, path: str) -> QuadratureSpec:
-    cfg = _as_dict(cfg, path)
+    cfg = dict(_as_dict(cfg, path))
+    _reject_unknown(cfg, {"order", "cells", "segments", "rel_tol", "max_refine"}, path)
     for key in ("order", "segments", "max_refine"):
         if key in cfg:
             _as_int(cfg[key], f"{path}.{key}")
     if "cells" in cfg:
-        for i, item in enumerate(_as_list(cfg["cells"], f"{path}.cells", 2)):
-            _as_int(item, f"{path}.cells[{i}]")
+        cfg["cells"] = tuple(_as_int(item, f"{path}.cells[{i}]")
+                             for i, item in enumerate(_as_list(cfg["cells"], f"{path}.cells", 2)))
     if "rel_tol" in cfg:
         _as_number(cfg["rel_tol"], f"{path}.rel_tol")
     try:
-        return QuadratureSpec.from_config(cfg)
+        return QuadratureSpec(**cfg)
     except ValueError as exc:
         raise SceneError(str(exc), path) from exc
 
@@ -419,9 +421,10 @@ def _normalize(cfg: dict) -> dict:
 def load_scene(path) -> Scene:
     """Read and validate a scene JSON file."""
     with open(path, encoding="utf-8") as fh:
+        # ValueError: both decode errors, and an int past Python's digit limit
         try:
             cfg = json.loads(fh.read())
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise SceneError(f"invalid JSON: {exc}", "$") from exc
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return scene_from_config(cfg, name=name)

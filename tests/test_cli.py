@@ -144,7 +144,7 @@ class TestValidateScan:
 
 class TestThinRegions:
     def test_sampler_gives_up_on_zero_width(self):
-        region = Region.annulus((0.0, 0.0), (1.5, 1.5))
+        region = Region.annulus((0.0, 0.0), (1.5, 1.5 + 1e-12))
         with pytest.raises(SamplingError, match="too thin"):
             cli._sample_region_points(region, 3, np.random.default_rng(0))
 
@@ -597,11 +597,13 @@ class TestFiniteOutputs:
 
 
 class TestMalformedSceneFiles:
-    """A scene file that is not UTF-8 text or nests too deeply for the JSON
-    parser is a scene error at `$` (exit 3), like any other invalid JSON."""
+    """A scene file that is not UTF-8 text, nests too deeply for the JSON
+    parser or holds an integer longer than Python's int digit limit is a
+    scene error at `$` (exit 3), like any other invalid JSON."""
 
-    @pytest.mark.parametrize("data", [b'{"model": "\xff\xfe"}', b"[" * 100000],
-                             ids=["not-utf8", "deeply-nested"])
+    @pytest.mark.parametrize("data", [b'{"model": "\xff\xfe"}', b"[" * 100000,
+                                      b'{"model": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "deeply-nested", "int-over-4300-digits"])
     def test_exits_3_at_the_root(self, capsys, tmp_path, data):
         path = tmp_path / "malformed.json"
         path.write_bytes(data)

@@ -1,12 +1,14 @@
 """Scene file loading, schema validation, and round-trip tests."""
 
 import copy
+import dataclasses
 import json
 import math
 
 import pytest
 
 from srlab import scenes as sc
+from srlab.calculus.expr import MAX_NESTING, MAX_OPERATORS
 from srlab.errors import ImmersionError, SceneError
 from srlab.frame import SubRiemannianModel
 from srlab.measures import (MAX_CURVE_NODES, MAX_REGION_NODES, QuadratureSpec,
@@ -179,6 +181,21 @@ class TestSchemaErrors:
 
     def test_phi_parse_error(self):
         self.check(lambda c: c["surface"].update(phi=["u", "v", "1 +"]), "$.surface.phi")
+        # past the nesting or tree-height bound, before the parser or the
+        # evaluator runs out of Python's recursion limit
+        for deep in ("(" * 300 + "0" + ")" * 300, "-" * 1500 + "0", "+".join(["0"] * 3000)):
+            self.check(lambda c: c["surface"].update(phi=["u", "v", deep]), "$.surface.phi")
+
+    def test_expressions_at_the_bounds_load(self):
+        nesting = MAX_NESTING - 1       # the top level is one level too
+        longest_sum = "+".join(["0"] * (MAX_OPERATORS + 1))
+        for text in ("(" * nesting + "0" + ")" * nesting, "-" * nesting + "0",
+                     "1^" * nesting + "0", longest_sum,
+                     # the evaluator's deepest recursion: both bounds at once
+                     "sin(" * nesting + longest_sum + ")" * nesting):
+            cfg = annulus_config()
+            cfg["surface"]["phi"][2] = text
+            assert sc.scene_from_config(cfg).region.chi == 0
 
     def test_missing_domain(self):
         self.check(lambda c: c["surface"].pop("domain"), "$.surface.domain")
@@ -200,6 +217,8 @@ class TestSchemaErrors:
 
     def test_bad_radii(self):
         self.check(lambda c: c["region"].update(radii=[2.0, 1.0]), "$.region")
+        # an integer past the float range
+        self.check(lambda c: c["region"].update(radii=[1.0, 10 ** 400]), "$.region.radii[1]")
 
     def test_curve_arity(self):
         self.check(lambda c: c["boundary"][0].update(curve=["cos(t)"]),
@@ -226,9 +245,12 @@ class TestSchemaErrors:
         # a misspelt key would otherwise drop the residual gate without a word
         self.check(lambda c: c.update(tolerances={"residul": 1e-6}),
                    "unknown fields: residul (scene field $.tolerances)")
+        self.check(lambda c: c.update(tolerances={"residual": 10 ** 400}),
+                   "expected a finite number (scene field $.tolerances.residual)")
 
     def test_bad_L_grid(self):
         self.check(lambda c: c.update(L_grid=[100.0, -1.0]), "$.L_grid[1]")
+        self.check(lambda c: c.update(L_grid=[-10 ** 400]), "$.L_grid[0]")
 
 
 class TestCrossValidation:
@@ -297,12 +319,12 @@ class TestScaleRange:
         cfg = annulus_config()
         cfg["model"] = {"frame": {"e1": [repr(s), "0", "-y/2"], "e2": ["0", repr(s), "x/2"]}}
         cfg["surface"]["phi"] = [f"{s!r}*u", f"{s!r}*v", "0"]
-        return sc.scene_from_config(cfg)
+        return dataclasses.replace(sc.scene_from_config(cfg), quadrature=TestScaleRange.QUAD)
 
     @pytest.mark.parametrize("s", [1e-3, 1e-2, 1e2, 1e4])
     def test_limit_area_is_scale_free(self, s):
-        unit = gauss_bonnet_residual(self.scaled(1.0), self.QUAD)
-        report = gauss_bonnet_residual(self.scaled(s), self.QUAD)
+        unit = gauss_bonnet_residual(self.scaled(1.0))
+        report = gauss_bonnet_residual(self.scaled(s))
         assert unit.area.value == pytest.approx(-TWO_PI, rel=1e-12)
         assert report.area.value == pytest.approx(unit.area.value, rel=1e-12)
         assert abs(report.residual) <= 1e-12
@@ -366,6 +388,8 @@ class TestQuadratureSettings:
         # curve nodes over MAX_CURVE_NODES: by one segment, and by far
         ({"order": 16, "segments": 4370}, "$.quadrature"),
         ({"segments": 10 ** 9}, "$.quadrature"),
+        # an integer past the float range
+        ({"rel_tol": 10 ** 400}, "$.quadrature.rel_tol"),
     ])
     def test_rejected_at_field_path(self, quad, path):
         cfg = annulus_config()

@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -421,11 +422,16 @@ def _normalize(cfg: dict) -> dict:
 def load_scene(path) -> Scene:
     """Read and validate a scene JSON file."""
     with open(path, encoding="utf-8") as fh:
-        # ValueError: both decode errors, and an int past Python's digit limit
         try:
             cfg = json.loads(fh.read())
-        except (ValueError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SceneError(f"invalid JSON: {exc}", "$") from exc
+        except ValueError as exc:
+            # the one other ValueError: an int literal past Python's digit limit,
+            # whose own message names a Python call a scene author cannot make
+            raise SceneError(
+                f"invalid JSON: an integer literal has more than "
+                f"{sys.get_int_max_str_digits()} digits", "$") from exc
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return scene_from_config(cfg, name=name)
 

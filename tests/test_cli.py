@@ -612,6 +612,7 @@ class TestMalformedSceneFiles:
             assert code == 3 and out == ""
             assert err.startswith("validation error: invalid JSON: ")
             assert err.rstrip().endswith("(scene field $)")
+            assert "set_int_max_str_digits" not in err
 
 
 class TestGaussBonnetConvergence:

@@ -8,10 +8,12 @@ compared against a plain high-order quadrature of sin(v), which is what
 K dsigma reduces to on that patch.
 """
 
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import resource
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -456,6 +458,42 @@ class TestFiniteLGaussBonnet:
         assert row.gap == row.scaled_sum - row.target
 
 
+class TestOtherBuiltinModels:
+    """Gauss-Bonnet, its finite-L rows and the Stokes check in the two built-in
+    models no shipped scene uses, each on a disk clear of its characteristic
+    set (x = 0 on the polarized plane, z = 0 on the Minkowski one).
+
+    The L grid stops at 100: at order 8 the L = 1e4 rows do not converge.
+    """
+
+    QUADRATURE = {"order": 8, "cells": [4, 4], "segments": 16}
+    SCENES = {
+        "polarized_heisenberg": (["u", "v", "0"], [2.0, 0.0], 1.0, ["2+cos(t)", "sin(t)"]),
+        "minkowski_rototranslation": (["u", "0", "v"], [0.0, 1.5], 0.8,
+                                      ["0.8*cos(t)", "1.5+0.8*sin(t)"]),
+    }
+
+    @pytest.mark.parametrize("model", SCENES)
+    def test_gauss_bonnet_and_stokes(self, model):
+        phi, center, radius, curve = self.SCENES[model]
+        sc = scene_from_config({
+            "model": {"builtin": model},
+            "surface": {"phi": phi, "domain": {"u": [-3.0, 3.0], "v": [-3.0, 3.0]}},
+            "region": {"type": "disk", "center": center, "radius": radius,
+                       "euler_characteristic": 1},
+            "boundary": [{"curve": curve, "t": [0.0, TWO_PI]}],
+            "quadrature": self.QUADRATURE,
+            "L_grid": [1.0, 100.0],
+        }, name=model)
+        rep = ms.gauss_bonnet_residual(sc, sc.L_grid)
+        assert rep.area.converged and all(res.converged for res in rep.boundary)
+        assert abs(rep.residual) <= 1e-12
+        assert len(rep.finite_rows) == 2
+        for row in rep.finite_rows:
+            assert row.converged and abs(row.gap) <= 1e-9
+        assert ms.stokes_consistency_gap(sc) <= 1e-12
+
+
 class TestSharedGeometry:
     """A report evaluates every integrand of a node set on one geometry.
 
@@ -791,3 +829,23 @@ class TestForkedPasses:
             ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
         assert forks
         no_children()
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+class TestRetainedHeap:
+    def test_a_second_report_reuses_the_freed_heap(self, monkeypatch):
+        """Each chunk reuses the heap the one before it freed, so a second serial
+        report faults in a few hundred pages, not the 22k of a trimmed heap."""
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        sc = builtin_scene("rt_disk")
+        ms.gauss_bonnet_residual(sc, sc.L_grid)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ms.gauss_bonnet_residual(sc, sc.L_grid)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 3000

@@ -109,9 +109,11 @@ def _tokenize(text: str) -> list[_Token]:
                         j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                number = float(lit)
             except ValueError:
                 raise ParseError(f"malformed number {lit!r}", i)
+            if not math.isfinite(number):
+                raise ParseError(f"number {lit!r} is out of range", i)
             tokens.append(_Token("num", lit, i))
             i = j
             continue

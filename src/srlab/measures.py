@@ -10,7 +10,8 @@ The Gauss-Bonnet residual integrates K dsigma over a region and A e^3(gamma')
 along its boundary curves; the two cancel for correctly oriented scenes
 (counterclockwise outer boundary, clockwise holes, in the parameter plane).
 The finite-L variant integrates (1/sqrt(L)) K_L dsigma_L and the matching
-boundary term and compares against 2 pi chi / sqrt(L).
+boundary term and compares against 2 pi chi / sqrt(L). Stokes' check reads
+d(A e^3) off K's node sets and geometry but shares no formula code with K.
 
 Quadrature is composite Gauss-Legendre with a fixed summation order
 (lexicographic over cells, pairwise within and across cells), so results are
@@ -507,11 +508,11 @@ def boundary_integrand_L(cg: cv.CurveGeometry, L: float):
 # A scene integrand maps one chunk's geometry to values at its nodes: a
 # SurfaceGeometry on region nodes, a CurveGeometry on boundary nodes. Only
 # the L-adapted frame and its connection forms depend on L, so one geometry
-# per node set serves the limit integrand and every finite-L row. Each
-# integrand declares the surface order it reads: 2 where A, x and y enter
-# with first derivatives at most (K dsigma, the Stokes curl, every boundary
-# integrand), 3 for K_L dsigma_L, whose curl of W23_L takes them to second
-# derivatives.
+# per node set serves the limit integrands, the Stokes curl and every
+# finite-L row. Each integrand declares the surface order it reads: 2 where
+# A, x and y enter with first derivatives at most (K dsigma, the Stokes
+# curl, every boundary integrand), 3 for K_L dsigma_L, whose curl of W23_L
+# takes them to second derivatives.
 
 
 def _root(L: float) -> float:
@@ -527,7 +528,7 @@ def _K_dsigma(geom: SurfaceGeometry):
 
 @_reads(2)
 def _limit_curl(geom: SurfaceGeometry):
-    """d(A e^3) on du ^ dv, a plain two-form with no density."""
+    """d(A e^3) on du ^ dv, a plain two-form, computed apart from K = -dA(f2) - A^2."""
     return cv.limit_connection_form(geom).curl()
 
 
@@ -576,19 +577,9 @@ def integrate_kn_ds(scene) -> tuple:
     return tuple(res for res, in curves)
 
 
-def stokes_consistency_gap(scene):
-    """Relative gap between the region integral of d(A e^3) and the boundary sum.
-
-    An independent route to Gauss-Bonnet: the exterior derivative of the limit
-    form is integrated as a plain two-form (no densities), and Stokes' theorem
-    says it must match the boundary line integrals.
-    """
-    region_val = _region_integrals(scene, [_limit_curl])[0].value
-    boundary_val = 0.0
-    for res in integrate_kn_ds(scene):
-        boundary_val += res.value
-    scale = max(1.0, abs(region_val), abs(boundary_val))
-    return abs(region_val - boundary_val) / scale
+def stokes_consistency_gap(scene) -> float:
+    """Stokes' check on the scene: the `stokes_gap` of its limit report."""
+    return gauss_bonnet_residual(scene).stokes_gap
 
 
 @dataclass(frozen=True)
@@ -631,13 +622,22 @@ def finite_L_gauss_bonnet(scene, L: float) -> FiniteLRow:
 
 @dataclass(frozen=True)
 class GaussBonnetReport:
-    """Limit Gauss-Bonnet accounting for one scene."""
+    """Limit Gauss-Bonnet accounting for one scene, with its Stokes check."""
 
     chi: int
     area: QuadratureResult
     boundary: tuple
     residual: float
+    curl: QuadratureResult
     finite_rows: tuple = ()
+
+    @property
+    def stokes_gap(self) -> float:
+        """|R - B| / max(1, |R|, |B|), R the `curl` integral, B the boundary sum."""
+        region, boundary = self.curl.value, 0.0
+        for res in self.boundary:
+            boundary += res.value
+        return abs(region - boundary) / max(1.0, abs(region), abs(boundary))
 
 
 def gauss_bonnet_residual(scene, L_values=()) -> GaussBonnetReport:
@@ -646,12 +646,12 @@ def gauss_bonnet_residual(scene, L_values=()) -> GaussBonnetReport:
     The residual is the area integral plus the boundary integrals, summed
     left to right in the reported order, and vanishes for correctly oriented
     scenes. One region pass and one pass per boundary curve evaluate the
-    limit integrands and every finite-L row on shared geometry.
+    limit integrands, the Stokes curl and every finite-L row on shared geometry.
     """
     L_values = tuple(L_values)
-    area_fns = [_K_dsigma] + [_K_dsigma_L(L) for L in L_values]
+    area_fns = [_K_dsigma, _limit_curl] + [_K_dsigma_L(L) for L in L_values]
     curve_fns = [boundary_integrand_limit] + [_kn_ds_L(L) for L in L_values]
-    area, *area_L = _region_integrals(scene, area_fns)
+    area, curl, *area_L = _region_integrals(scene, area_fns)
     curves = _boundary_integrals(scene, curve_fns)
     boundary = tuple(parts[0] for parts in curves)
     residual = area.value
@@ -661,6 +661,5 @@ def gauss_bonnet_residual(scene, L_values=()) -> GaussBonnetReport:
         _finite_row(scene.region.chi, L, area_L[j], [parts[j + 1] for parts in curves])
         for j, L in enumerate(L_values)
     )
-    return GaussBonnetReport(chi=scene.region.chi, area=area,
-                             boundary=boundary, residual=residual,
-                             finite_rows=rows)
+    return GaussBonnetReport(chi=scene.region.chi, area=area, boundary=boundary,
+                             residual=residual, curl=curl, finite_rows=rows)

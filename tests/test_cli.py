@@ -615,6 +615,28 @@ class TestMalformedSceneFiles:
             assert "set_int_max_str_digits" not in err
 
 
+class TestOutOfRangeLiterals:
+    """A number literal that overflows a float is a parse error at its
+    expression's field (exit 3), as a JSON integer past the float range is."""
+
+    def test_surface_literal(self, capsys, tmp_path):
+        def overflow(cfg):
+            cfg["surface"]["phi"][2] = "1e999*v"
+        self.rejected(capsys, write_scene(tmp_path, overflow, "rt_disk"), "$.surface.phi")
+
+    def test_curve_literal(self, capsys, tmp_path):
+        def overflow(cfg):
+            cfg["boundary"][0]["curve"][0] = "1e999*cos(t)"
+        self.rejected(capsys, write_scene(tmp_path, overflow, "rt_disk"), "$.boundary[0].curve")
+
+    @staticmethod
+    def rejected(capsys, path, field):
+        code, out, err = run(capsys, "validate", "--scene", path)
+        assert code == 3 and out == ""
+        assert err == (f"validation error: number '1e999' is out of range (at position 0) "
+                       f"(scene field {field})\n")
+
+
 class TestGaussBonnetConvergence:
     def test_unconverged_quadrature_exits_4(self, capsys, tmp_path):
         cfg = sc.builtin_scene("rt_disk").config

@@ -107,3 +107,10 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("")
+
+    def test_number_past_the_float_range(self):
+        with pytest.raises(ParseError, match="number '1e999' is out of range") as err:
+            parse("x + 1e999*y")
+        assert err.value.position == 4
+        # an underflow is still a number: it reads 0.0
+        assert parse("1e-999") == Num(0.0, 0)

@@ -353,7 +353,7 @@ class TestHeisenbergAnnulus:
             assert abs(fine_part.value - part.value) <= part.error
 
     def test_stokes_consistency(self):
-        assert ms.stokes_consistency_gap(annulus_scene()) <= 1e-6
+        assert annulus_report().stokes_gap <= 1e-6
 
 
 class TestRototranslationDisk:
@@ -379,7 +379,7 @@ class TestRototranslationDisk:
         assert np.allclose(vals, 0.0, atol=1e-13)
 
     def test_stokes_consistency(self):
-        assert ms.stokes_consistency_gap(disk_scene()) <= 1e-6
+        assert disk_report().stokes_gap <= 1e-6
 
 
 class TestZeroTorsionCurve:
@@ -491,7 +491,7 @@ class TestOtherBuiltinModels:
         assert len(rep.finite_rows) == 2
         for row in rep.finite_rows:
             assert row.converged and abs(row.gap) <= 1e-9
-        assert ms.stokes_consistency_gap(sc) <= 1e-12
+        assert rep.stokes_gap <= 1e-12
 
 
 class TestSharedGeometry:
@@ -513,27 +513,31 @@ class TestSharedGeometry:
         rows = tuple(ms.finite_L_gauss_bonnet(sc, L) for L in sc.L_grid)
         assert rep.finite_rows == rows
 
+    @staticmethod
+    def log_builds(monkeypatch, log, owner, name, kind, size):
+        """Append "kind size pid" to the file `log` on each `owner.name(...)` call.
+
+        Builds happen in forked children too, which a list in this process
+        cannot see.
+        """
+        orig = getattr(owner, name)
+
+        def wrapper(*args):
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{kind} {size(args)} {os.getpid()}\n".encode())
+            finally:
+                os.close(fd)
+            return orig(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
     @pytest.mark.parametrize("L_values", [(), (1e2, 1e3, 1e4)])
     def test_one_geometry_per_chunk_per_level(self, monkeypatch, tmp_path, L_values):
         monkeypatch.setattr(ms, "CHUNK", 700)
         monkeypatch.setattr(ms, "WORKERS", 2)
-        # builds happen in forked children too, which a list in this process
-        # cannot see: each build appends "kind size pid" to a file instead
         log = tmp_path / "builds"
         node_sets = {"region": [], "curve": []}
-
-        def log_builds(owner, name, kind, size):
-            orig = getattr(owner, name)
-
-            def wrapper(*args):
-                fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-                try:
-                    os.write(fd, f"{kind} {size(args)} {os.getpid()}\n".encode())
-                finally:
-                    os.close(fd)
-                return orig(*args)
-
-            monkeypatch.setattr(owner, name, wrapper)
 
         def log_node_sets(name, log):
             orig = getattr(ms, name)
@@ -545,8 +549,8 @@ class TestSharedGeometry:
 
             monkeypatch.setattr(ms, name, wrapper)
 
-        log_builds(ms, "SurfaceGeometry", "region", lambda a: np.size(a[2]))
-        log_builds(cv, "CurveGeometry", "curve", lambda a: np.size(a[3]))
+        self.log_builds(monkeypatch, log, ms, "SurfaceGeometry", "region", lambda a: np.size(a[2]))
+        self.log_builds(monkeypatch, log, cv, "CurveGeometry", "curve", lambda a: np.size(a[3]))
         log_node_sets("region_nodes", node_sets["region"])
         log_node_sets("curve_nodes", node_sets["curve"])
         sc = at_quad(annulus_scene(), self.COARSE)
@@ -563,6 +567,39 @@ class TestSharedGeometry:
             expected = sum(math.ceil(n / ms.CHUNK) for n in node_sets[kind])
             assert len(built[kind]) == expected
             assert sum(built[kind]) == sum(node_sets[kind])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus"])
+    def test_report_carries_the_two_call_stokes_gap(self, monkeypatch, name, workers):
+        # the gap as a separate curl pass and boundary pass would give it
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        monkeypatch.setattr(ms, "WORKERS", workers)
+        sc = dataclasses.replace(builtin_scene(name), quadrature=self.COARSE)
+        region = ms._region_integrals(sc, [ms._limit_curl])[0].value
+        boundary = 0.0
+        for res in ms.integrate_kn_ds(sc):
+            boundary += res.value
+        two_calls = abs(region - boundary) / max(1.0, abs(region), abs(boundary))
+        with_rows = ms.gauss_bonnet_residual(sc, sc.L_grid)
+        assert len(with_rows.finite_rows) == len(sc.L_grid) > 0
+        assert bitwise(with_rows.stokes_gap, two_calls)
+        assert bitwise(ms.gauss_bonnet_residual(sc).stokes_gap, two_calls)
+        assert bitwise(ms.stokes_consistency_gap(sc), two_calls)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus"])
+    def test_stokes_curl_adds_no_geometry_build(self, monkeypatch, tmp_path, name, workers):
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        monkeypatch.setattr(ms, "WORKERS", workers)
+        log = tmp_path / "builds"
+        self.log_builds(monkeypatch, log, ms, "SurfaceGeometry", "region", lambda a: np.size(a[2]))
+        sc = dataclasses.replace(builtin_scene(name), quadrature=self.COARSE)
+        report = ms.gauss_bonnet_residual(sc, sc.L_grid)
+        assert report.curl.converged and report.curl.refinements <= report.area.refinements
+        level0 = self.COARSE.cells[0] * self.COARSE.cells[1] * self.COARSE.order ** 2
+        chunks = sum(math.ceil(level0 * 4 ** k / ms.CHUNK)
+                     for k in range(report.area.refinements + 1))
+        assert len(log.read_text().splitlines()) == chunks
 
     def test_report_builds_no_companion_forms(self, monkeypatch):
         # K_L and kn_L read only W23_L: W12_L, W13_L and d(beta) stay unbuilt

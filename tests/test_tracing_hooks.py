@@ -52,6 +52,8 @@ def test_counter_hooks_run(monkeypatch):
             scenes.builtin_scene("heisenberg_annulus"),
             quadrature=measures.QuadratureSpec(order=8, cells=(4, 4), segments=16))
         measures.gauss_bonnet_residual(scene)
+        # the Stokes check nests the report's scene_integral span in its own
+        measures.stokes_consistency_gap(scene)
     finally:
         tracer.uninstall()
     assert tracer.hook_errors == {}

@@ -290,12 +290,6 @@ class Jet:
     def __rtruediv__(self, other):
         return _reciprocal(self) * other
 
-    def __pow__(self, other):
-        return jpow(self, other)
-
-    def __rpow__(self, other):
-        return jpow(other, self)
-
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value!r})"
 

@@ -315,9 +315,6 @@ class QuadratureResult:
     converged: bool
     refinements: int
 
-    def __float__(self):
-        return self.value
-
 
 def _reads(order: int):
     """Declare the surface order an integrand reads from its geometry, as `fn.order`."""

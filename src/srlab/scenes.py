@@ -15,15 +15,15 @@ clockwise holes. A set that misses, reverses or repeats a component is
 rejected at `$.boundary`.
 """
 
-import copy
-import dataclasses
 import functools
 import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +48,11 @@ MAX_L_VALUES = 64
 
 @dataclass(frozen=True)
 class Scene:
-    """A fully validated scene, plus the normalized config it came from."""
+    """A fully validated scene, with no mutable part.
+
+    `tolerances` and `patch.domain` are read-only mappings, so one scene can
+    be shared by every caller and an attempt to edit it raises TypeError.
+    """
 
     name: str
     model: object
@@ -56,9 +60,8 @@ class Scene:
     region: Region
     boundary: tuple
     quadrature: QuadratureSpec
-    tolerances: dict
+    tolerances: Mapping
     L_grid: tuple
-    config: dict
 
 
 # -- schema helpers -----------------------------------------------------------
@@ -157,10 +160,10 @@ def _build_surface(cfg, path: str) -> SurfacePatch:
     phi = _as_exprs(_need(cfg, "phi", path), f"{path}.phi", 3)
     dom = _as_dict(_need(cfg, "domain", path), f"{path}.domain")
     _reject_unknown(dom, {"u", "v"}, f"{path}.domain")
-    domain = {
+    domain = MappingProxyType({
         "u": _interval(_need(dom, "u", f"{path}.domain"), f"{path}.domain.u"),
         "v": _interval(_need(dom, "v", f"{path}.domain"), f"{path}.domain.v"),
-    }
+    })
     try:
         return SurfacePatch.parse(phi, domain)
     except (ValidationError, ValueError) as exc:
@@ -238,7 +241,7 @@ def _build_quadrature(cfg, path: str) -> QuadratureSpec:
         raise SceneError(str(exc), path) from exc
 
 
-def _build_tolerances(cfg, path: str) -> dict:
+def _build_tolerances(cfg, path: str) -> Mapping:
     cfg = _as_dict(cfg, path)
     _reject_unknown(cfg, {"residual"}, path)
     out = {}
@@ -247,7 +250,7 @@ def _build_tolerances(cfg, path: str) -> dict:
         if num <= 0:
             raise SceneError("tolerance must be positive", f"{path}.{key}")
         out[key] = num
-    return out
+    return MappingProxyType(out)
 
 
 def _build_L_grid(cfg, path: str) -> tuple:
@@ -290,11 +293,11 @@ def scan_region(model, patch: SurfacePatch, region: Region, samples: int = SCAN_
 
 
 def _edge_samples(curve):
-    """(u, v) at BOUNDARY_SAMPLES + 1 evenly spaced parameters, both ends included."""
+    """(u, v, du/dt, dv/dt) at BOUNDARY_SAMPLES + 1 evenly spaced parameters,
+    both ends included."""
     t = np.linspace(curve.t0, curve.t1, BOUNDARY_SAMPLES + 1)
-    ju, jv = curve.jets(t, order=0)
-    u, v, _ = np.broadcast_arrays(value_of(ju), value_of(jv), t)
-    return u, v
+    ju, jv = curve.jets(t, order=1)
+    return np.broadcast_arrays(*map(value_of, (ju, jv, ju.deriv(0), jv.deriv(0))), t)[:4]
 
 
 def _edge_distance(region: Region, u, v) -> float:
@@ -305,7 +308,7 @@ def _edge_distance(region: Region, u, v) -> float:
 def boundary_edge_distances(region: Region, boundary):
     """Max distance to the region edge over BOUNDARY_SAMPLES points, per curve."""
     for curve in boundary:
-        yield _edge_distance(region, *_edge_samples(curve))
+        yield _edge_distance(region, *_edge_samples(curve)[:2])
 
 
 def _joined(starts, ends) -> bool:
@@ -328,7 +331,10 @@ def _check_boundary(region: Region, boundary, path: str):
     as the edge distance, must total +2 pi on the outer edge
     (counterclockwise) and -2 pi on an annulus hole (clockwise). The edge
     integrals then equal those over the edge traced once, so a missing,
-    reversed, doubled or half-covered component is rejected.
+    reversed, doubled or half-covered component is rejected. Each step
+    between samples, wrapped to (-pi, pi], must also lie within pi/4 of the
+    trapezoid rule on the curve's exact turning rate, so a curve that turns
+    a whole time or more between two samples cannot alias to a smaller step.
     """
     if region.kind == "rectangle":
         (a, b), (c, d) = region.u_interval, region.v_interval
@@ -341,7 +347,7 @@ def _check_boundary(region: Region, boundary, path: str):
     swept = dict.fromkeys(expected, 0.0)
     pieces = {edge: ([], []) for edge in expected}     # start and end points
     for i, curve in enumerate(boundary):
-        u, v = _edge_samples(curve)
+        u, v, ut, vt = _edge_samples(curve)
         worst = _edge_distance(region, u, v)
         if worst > BOUNDARY_TOL:
             raise SceneError(
@@ -353,8 +359,18 @@ def _check_boundary(region: Region, boundary, path: str):
         du, dv = u - cu, v - cv
         hole = region.kind == "annulus" and math.hypot(du[0], dv[0]) < 0.5 * sum(region.radii)
         edge = "inner" if hole else "outer"
-        steps = np.diff(np.arctan2(dv, du))
-        swept[edge] += float(np.sum((steps + math.pi) % (2 * math.pi) - math.pi))
+        steps = (np.diff(np.arctan2(dv, du)) + math.pi) % (2 * math.pi) - math.pi
+        rate = (du * vt - dv * ut) / (du * du + dv * dv)
+        predicted = 0.5 * (curve.t1 - curve.t0) / BOUNDARY_SAMPLES * (rate[:-1] + rate[1:])
+        slip = float(np.max(np.abs(steps - predicted)))
+        if slip > math.pi / 4:
+            raise SceneError(
+                f"boundary curve turns about the region centre too fast for "
+                f"{BOUNDARY_SAMPLES} samples: a step differs by {slip:.3g} rad from "
+                "the one its derivative predicts (tolerance pi/4)",
+                f"{path}[{i}]",
+            )
+        swept[edge] += float(np.sum(steps))
         pieces[edge][0].append((u[0], v[0]))
         pieces[edge][1].append((u[-1], v[-1]))
     for edge, want in expected.items():
@@ -374,7 +390,7 @@ def _check_boundary(region: Region, boundary, path: str):
             )
 
 
-# -- loading and writing ------------------------------------------------------
+# -- loading ------------------------------------------------------------------
 
 _TOP_KEYS = {"model", "surface", "region", "boundary", "quadrature", "tolerances", "L_grid"}
 
@@ -405,18 +421,7 @@ def scene_from_config(cfg: dict, name: str = "") -> Scene:
 
     return Scene(name=name, model=model, patch=patch, region=region,
                  boundary=boundary, quadrature=quadrature,
-                 tolerances=tolerances, L_grid=L_grid,
-                 config=_normalize(cfg))
-
-
-def _normalize(cfg: dict) -> dict:
-    """Round-trip-stable copy of the config, in canonical key order."""
-    out = {}
-    for key in ("model", "surface", "region", "boundary", "quadrature",
-                "tolerances", "L_grid"):
-        if key in cfg:
-            out[key] = json.loads(json.dumps(cfg[key]))
-    return out
+                 tolerances=tolerances, L_grid=L_grid)
 
 
 def load_scene(path) -> Scene:
@@ -436,39 +441,22 @@ def load_scene(path) -> Scene:
     return scene_from_config(cfg, name=name)
 
 
-def write_scene(scene: Scene, path):
-    """Serialize a scene's validated parameters back to JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene.config, fh, indent=2)
-        fh.write("\n")
-
-
 @functools.cache
-def _validated_builtin(name: str) -> Scene:
-    """The shipped scene `name`, read and validated once per process."""
-    text = resources.files("srlab").joinpath("scenes", f"{name}.json").read_text(encoding="utf-8")
-    return scene_from_config(json.loads(text), name=name)
-
-
 def builtin_scene(name: str) -> Scene:
     """Load one of the scenes shipped with the package.
 
-    A shipped scene is read-only package data, so it is parsed and
-    validated on its first call in a process only; every later call
-    returns the same validated model, patch, region, boundary curves,
-    quadrature and L grid. The memo holds at most one entry per name in
-    BUILTIN_SCENES. Its mutable members, `config`, `tolerances` and
-    `patch.domain`, are copied on every call, so no two returned scenes
-    share a mutable object and an edit to one reaches no later call.
+    A shipped scene is read-only package data and a `Scene` cannot be
+    edited, so it is parsed and validated on its first call in a process
+    only, and every later call returns the same object. An unknown name
+    raises before anything is memoized, so the memo holds at most one entry
+    per name in BUILTIN_SCENES.
     """
     if name not in BUILTIN_SCENES:
         raise SceneError(
             f"unknown scene {name!r}; shipped scenes: {', '.join(BUILTIN_SCENES)}"
         )
-    scene = _validated_builtin(name)
-    patch = dataclasses.replace(scene.patch, domain=dict(scene.patch.domain))
-    return dataclasses.replace(scene, patch=patch, tolerances=dict(scene.tolerances),
-                               config=copy.deepcopy(scene.config))
+    text = resources.files("srlab").joinpath("scenes", f"{name}.json").read_text(encoding="utf-8")
+    return scene_from_config(json.loads(text), name=name)
 
 
 def resolve_scene(ref: str) -> Scene:

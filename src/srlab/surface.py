@@ -12,6 +12,7 @@ All quantities are carried as jets in (u, v) so the curvature layer can take
 exact derivatives. Parameter inputs may be numpy arrays for batch work.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class SurfacePatch:
     """Immersed surface given by three chart-coordinate expressions of u, v."""
 
     phi: tuple
-    domain: dict | None = None
+    domain: Mapping | None = None
 
     @staticmethod
     def parse(texts, domain=None) -> "SurfacePatch":

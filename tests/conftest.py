@@ -8,7 +8,9 @@ Region quadrature forks worker processes; every test must leave none of
 them behind, running or unreaped.
 """
 
+import json
 import os
+from importlib import resources
 
 import pytest
 
@@ -22,12 +24,18 @@ if settings is not None:
     settings.load_profile("srlab")
 
 
+def shipped_config(name: str) -> dict:
+    """A fresh parse of the packaged scene file `name`, free to edit."""
+    return json.loads(resources.files("srlab").joinpath("scenes", f"{name}.json")
+                      .read_text(encoding="utf-8"))
+
+
 @pytest.fixture
 def fresh_builtin_scenes():
     """Start from an empty shipped-scene memo, so the test's first load validates in full."""
     from srlab import scenes
 
-    scenes._validated_builtin.cache_clear()
+    scenes.builtin_scene.cache_clear()
 
 
 @pytest.fixture(autouse=True)

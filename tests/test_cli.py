@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import shipped_config
 from srlab import cli
 from srlab import curvature as cv
+from srlab import frame
 from srlab import scenes as sc
 from srlab.curvature import CurveGeometry
 from srlab.errors import SamplingError
@@ -58,9 +60,25 @@ class TestValidate:
         assert code == 3
         assert "no scene named" in err
 
+    def test_unwritable_out_exits_3(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", "--scene", "rt_disk", "--out", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_failed_model_checks_print_fail_lines(self, capsys, monkeypatch):
+        sc.builtin_scene("rt_disk")             # validated before the checks tighten
+        monkeypatch.setattr(frame, "REEB_TOL", -1.0)
+        code, out, err = run(capsys, "validate", "--scene", "rt_disk")
+        assert code == 3 and err == ""
+        fail_lines = [line for line in out.splitlines() if line.endswith(": FAIL")]
+        failed = ["reeb_pairing", "reeb_contraction", "contact_normalization"]
+        assert [line.split(":")[0].strip() for line in fail_lines] == failed
+        assert all("(tolerance -1.0)" in line for line in fail_lines)
+        assert out.endswith(f"validation: FAILED {', '.join(failed)}\n")
+
 
 def write_scene(tmp_path, mutate, base="heisenberg_annulus"):
-    cfg = sc.builtin_scene(base).config
+    cfg = shipped_config(base)
     mutate(cfg)
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -233,6 +251,17 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--scene", "rt_disk", "--quantity", "K")
         assert code == 2
         assert "--uv" in err
+
+    def test_kn_without_t_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--scene", "rt_disk", "--quantity", "kn")
+        assert code == 2 and out == ""
+        assert err == "usage error: --quantity kn needs --t\n"
+
+    def test_curve_index_out_of_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--scene", "rt_disk", "--quantity", "kn",
+                             "--curve", "5", "--t", "1.0")
+        assert code == 2 and out == ""
+        assert err == "usage error: --curve must be in [0, 0]\n"
 
     def test_nonpositive_L_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--scene", "rt_disk", "--quantity", "K",
@@ -615,6 +644,25 @@ class TestMalformedSceneFiles:
             assert "set_int_max_str_digits" not in err
 
 
+class TestSceneFieldErrors:
+    """A scene field of the wrong shape, or an inline frame that does not
+    parse, is a scene error at that field (exit 3)."""
+
+    @pytest.mark.parametrize("edit, message, field", [
+        (lambda cfg: [cfg], "expected an object", "$"),
+        (lambda cfg: dict(cfg, boundary=cfg["boundary"][0]), "expected an array", "$.boundary"),
+        (lambda cfg: dict(cfg, model={"frame": {"e1": ["1", "0", "y +"],
+                                                "e2": ["0", "1", "x/2"]}}),
+         "expected a number, identifier, or '(' (at position 3)", "$.model.frame"),
+    ], ids=["top-level-array", "boundary-object", "inline-frame-parse-error"])
+    def test_exits_3_at_the_field(self, capsys, tmp_path, edit, message, field):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(edit(shipped_config("rt_disk"))), encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--scene", str(path))
+        assert code == 3 and out == ""
+        assert err == f"validation error: {message} (scene field {field})\n"
+
+
 class TestOutOfRangeLiterals:
     """A number literal that overflows a float is a parse error at its
     expression's field (exit 3), as a JSON integer past the float range is."""
@@ -639,7 +687,7 @@ class TestOutOfRangeLiterals:
 
 class TestGaussBonnetConvergence:
     def test_unconverged_quadrature_exits_4(self, capsys, tmp_path):
-        cfg = sc.builtin_scene("rt_disk").config
+        cfg = shipped_config("rt_disk")
         cfg["quadrature"]["max_refine"] = 0
         path = tmp_path / "no_refine.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -700,6 +748,27 @@ class TestBoundaryCoverage:
         def twice(cfg):
             cfg["boundary"][0]["t"] = [0.0, 4 * math.pi]
         self.rejected(capsys, tmp_path, twice, "heisenberg_annulus", "outer")
+
+    @pytest.mark.parametrize("turns, base, index", [
+        (33, "rt_disk", 0), (65, "rt_disk", 0), (33, "heisenberg_annulus", 1),
+    ], ids=["disk-33", "disk-65", "hole-33"])
+    def test_turns_that_alias_between_samples(self, capsys, tmp_path, turns, base, index):
+        # each of the 32 sample steps is whole turns plus 2 pi / 32, so the
+        # wrapped steps sum to one turn; the derivative shows the whole turns
+        def wound(cfg):
+            cfg["boundary"][index]["t"] = [0.0, 2 * math.pi * turns]
+        code, out, err = run(capsys, "validate", "--scene", write_scene(tmp_path, wound, base))
+        assert code == 3 and out == ""
+        assert "too fast for 32 samples" in err
+        assert err.endswith(f"(scene field $.boundary[{index}])\n")
+
+    def test_uneven_parametrization_is_accepted(self, capsys, tmp_path):
+        def squared(cfg):
+            cfg["boundary"][0] = {"curve": ["0.8*cos(t*t)", "1.5+0.8*sin(t*t)"],
+                                  "t": [0.5, math.sqrt(2 * math.pi + 0.25)]}
+        code, out, err = run(capsys, "validate", "--scene", write_scene(tmp_path, squared, "rt_disk"))
+        assert code == 0, err
+        assert out.endswith("validation: ok\n")
 
     def test_pieces_that_close_up_are_accepted(self, capsys, tmp_path):
         def halves(cfg):

@@ -10,6 +10,7 @@ K dsigma reduces to on that patch.
 
 import ctypes
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import shipped_config
 from srlab import cli
 from srlab import curvature as cv
 from srlab import measures as ms
@@ -104,7 +106,7 @@ class TestQuadratureSpec:
             ms.QuadratureSpec(**kwargs)
 
     def test_from_config(self):
-        cfg = builtin_scene("rt_disk").config
+        cfg = shipped_config("rt_disk")
         cfg["quadrature"] = {"order": 8, "cells": [2, 3]}
         spec = scene_from_config(cfg).quadrature
         assert spec.order == 8 and spec.cells == (2, 3)
@@ -628,7 +630,7 @@ class TestSharedGeometry:
 
 def dense_scene():
     """An inline frame and surface with no constant component (the benchmark's dense variant 0)."""
-    annulus = builtin_scene("heisenberg_annulus").config
+    annulus = shipped_config("heisenberg_annulus")
     return scene_from_config({
         "model": {"frame": {
             "e1": ["cos(0.2*z)", "sin(0.2*z)", "-y/2 + 0.1*sin(x)"],
@@ -765,6 +767,24 @@ class TestForkedPasses:
         assert serial_forks == 0 and forks
         assert forked == serial and forked_gap == serial_gap
 
+    def test_failed_fork_gives_the_serial_bits(self, monkeypatch):
+        sc = at_quad(builtin_scene("rt_disk"), self.COARSE)
+        L_values = (1e2, 1e3, 1e4)
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        serial = repr(ms.gauss_bonnet_residual(sc, L_values=L_values))
+        refused = []
+
+        def refuse():
+            refused.append(1)
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(ms.os, "fork", refuse)
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        assert repr(ms.gauss_bonnet_residual(sc, L_values=L_values)) == serial
+        assert refused
+        no_children()
+
     def test_blocks_are_whole_chunks(self, monkeypatch):
         monkeypatch.setattr(ms, "CHUNK", 700)
         monkeypatch.setattr(ms, "WORKERS", 2)
@@ -786,7 +806,7 @@ class TestForkedPasses:
         annulus = builtin_scene("heisenberg_annulus")
         u, v, _ = ms.region_nodes(annulus.region, annulus.quadrature)
         node = ms._blocks(u.size)[1][0] + 845
-        cfg = dict(annulus.config, surface={
+        cfg = dict(shipped_config("heisenberg_annulus"), surface={
             "phi": [f"u - {float(u[node])!r}", f"v - {float(v[node])!r}", "0"],
             "domain": {"u": [-3.0, 3.0], "v": [-3.0, 3.0]},
         })

@@ -19,8 +19,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import shipped_config  # noqa: E402
 from srlab import cli  # noqa: E402
-from srlab import scenes as sc  # noqa: E402
 
 # stands for an integer too long for json.dumps; swapped in as text
 TOO_MANY_DIGITS = "<integer of 5001 digits>"
@@ -37,7 +37,7 @@ def leaf_paths(node, path=()):
     return [p for key, child in items for p in leaf_paths(child, path + (key,))]
 
 
-LEAVES = leaf_paths(sc.builtin_scene("heisenberg_annulus").config)
+LEAVES = leaf_paths(shipped_config("heisenberg_annulus"))
 
 
 def nested_list(depth: int):
@@ -67,7 +67,7 @@ VALUES = st.one_of(
 @settings(max_examples=300)
 @given(st.sampled_from(LEAVES), VALUES)
 def test_validate_never_crashes(path, value):
-    cfg = sc.builtin_scene("heisenberg_annulus").config
+    cfg = shipped_config("heisenberg_annulus")
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]

@@ -19,31 +19,39 @@ bitwise reproducible. Disk and annulus regions integrate in polar parameters
 with the Jacobian folded into the weights.
 
 A pass of at least two CHUNKs of nodes (the region passes; curve passes
-stay smaller) is split into contiguous blocks of whole chunks, one per CPU,
-and every block but the first is evaluated in a forked child, which writes
-its values into arrays shared with the parent; one geometry is alive per
-process. Each node's value comes from the same code on the same chunk
-whichever process computes it, and the parent sums the whole arrays in the
-fixed order, so the bits are those of a serial pass. Smaller passes, a host
-with one CPU, a process with other threads running and a failed fork run
-serially. The first pass in a process asks glibc to keep freed heap
-(`_retain_heap`), so each chunk reuses the pages the one before it freed.
+stay smaller) is split into contiguous blocks of whole chunks, one per CPU.
+The calling process evaluates the first block and hands each other one to a
+worker: a child forked once, at the first such pass, and reused by every
+later pass, so no heap is shared copy-on-write after that one fork. A
+worker gets a pickled job, runs the same chunk loop and replies with the
+raw values; one geometry is alive per process. Each node's value comes
+from the same code on the same chunk whichever process computes it, and
+the caller sums the whole arrays in the fixed order, so the bits are those
+of a serial pass. The caller evaluates a block itself when the pass is
+smaller, the host gives one CPU, other threads were running when the
+workers would have been forked, the fork failed, the job does not pickle,
+or the worker failed or died. The first pass in a process asks glibc to
+keep freed heap (`_retain_heap`), so each chunk reuses the pages the one
+before it freed; each idle worker keeps its own, up to the 64 MiB pad, for
+the life of the process. Workers see the module as it was when they were
+forked.
 """
 
+import atexit
 import ctypes
 import math
-import mmap
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import curvature as cv
 from .errors import CharacteristicPointError, SceneError
-from .surface import EPS_CHAR, SurfaceGeometry, characteristic_report
+from .surface import EPS_CHAR, SurfaceGeometry, SurfacePatch, characteristic_report
 
 # nodes per geometry build
 CHUNK = 8192
@@ -330,37 +338,66 @@ def _pass(build, integrands, coords, weights, per_cell: int) -> list:
     Each CHUNK of nodes gets one geometry from `build(*coords, order)`, at
     the highest surface order the integrands declare (`fn.order`), which
     every integrand evaluates on; the geometry is released before the next
-    chunk is built, so at most one is alive per process. The values go to
-    arrays over an anonymous shared mapping, made before any fork, which
-    the processes filling the blocks (`_blocks`, `_fill_blocks`) write into;
-    the chunks and the summation order are those of a serial pass, so the
-    sums are bitwise the same.
+    chunk is built, so at most one is alive per process. The node set is cut
+    into `_blocks`: this process fills the first, and each other block goes
+    as a pickled job to one of this process's workers (`_pool`), which runs
+    the same chunk loop (`_fill`) and replies with the raw values, read
+    straight into this process's arrays. Blocks are taken in node order, and
+    one with no worker, a job that does not pickle, a worker that reports
+    failure or one that died is filled here instead, so an error surfaces as
+    in a serial pass. The chunks and the summation order are those of a
+    serial pass, so the sums are bitwise the same. An exception here while a
+    job is out, `KeyboardInterrupt` and signal-raised ones included, stops
+    the pool; the next pass forks a new one.
     """
     _retain_heap()
     total = coords[0].size
     order = max(fn.order for fn in integrands)
-    # no close(): the mapping goes with its last view, when the pass returns
-    shared = mmap.mmap(-1, 8 * total * len(integrands))
-    outs = np.frombuffer(shared, dtype=np.float64).reshape(len(integrands), total)
+    blocks = _blocks(total)
+    workers = _pool(len(blocks) - 1)
+    outs = np.empty((len(integrands), total))
+    out = {}   # block index -> the worker whose reply is unread
+    try:
+        for i, worker in enumerate(workers, 1):
+            start, stop = blocks[i]
+            try:
+                job = pickle.dumps((build, integrands, [c[start:stop] for c in coords],
+                                    order, CHUNK), pickle.HIGHEST_PROTOCOL)
+            except (pickle.PicklingError, AttributeError, TypeError):
+                break   # a lambda, a closure, a read-only mapping: the blocks run here
+            out[i] = worker
+            if not _send(worker, job):
+                del out[i]
+            del job   # its copy of the coordinates need not live through block 0
+        for i, (start, stop) in enumerate(blocks):
+            if i in out and _receive(out[i], outs, start, stop):
+                del out[i]
+                continue
+            out.pop(i, None)
+            _fill(build, integrands, coords, order, CHUNK, outs, start, stop)
+    except BaseException:
+        if out:
+            _stop_pool()
+        raise
+    return [_reduce(values, weights, per_cell) for values in outs]
 
-    def fill(start, stop):
-        for lo in range(start, stop, CHUNK):
-            sl = slice(lo, min(lo + CHUNK, stop))
-            geom = build(*(c[sl] for c in coords), order)
-            for out, fn in zip(outs, integrands):
-                out[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
-            del geom
 
-    _fill_blocks(fill, _blocks(total))
-    return [_reduce(out, weights, per_cell) for out in outs]
+def _fill(build, integrands, coords, order: int, chunk: int, outs, start: int, stop: int):
+    """Evaluate every integrand on nodes [start, stop) into `outs`, one geometry per chunk."""
+    for lo in range(start, stop, chunk):
+        sl = slice(lo, min(lo + chunk, stop))
+        geom = build(*(c[sl] for c in coords), order)
+        for values, fn in zip(outs, integrands):
+            values[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
+        del geom
 
 
 @lru_cache(maxsize=None)
 def _retain_heap():
-    """Set glibc's M_TOP_PAD to TOP_PAD, once per process, before any fork.
+    """Set glibc's M_TOP_PAD to TOP_PAD, once per process, before any worker is forked.
 
-    The setting is process-wide, forked children inherit it, and it changes
-    no computed value. Where the C library has no `mallopt`, nothing is set.
+    The setting is process-wide, workers inherit it, and it changes no
+    computed value. Where the C library has no `mallopt`, nothing is set.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -382,47 +419,156 @@ def _blocks(total: int) -> list:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _fill_blocks(fill, blocks):
-    """Run `fill(start, stop)` on every block: the first here, the others in forked children.
+# -- workers ------------------------------------------------------------------
+#
+# A worker is a child forked once and kept for the life of the process. It
+# reads jobs from one pipe, each an 8-byte length and a pickle of (build,
+# integrands, the block's coordinates, order, chunk), and answers each on
+# another: b"\0" and the float64 values, integrand by integrand, or b"\1"
+# when the job raised. Workers are forked, not spawned: a fresh interpreter
+# costs more than a shipped-size pass.
 
-    `fill` writes into memory shared with the children, and a child always
-    leaves through `os._exit`, so it never flushes stdio. Children are
-    waited for in node order; a block whose child exits nonzero is filled
-    again here, over whatever the child wrote, so its error surfaces as in
-    a serial pass. Everything runs here, in order, without `os.fork`, with
-    other threads running (a forked child would inherit their locks) or
-    once a fork fails. Any exception, `KeyboardInterrupt` and signal-raised
-    ones included, kills and reaps every child not yet reaped. Children are
-    forked, not spawned: the integrands are closures, and a fresh
-    interpreter costs more than a shipped-size pass.
+
+@dataclass(frozen=True)
+class _Worker:
+    pid: int
+    jobs: int      # write end of the job pipe
+    replies: int   # read end of the reply pipe
+
+
+# this process's workers; a forked child starts with none (`_forget_pool`)
+_POOL = []
+
+
+def _pool(size: int) -> list:
+    """Up to `size` workers of this process, forking the missing ones.
+
+    None is forked without `os.fork`, with other threads running (a child
+    would inherit their held locks) or once a fork fails in this call.
     """
-    children = {}   # block index -> pid, until reaped
+    while len(_POOL) < size and hasattr(os, "fork") and threading.active_count() == 1:
+        jobs_r, jobs_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (jobs_r, jobs_w, replies_r, replies_w):
+                os.close(fd)
+            break
+        if pid == 0:
+            code = 1
+            try:
+                os.close(jobs_w)
+                os.close(replies_r)
+                _serve(jobs_r, replies_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(jobs_r)
+        os.close(replies_w)
+        _POOL.append(_Worker(pid, jobs_w, replies_r))
+    return _POOL[:size]
+
+
+def _serve(jobs: int, replies: int):
+    """A worker's loop: run each job's chunk loop and reply, until end of file on `jobs`.
+
+    It ignores SIGINT, which a terminal sends the whole process group, and
+    leaves only through `os._exit`, so it never flushes stdio or runs atexit.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    head = bytearray(8)
+    while _move(os.readv, jobs, [head]):
+        job = bytearray(int.from_bytes(head, "little"))
+        if not _move(os.readv, jobs, [job]):
+            return
+        _move(os.writev, replies, _run(job))
+
+
+def _run(job) -> list:
+    """A worker's reply to one job: b"\\0" and the values, or b"\\1" if it raised."""
     try:
-        if len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-            for i in range(1, len(blocks)):
-                try:
-                    pid = os.fork()
-                except OSError:
-                    break
-                if pid == 0:
-                    code = 1
-                    try:
-                        fill(*blocks[i])
-                        code = 0
-                    finally:
-                        os._exit(code)
-                children[i] = pid
-        for i, block in enumerate(blocks):
-            if i in children:
-                _, status = os.waitpid(children[i], 0)
-                del children[i]
-                if status == 0:
-                    continue
-            fill(*block)
-    finally:
-        for pid in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        build, integrands, coords, order, chunk = pickle.loads(job)
+        outs = np.empty((len(integrands), coords[0].size))
+        _fill(build, integrands, coords, order, chunk, outs, 0, coords[0].size)
+    except Exception:
+        return [b"\1"]
+    return [b"\0", outs]
+
+
+def _send(worker: _Worker, job: bytes) -> bool:
+    """Hand `job` to `worker`; False, with the worker reaped, if it is gone."""
+    try:
+        _move(os.writev, worker.jobs, [len(job).to_bytes(8, "little"), job])
+    except BrokenPipeError:
+        _drop(worker)
+        return False
+    return True
+
+
+def _receive(worker: _Worker, outs, start: int, stop: int) -> bool:
+    """Read `worker`'s reply into outs[:, start:stop]; False if the job failed.
+
+    A worker that died, before or while replying, is reaped and leaves the pool.
+    """
+    status = os.read(worker.replies, 1)
+    if status == b"\0" and _move(os.readv, worker.replies, [v[start:stop] for v in outs]):
+        return True
+    if status != b"\1":
+        _drop(worker)
+    return False
+
+
+def _move(io, fd: int, buffers) -> bool:
+    """Run `io` (os.readv or os.writev) on `fd` until every buffer is done.
+
+    False when a read meets end of file first.
+    """
+    views = [view for view in (memoryview(b).cast("B") for b in buffers) if view.nbytes]
+    while views:
+        done = io(fd, views)
+        if not done:
+            return False
+        while views and done >= views[0].nbytes:
+            done -= views.pop(0).nbytes
+        if done:
+            views[0] = views[0][done:]
+    return True
+
+
+def _drop(worker: _Worker):
+    """Kill and reap one worker, close its pipes and take it out of the pool."""
+    _POOL.remove(worker)
+    os.close(worker.jobs)
+    os.close(worker.replies)
+    try:
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitpid(worker.pid, 0)
+    except (ProcessLookupError, ChildProcessError):   # reaped by someone else
+        pass
+
+
+def _stop_pool():
+    """Kill and reap every worker of this process. Registered with atexit."""
+    for worker in list(_POOL):
+        _drop(worker)
+
+
+def _forget_pool():
+    """In a forked child: the parent's workers are not its own, so close their pipes.
+
+    A worker thus holds no other worker's pipe, and each one sees end of
+    file when its parent exits.
+    """
+    for worker in _POOL:
+        os.close(worker.jobs)
+        os.close(worker.replies)
+    _POOL.clear()
+
+
+atexit.register(_stop_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _refine(nodes, build, integrands, spec: QuadratureSpec, per_cell: int) -> list:
@@ -509,7 +655,9 @@ def boundary_integrand_L(cg: cv.CurveGeometry, L: float):
 # finite-L row. Each integrand declares the surface order it reads: 2 where
 # A, x and y enter with first derivatives at most (K dsigma, the Stokes
 # curl, every boundary integrand), 3 for K_L dsigma_L, whose curl of W23_L
-# takes them to second derivatives.
+# takes them to second derivatives. Integrands and geometry builds are
+# module-level functions or partials over them, so a pass can pickle them
+# into a job for a worker.
 
 
 def _root(L: float) -> float:
@@ -531,24 +679,41 @@ def _limit_curl(geom: SurfaceGeometry):
 
 def _K_dsigma_L(L: float):
     """(1/sqrt(L)) K_L dsigma_L against du dv."""
-    root = _root(L)
-    return _reads(3)(lambda geom: cv.gauss_curvature_L(geom, L) * _dsigma_L(geom, L) / root)
+    return _reads(3)(partial(_scaled_K_dsigma_L, L, _root(L)))
+
+
+def _scaled_K_dsigma_L(L: float, root: float, geom: SurfaceGeometry):
+    return cv.gauss_curvature_L(geom, L) * _dsigma_L(geom, L) / root
 
 
 def _kn_ds_L(L: float):
     """(1/sqrt(L)) k_n^L ds_L against dt."""
-    root = _root(L)
-    return _reads(2)(lambda cg: boundary_integrand_L(cg, L) / root)
+    return _reads(2)(partial(_scaled_kn_ds_L, L, _root(L)))
+
+
+def _scaled_kn_ds_L(L: float, root: float, cg: cv.CurveGeometry):
+    return boundary_integrand_L(cg, L) / root
+
+
+def _surface_geometry(model, phi: tuple, u, v, order: int) -> SurfaceGeometry:
+    """The region `build`: geometry on the patch with components `phi`.
+
+    It takes the components, not the patch, whose read-only `domain` does
+    not pickle; the geometry never reads the domain.
+    """
+    return SurfaceGeometry(model, SurfacePatch(phi), u, v, order)
+
+
+def _curve_geometry(model, phi: tuple, curve, t, order: int) -> cv.CurveGeometry:
+    """The boundary `build`: `_surface_geometry`'s counterpart along `curve`."""
+    return cv.CurveGeometry(model, SurfacePatch(phi), curve, t, order)
 
 
 def _region_integrals(scene, integrands) -> list:
     """One refinement run over the region, one result per integrand."""
     ensure_region_in_domain(scene.patch, scene.region)
     scan_region_regular(scene.model, scene.patch, scene.region)
-
-    def build(u, v, order):
-        return SurfaceGeometry(scene.model, scene.patch, u, v, order)
-
+    build = partial(_surface_geometry, scene.model, scene.patch.phi)
     return _region_pass(build, integrands, scene.region, scene.quadrature)
 
 
@@ -556,9 +721,7 @@ def _boundary_integrals(scene, integrands) -> list:
     """One refinement run per boundary curve, one result per integrand."""
     out = []
     for curve in scene.boundary:
-        def build(t, order, curve=curve):
-            return cv.CurveGeometry(scene.model, scene.patch, curve, t, order)
-
+        build = partial(_curve_geometry, scene.model, scene.patch.phi, curve)
         out.append(_curve_pass(build, integrands, curve.t0, curve.t1, scene.quadrature))
     return out
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from .calculus.jets import stack_values, value_of
 from .curvature import CurveOnSurface
-from .errors import CharacteristicPointError, ImmersionError, SceneError, ValidationError
+from .errors import (CharacteristicPointError, EvaluationError, ImmersionError, SceneError,
+                     ValidationError)
 from .frame import SubRiemannianModel, checked_frame, require_passed
 from .measures import (SCAN_SAMPLES, QuadratureSpec, Region, ensure_region_in_domain,
                        region_scan_grid, require_regular)
@@ -347,7 +348,14 @@ def _check_boundary(region: Region, boundary, path: str):
     swept = dict.fromkeys(expected, 0.0)
     pieces = {edge: ([], []) for edge in expected}     # start and end points
     for i, curve in enumerate(boundary):
-        u, v, ut, vt = _edge_samples(curve)
+        try:
+            u, v, ut, vt = _edge_samples(curve)
+        except EvaluationError as exc:
+            raise SceneError(
+                f"boundary curve or its first derivative cannot be evaluated at one "
+                f"of its {BOUNDARY_SAMPLES + 1} edge samples: {exc}",
+                f"{path}[{i}]",
+            ) from exc
         worst = _edge_distance(region, u, v)
         if worst > BOUNDARY_TOL:
             raise SceneError(

@@ -4,8 +4,9 @@ Hypothesis runs derandomized (examples depend only on the test, so a run is
 reproducible and there is no example database) and without a per-example
 deadline, so a slow or busy host cannot make a test flaky.
 
-Region quadrature forks worker processes; every test must leave none of
-them behind, running or unreaped.
+Region quadrature forks worker processes that live as long as the process
+does; each test's are stopped when it ends, and none may be left behind,
+running or unreaped.
 """
 
 import json
@@ -40,7 +41,16 @@ def fresh_builtin_scenes():
 
 @pytest.fixture(autouse=True)
 def no_stray_children():
+    """Stop the region-pass workers, then fail if any child process is left.
+
+    Stopping them after every test also means each test forks its own
+    workers, after its own monkeypatches; a worker the stop leaves unreaped
+    still fails the test.
+    """
     yield
+    from srlab import measures
+
+    measures._stop_pool()
     try:
         left = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:     # no child at all: the expected case

@@ -762,6 +762,23 @@ class TestBoundaryCoverage:
         assert "too fast for 32 samples" in err
         assert err.endswith(f"(scene field $.boundary[{index}])\n")
 
+    @pytest.mark.parametrize("curve, t, reason", [
+        (["0.8*cos(sqrt(t))", "0.8*sin(sqrt(t))"], [0.0, 4 * math.pi ** 2],
+         "sqrt of a non-positive value (derivative undefined) (expression position 8)"),
+        (["0.8*cos(log(t))", "1.5+0.8*sin(log(t))"], [0.0, 1.0],
+         "log of a non-positive value (expression position 8)"),
+    ], ids=["derivative-undefined", "value-undefined"])
+    def test_curve_that_fails_at_a_sample(self, capsys, tmp_path, curve, t, reason):
+        # a scene error at the curve (exit 3), not a numerical error with no field
+        def unevaluable(cfg):
+            cfg["boundary"][0] = {"curve": curve, "t": t}
+        code, out, err = run(capsys, "validate", "--scene",
+                             write_scene(tmp_path, unevaluable, "rt_disk"))
+        assert code == 3 and out == ""
+        assert err == ("validation error: boundary curve or its first derivative cannot be "
+                       f"evaluated at one of its 33 edge samples: {reason} "
+                       "(scene field $.boundary[0])\n")
+
     def test_uneven_parametrization_is_accepted(self, capsys, tmp_path):
         def squared(cfg):
             cfg["boundary"][0] = {"curve": ["0.8*cos(t*t)", "1.5+0.8*sin(t*t)"],

@@ -15,7 +15,11 @@ import json
 import math
 import os
 import resource
-from functools import lru_cache
+import signal
+import subprocess
+import sys
+from functools import lru_cache, partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -495,6 +499,33 @@ class TestOtherBuiltinModels:
             assert row.converged and abs(row.gap) <= 1e-9
         assert rep.stokes_gap <= 1e-12
 
+    # the shipped quadrature, and L up to 1e4
+    CLI_SCENES = {
+        "polarized_heisenberg": (["u", "v", "0"], [2.0, 0.0], 0.5,
+                                 ["2+0.5*cos(t)", "0.5*sin(t)"]),
+        "minkowski_rototranslation": SCENES["minkowski_rototranslation"],
+    }
+
+    @pytest.mark.parametrize("model", CLI_SCENES)
+    def test_gauss_bonnet_cli_at_the_shipped_quadrature(self, model, capsys, tmp_path):
+        phi, center, radius, curve = self.CLI_SCENES[model]
+        path = tmp_path / f"{model}.json"
+        path.write_text(json.dumps({
+            "model": {"builtin": model},
+            "surface": {"phi": phi, "domain": {"u": [-3.0, 3.0], "v": [-3.0, 3.0]}},
+            "region": {"type": "disk", "center": center, "radius": radius,
+                       "euler_characteristic": 1},
+            "boundary": [{"curve": curve, "t": [0.0, TWO_PI]}],
+            "quadrature": shipped_config("rt_disk")["quadrature"],
+            "L_grid": [1.0, 100.0, 1e4],
+        }), encoding="utf-8")
+        assert cli.main(["gauss-bonnet", "--scene", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["residual"]) <= 1e-12
+        assert [row["L"] for row in report["finite_L"]] == [1.0, 100.0, 1e4]
+        for row in report["finite_L"]:
+            assert abs(row["gap"]) <= 1e-12
+
 
 class TestSharedGeometry:
     """A report evaluates every integrand of a node set on one geometry.
@@ -519,8 +550,8 @@ class TestSharedGeometry:
     def log_builds(monkeypatch, log, owner, name, kind, size):
         """Append "kind size pid" to the file `log` on each `owner.name(...)` call.
 
-        Builds happen in forked children too, which a list in this process
-        cannot see.
+        Builds happen in the region-pass workers too, which a list in this
+        process cannot see.
         """
         orig = getattr(owner, name)
 
@@ -731,9 +762,39 @@ def no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+# The test process. Region-pass workers are forked from it, so these
+# module-level callables, which pickle into a worker's job by name, can tell
+# where they run.
+PARENT = os.getpid()
+
+
+@ms._reads(2)
+def fails_in_a_worker(geom):
+    if os.getpid() != PARENT:
+        raise RuntimeError("the worker fails its job")
+    return ms._K_dsigma(geom)
+
+
+@ms._reads(2)
+def dies_in_a_worker(geom):
+    if os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return ms._K_dsigma(geom)
+
+
+class Stop(BaseException):
+    pass
+
+
+def stops_in_the_parent(model, phi, u, v, order):
+    if os.getpid() == PARENT:
+        raise Stop
+    return ms._surface_geometry(model, phi, u, v, order)
+
+
 class TestForkedPasses:
-    """Region passes split over forked processes give the serial bits and
-    leave no process behind, whatever the pass raises."""
+    """Region passes split over the process's persistent workers give the
+    serial bits and leave no process behind, whatever the pass raises."""
 
     COARSE = TestSharedGeometry.COARSE
 
@@ -750,22 +811,48 @@ class TestForkedPasses:
         monkeypatch.setattr(os, "fork", counted)
         return forks
 
+    @staticmethod
+    def pool() -> list:
+        return [worker.pid for worker in ms._POOL]
+
+    def serial_and_pooled(self, monkeypatch, run) -> tuple:
+        """`run()` with a 700-node CHUNK, at WORKERS 1 and then 2."""
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            runs.append(run())
+        return tuple(runs)
+
     @pytest.mark.parametrize("name", TestOrderBudget.SCENES)
     def test_workers_give_the_serial_bits(self, monkeypatch, name):
         sc = at_quad(TestOrderBudget.load(name), self.COARSE)
         L_values = (1e2, 1e3, 1e4)
-        monkeypatch.setattr(ms, "CHUNK", 700)
         forks = self.count_forks(monkeypatch)
-        runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(ms, "WORKERS", workers)
+
+        def run():
             report = ms.gauss_bonnet_residual(sc, L_values=L_values)
             assert len(report.finite_rows) == len(L_values)
-            runs.append((repr(report), repr(ms.stokes_consistency_gap(sc)), len(forks)))
-            no_children()
-        (serial, serial_gap, serial_forks), (forked, forked_gap, _) = runs
-        assert serial_forks == 0 and forks
-        assert forked == serial and forked_gap == serial_gap
+            return repr(report), repr(ms.stokes_consistency_gap(sc)), len(forks)
+
+        (serial, serial_gap, serial_forks), (pooled, pooled_gap, pooled_forks) = \
+            self.serial_and_pooled(monkeypatch, run)
+        assert serial_forks == 0 and pooled_forks == 1 and self.pool() == forks
+        assert pooled == serial and pooled_gap == serial_gap
+
+    def test_a_second_report_reuses_the_worker_through_sigint(self, monkeypatch):
+        sc = at_quad(builtin_scene("rt_disk"), self.COARSE)
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        L_values = (1e2, 1e3, 1e4)
+        first = repr(ms.gauss_bonnet_residual(sc, L_values))
+        workers = self.pool()
+        assert len(workers) == 1
+        forks = self.count_forks(monkeypatch)
+        # a terminal's Ctrl-C reaches the whole process group; workers ignore it
+        os.kill(workers[0], signal.SIGINT)
+        assert repr(ms.gauss_bonnet_residual(sc, L_values)) == first
+        assert forks == [] and self.pool() == workers
 
     def test_failed_fork_gives_the_serial_bits(self, monkeypatch):
         sc = at_quad(builtin_scene("rt_disk"), self.COARSE)
@@ -782,7 +869,43 @@ class TestForkedPasses:
         monkeypatch.setattr(ms.os, "fork", refuse)
         monkeypatch.setattr(ms, "WORKERS", 2)
         assert repr(ms.gauss_bonnet_residual(sc, L_values=L_values)) == serial
-        assert refused
+        assert refused and self.pool() == []
+        no_children()
+
+    def test_a_job_that_does_not_pickle_runs_here(self, monkeypatch):
+        sc = annulus_scene()
+        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
+        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
+        local = ms._reads(2)(lambda geom: ms._K_dsigma(geom))
+        forks = self.count_forks(monkeypatch)
+        serial, pooled = self.serial_and_pooled(
+            monkeypatch, lambda: ms._pass(build, [local], (u, v), w, self.COARSE.order ** 2))
+        assert bitwise(pooled, serial)
+        # the worker is forked before the job is pickled, and stays idle
+        assert len(forks) == 1 and self.pool() == forks
+
+    def test_a_job_that_raises_in_the_worker_gives_the_serial_sum(self, monkeypatch):
+        sc = annulus_scene()
+        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
+        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
+        sums = self.serial_and_pooled(
+            monkeypatch, lambda: ms._pass(build, [fails_in_a_worker], (u, v), w,
+                                          self.COARSE.order ** 2))
+        assert math.isfinite(sums[0][0]) and bitwise(sums[1], sums[0])
+        # a worker whose job fails stays in the pool
+        assert len(self.pool()) == 1
+
+    def test_a_worker_that_dies_on_a_job_gives_the_serial_sum(self, monkeypatch):
+        sc = annulus_scene()
+        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
+        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
+        forks = self.count_forks(monkeypatch)
+        sums = self.serial_and_pooled(
+            monkeypatch, lambda: ms._pass(build, [dies_in_a_worker], (u, v), w,
+                                          self.COARSE.order ** 2))
+        assert math.isfinite(sums[0][0]) and bitwise(sums[1], sums[0])
+        # the dead worker is reaped and leaves the pool
+        assert len(forks) == 1 and self.pool() == []
         no_children()
 
     def test_blocks_are_whole_chunks(self, monkeypatch):
@@ -801,7 +924,7 @@ class TestForkedPasses:
         quadrature node of the second block of the first region pass.
 
         The node lies between the points of the pre-scan grid, so the scene
-        loads and the error comes from a chunk build in a child.
+        loads and the error comes from a chunk build in a worker.
         """
         annulus = builtin_scene("heisenberg_annulus")
         u, v, _ = ms.region_nodes(annulus.region, annulus.quadrature)
@@ -825,67 +948,62 @@ class TestForkedPasses:
             with pytest.raises(CharacteristicPointError, match="surface patch touches") as err:
                 ms.gauss_bonnet_residual(sc)
             errors.append(str(err.value))
-            no_children()
             code = cli.main(["gauss-bonnet", "--scene", path])
             exits.append((code, capsys.readouterr()))
-            no_children()
-        assert forks
+        # one worker, kept through both failed passes
+        assert len(forks) == 1 and self.pool() == forks
         assert errors[0] == errors[1]
         assert exits[0] == exits[1] and exits[0][0] == 4 and exits[0][1].out == ""
 
-    def test_partial_writes_of_a_failed_child_never_reach_a_sum(self, monkeypatch):
-        """A child writes into the parent's arrays; if it fails mid-block,
-        the parent fills the whole block again before anything is summed."""
-        monkeypatch.setattr(ms, "CHUNK", 700)
-        forks = self.count_forks(monkeypatch)
-        sc = annulus_scene()
-        parent = os.getpid()
-        child_chunks = []
-
-        @ms._reads(2)
-        def flaky(geom):
-            values = ms._K_dsigma(geom)
-            if os.getpid() == parent:
-                return values
-            child_chunks.append(values.size)
-            if len(child_chunks) > 1:
-                raise RuntimeError("the child fails after writing part of its block")
-            return np.full_like(values, np.nan)
-
-        def build(u, v, order):
-            return SurfaceGeometry(sc.model, sc.patch, u, v, order)
-
-        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
-        sums = []
-        for workers in (1, 2):
-            monkeypatch.setattr(ms, "WORKERS", workers)
-            sums.append(ms._pass(build, [flaky], (u, v), w, self.COARSE.order ** 2))
-            no_children()
-        start, stop = ms._blocks(u.size)[1]
-        assert stop - start >= 2 * ms.CHUNK
-        assert len(forks) == 1 and not child_chunks
-        assert math.isfinite(sums[0][0]) and bitwise(sums[1], sums[0])
-
     def test_exception_in_the_parent_block_reaps_every_child(self, monkeypatch):
-        class Stop(BaseException):
-            pass
-
         monkeypatch.setattr(ms, "WORKERS", 2)
         monkeypatch.setattr(ms, "CHUNK", 700)
         forks = self.count_forks(monkeypatch)
         sc = annulus_scene()
-        parent = os.getpid()
-
-        def build(u, v, order):
-            if os.getpid() == parent:
-                raise Stop
-            return SurfaceGeometry(sc.model, sc.patch, u, v, order)
-
         u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
         with pytest.raises(Stop):
-            ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
-        assert forks
+            ms._pass(partial(stops_in_the_parent, sc.model, sc.patch.phi), [ms._K_dsigma],
+                     (u, v), w, self.COARSE.order ** 2)
+        assert len(forks) == 1 and self.pool() == []
         no_children()
+        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
+        pooled = ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
+        assert len(forks) == 2 and self.pool() == forks[1:]
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        assert bitwise(pooled, ms._pass(build, [ms._K_dsigma], (u, v), w,
+                                        self.COARSE.order ** 2))
+
+    def test_a_worker_killed_between_passes_gives_the_serial_bits(self, monkeypatch):
+        sc = at_quad(builtin_scene("heisenberg_annulus"), self.COARSE)
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        L_values = (1e2, 1e3, 1e4)
+        first = repr(ms.gauss_bonnet_residual(sc, L_values))
+        (killed,) = self.pool()
+        os.kill(killed, signal.SIGKILL)
+        assert repr(ms.gauss_bonnet_residual(sc, L_values)) == first
+        assert killed not in self.pool()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(killed, os.WNOHANG)
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        assert repr(ms.gauss_bonnet_residual(sc, L_values)) == first
+
+    def test_workers_end_with_their_process(self):
+        code = ("from srlab import measures as ms; from srlab.scenes import builtin_scene; "
+                "ms.WORKERS = 2; sc = builtin_scene('rt_disk'); "
+                "ms.gauss_bonnet_residual(sc, sc.L_grid); "
+                "print(*(worker.pid for worker in ms._POOL))")
+        src = str(Path(ms.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        workers = [int(pid) for pid in proc.stdout.split()]
+        assert len(workers) == 1
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def has_mallopt() -> bool:

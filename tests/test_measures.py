@@ -18,6 +18,7 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 from functools import lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -782,6 +783,13 @@ def dies_in_a_worker(geom):
     return ms._K_dsigma(geom)
 
 
+@ms._reads(2)
+def sleeps_in_a_worker(geom):
+    if os.getpid() != PARENT:
+        time.sleep(60)
+    return ms._K_dsigma(geom)
+
+
 class Stop(BaseException):
     pass
 
@@ -967,6 +975,34 @@ class TestForkedPasses:
         assert len(forks) == 1 and self.pool() == []
         no_children()
         build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
+        pooled = ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
+        assert len(forks) == 2 and self.pool() == forks[1:]
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        assert bitwise(pooled, ms._pass(build, [ms._K_dsigma], (u, v), w,
+                                        self.COARSE.order ** 2))
+
+    def test_a_timeout_while_a_job_is_out_stops_the_pool(self, monkeypatch):
+        # as the benchmark's per-operation SIGALRM limit raises
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        forks = self.count_forks(monkeypatch)
+        sc = annulus_scene()
+        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
+        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
+
+        def on_alarm(signum, frame):
+            raise Stop
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(Stop):
+                ms._pass(build, [sleeps_in_a_worker], (u, v), w, self.COARSE.order ** 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1 and self.pool() == []
+        no_children()
         pooled = ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
         assert len(forks) == 2 and self.pool() == forks[1:]
         monkeypatch.setattr(ms, "WORKERS", 1)

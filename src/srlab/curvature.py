@@ -30,7 +30,7 @@ from .calculus import Jet, ScalarField, pair_oneform
 from .calculus.jets import Composer, jsqrt, value_of
 from .errors import NumericalError, TransversalityError
 from .frame import ConnectionFormsL
-from .surface import SurfaceGeometry
+from .surface import SurfaceGeometry, basis_components
 
 EPS_TRANS = 1e-6
 
@@ -48,26 +48,6 @@ class SurfaceOneForm:
 
     def values(self):
         return value_of(self.P), value_of(self.Q)
-
-
-def basis_components(p, q, w) -> tuple:
-    """Components (a, b) with w = a p + b q, per point, for jets or values.
-
-    Euclidean normal equations in chart components; exact for vectors in
-    the span of p and q, which is the only supported input. A jet
-    determinant is inverted once; on values both stay divisions, since
-    `x / d` and `x * (1 / d)` may differ in the last bit.
-    """
-    e = sum(a * a for a in p)
-    f = sum(a * b for a, b in zip(p, q))
-    g = sum(b * b for b in q)
-    r1 = sum(a * c for a, c in zip(p, w))
-    r2 = sum(b * c for b, c in zip(q, w))
-    det = e * g - f * f
-    if isinstance(det, Jet):
-        inv_det = 1.0 / det
-        return (r1 * g - r2 * f) * inv_det, (e * r2 - f * r1) * inv_det
-    return (r1 * g - r2 * f) / det, (e * r2 - f * r1) / det
 
 
 def tangent_components(geom: SurfaceGeometry, vec) -> tuple:
@@ -103,12 +83,14 @@ class LFormAssembly:
     d(alpha), one order below the adapted frame.
 
     Builds, as jets in (u, v): the three ambient connection forms restricted
-    to the surface, the angle differential d(alpha) and the assembled form
-    W23_L, which is all the curvature K_L reads. The companion forms W12_L
-    and W13_L and d(beta), which only the Gauss-equation split reads, are
-    built on first use. Reuses the geometry's pullback composer, so
-    constructing several assemblies for one geometry (an L sweep) repeats no
-    chart-level work.
+    to the surface and the assembled form W23_L, which is all the curvature
+    K_L reads. The companion forms W12_L and W13_L and d(beta), which only
+    the Gauss-equation split reads, are built on first use. What does not
+    depend on L comes from the geometry, built once however many
+    assemblies read it (an L sweep): the pullback composer, A and A^2 and
+    the angle alpha with d(alpha) (`SurfaceGeometry.form_terms`), and the
+    values of f2 and f3 with f2's parameter components. So only the L-scaled
+    connection coefficients and the terms of the angle beta are built per L.
     """
 
     def __init__(self, geom: SurfaceGeometry, L: float):
@@ -117,8 +99,8 @@ class LFormAssembly:
         self.L = forms.L
         s = math.sqrt(self.L)
 
-        A = geom.A.truncate(geom.A.order - 1)
-        self.denom2 = A * A + self.L            # L + A^2
+        A, A2, s_a, c_a, dalpha = geom.form_terms
+        self.denom2 = A2 + self.L   # L + A^2
         self.inv_denom = 1.0 / jsqrt(self.denom2)
         self.cosb = s * self.inv_denom
         self.sinb = A * self.inv_denom
@@ -145,14 +127,8 @@ class LFormAssembly:
         self.w13 = restrict(1, 3)
         self.w23 = restrict(2, 3)
 
-        sin_a, cos_a = -geom.x, geom.y
-        # the factors of every product are read to `order` too
-        self._sin_a, self._cos_a = s_a, c_a = sin_a.truncate(order), cos_a.truncate(order)
-        # d(alpha) through the angle's sine and cosine, never the branch
-        self.dalpha = SurfaceOneForm(
-            c_a * sin_a.deriv(0) - s_a * cos_a.deriv(0),
-            c_a * sin_a.deriv(1) - s_a * cos_a.deriv(1),
-        )
+        self._sin_a, self._cos_a = s_a, c_a
+        self.dalpha = SurfaceOneForm(*dalpha)
 
         horiz = _mix(-s_a, self.w13, c_a, self.w23)         # -sin(a) w13 + cos(a) w23
         self._dplus = _mix(1.0, self.dalpha, 1.0, self.w12)  # d(alpha) + w12
@@ -180,14 +156,11 @@ class LFormAssembly:
     def X3_values(self):
         """Values of X3: each f3 value times 1 / sqrt(L + A^2)."""
         scale = value_of(self.inv_denom)
-        return [value_of(c) * scale for c in self.geom.f3]
+        return [c * scale for c in self.geom.f3_values]
 
     def frame_components(self):
         """(a, b) parameter components of X2 and X3 (values)."""
-        geom = self.geom
-        a2, b2 = tangent_components(geom, geom.f2)
-        a3, b3 = tangent_components(geom, self.X3_values())
-        return (a2, b2), (a3, b3)
+        return self.geom.f2_components, tangent_components(self.geom, self.X3_values())
 
     def gauss_curvature(self):
         """K_L = d(W32_L)(X2, X3) = -d(W23_L)(X2, X3)."""
@@ -248,7 +221,7 @@ def omega23_koszul_values(geom: SurfaceGeometry, L: float):
 
 def gauss_curvature_limit(geom: SurfaceGeometry):
     """K = -dA(f2) - A^2."""
-    a2, b2 = tangent_components(geom, geom.f2)
+    a2, b2 = geom.f2_components
     dA = (value_of(geom.A.deriv(0)), value_of(geom.A.deriv(1)))
     A = value_of(geom.A)
     return -(a2 * dA[0] + b2 * dA[1]) - A * A

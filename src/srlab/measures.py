@@ -18,23 +18,22 @@ Quadrature is composite Gauss-Legendre with a fixed summation order
 bitwise reproducible. Disk and annulus regions integrate in polar parameters
 with the Jacobian folded into the weights.
 
-A pass of at least two CHUNKs of nodes (the region passes; curve passes
-stay smaller) is split into contiguous blocks of whole chunks, one per CPU.
-The calling process evaluates the first block and hands each other one to a
-worker: a child forked once, at the first such pass, and reused by every
-later pass, so no heap is shared copy-on-write after that one fork. A
-worker gets a pickled job, runs the same chunk loop and replies with the
-raw values; one geometry is alive per process. Each node's value comes
-from the same code on the same chunk whichever process computes it, and
-the caller sums the whole arrays in the fixed order, so the bits are those
-of a serial pass. The caller evaluates a block itself when the pass is
-smaller, the host gives one CPU, other threads were running when the
-workers would have been forked, the fork failed, the job does not pickle,
-or the worker failed or died. The first pass in a process asks glibc to
-keep freed heap (`_retain_heap`), so each chunk reuses the pages the one
-before it freed; each idle worker keeps its own, up to the 64 MiB pad, for
-the life of the process. Workers see the module as it was when they were
-forked.
+A report's integrals advance together in rounds (`_refine`): levels 0 and 1
+of the region and of every boundary curve first, then one level per round
+for the integrands still refining. A round (`_pass`) cuts each run's joined
+levels into items of whole cells, one geometry each, and shares them with
+the process's workers, children forked once at the first round of two or
+more items and reused by every later one. A worker gets the round pickled,
+with its nodes named (region or curve interval, spec, levels) rather than
+sent, takes item numbers from a queue shared with the caller, and replies
+with per-cell sums. A cell's sum depends only on its own values, and each
+level's cells are summed in cell order, so the bits are those of a serial
+pass. The caller then evaluates, in serial order, every item no process
+finished, so the first failing item raises its own error. The first round
+in a process asks glibc to keep freed heap (`_retain_heap`), so each item
+reuses the pages the one before it freed; each idle worker keeps its own,
+up to the 64 MiB pad, for the life of the process. Workers see the module
+as it was when they were forked.
 """
 
 import atexit
@@ -53,9 +52,9 @@ from . import curvature as cv
 from .errors import CharacteristicPointError, SceneError
 from .surface import EPS_CHAR, SurfaceGeometry, SurfacePatch, characteristic_report
 
-# nodes per geometry build
+# most nodes per geometry build, rounded down to whole quadrature cells
 CHUNK = 8192
-# processes a pass of two or more chunks is split over: the CPUs this
+# processes a round of two or more items is shared by: the CPUs this
 # process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 TWO_PI = 2.0 * math.pi
@@ -308,12 +307,6 @@ def curve_nodes(t0: float, t1: float, spec: QuadratureSpec, factor: int = 1):
     return nodes.ravel(), weights.ravel()
 
 
-def _reduce(values, weights, per_cell: int):
-    """Deterministic weighted sum: pairwise within cells, then across."""
-    prods = (values * weights).reshape(-1, per_cell)
-    return float(np.sum(np.sum(prods, axis=1)))
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     """A quadrature value with its refinement-based error estimate."""
@@ -332,64 +325,177 @@ def _reads(order: int):
     return mark
 
 
-def _pass(build, integrands, coords, weights, per_cell: int) -> list:
-    """Weighted sums of several integrands over one node set.
+class _Task:
+    """A round's share of one refinement run: integrands on the joined nodes of `levels`.
 
-    Each CHUNK of nodes gets one geometry from `build(*coords, order)`, at
-    the highest surface order the integrands declare (`fn.order`), which
-    every integrand evaluates on; the geometry is released before the next
-    chunk is built, so at most one is alive per process. The node set is cut
-    into `_blocks`: this process fills the first, and each other block goes
-    as a pickled job to one of this process's workers (`_pool`), which runs
-    the same chunk loop (`_fill`) and replies with the raw values, read
-    straight into this process's arrays. Blocks are taken in node order, and
-    one with no worker, a job that does not pickle, a worker that reports
-    failure or one that died is filled here instead, so an error surfaces as
-    in a serial pass. The chunks and the summation order are those of a
-    serial pass, so the sums are bitwise the same. An exception here while a
-    job is out, `KeyboardInterrupt` and signal-raised ones included, stops
-    the pool; the next pass forks a new one.
+    `build(*coords, order)` gives the geometry the integrands read. The
+    run's domain is a Region or the (t0, t1) interval of a boundary curve;
+    level k holds the nodes of `region_nodes` or `curve_nodes` at factor
+    2^k, and the levels' node sets are laid end to end. A cell is
+    `per_cell` consecutive nodes, one quadrature cell (order^2 region nodes
+    or order curve nodes), so no cell straddles two levels. A plain class,
+    as `_Worker` is.
+    """
+
+    def __init__(self, build, integrands: tuple, domain, spec: QuadratureSpec, levels: tuple):
+        self.build = build
+        self.integrands = integrands
+        self.domain = domain
+        self.spec = spec
+        self.levels = levels
+
+    @property
+    def per_cell(self) -> int:
+        return self.spec.order ** (2 if isinstance(self.domain, Region) else 1)
+
+    def sizes(self) -> list:
+        """Nodes per level, without building them."""
+        spec = self.spec
+        if isinstance(self.domain, Region):
+            return [spec.cells[0] * spec.cells[1] * self.per_cell * 4 ** k for k in self.levels]
+        return [spec.segments * spec.order * 2 ** k for k in self.levels]
+
+    def nodes(self, level: int):
+        """Coordinate arrays and weights of one level."""
+        if isinstance(self.domain, Region):
+            return region_nodes(self.domain, self.spec, 2 ** level)
+        return curve_nodes(*self.domain, self.spec, 2 ** level)
+
+
+def _items(tasks, chunk: int) -> list:
+    """The round's items (task index, start, stop) in serial order, whole cells each.
+
+    An item holds as many whole cells as fit in `chunk` nodes, or one cell
+    when a cell is larger; it may span the end of one level and the start
+    of the next.
+    """
+    items = []
+    for t, task in enumerate(tasks):
+        step = max(1, chunk // task.per_cell) * task.per_cell
+        total = sum(task.sizes())
+        items += [(t, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    return items
+
+
+def _evaluate(tasks, item, nodes: dict):
+    """Per-cell weighted sums of one item's integrands, shape (integrands, cells).
+
+    One geometry serves every integrand of the item, at the highest surface
+    order they declare (`fn.order`). `nodes` keeps each level's node set
+    once per round in this process. A cell's sum reads only that cell's
+    values, so it has the same bits whatever item, process or chunk size
+    computes it.
+    """
+    t, lo, hi = item
+    task = tasks[t]
+    parts, start = [], 0
+    for level, size in zip(task.levels, task.sizes()):
+        a, b = max(lo, start), min(hi, start + size)
+        if a < b:
+            if (t, level) not in nodes:
+                nodes[t, level] = task.nodes(level)
+            parts.append([x[a - start:b - start] for x in nodes[t, level]])
+        start += size
+    *coords, weights = parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
+    geom = task.build(*coords, max(fn.order for fn in task.integrands))
+    n, per_cell = hi - lo, task.per_cell
+    sums = np.empty((len(task.integrands), n // per_cell))
+    for row, fn in zip(sums, task.integrands):
+        row[:] = np.sum((np.broadcast_to(fn(geom), (n,)) * weights).reshape(-1, per_cell), axis=1)
+    return sums
+
+
+def _store(tasks, sums, item, block):
+    t, lo, hi = item
+    per_cell = tasks[t].per_cell
+    sums[t][:, lo // per_cell:hi // per_cell] = block
+
+
+def _pass(tasks) -> list:
+    """One round: every task's integrands on its levels, as [task][level][integrand] sums.
+
+    With workers (`_pool`) the items are shared out first (`_deal`). Then
+    this process evaluates, in serial order (tasks, then levels, in order),
+    every item no process finished: all of them without workers or when the
+    round does not pickle, else those that failed, here or in a worker, or
+    whose worker died. So the first failing item in serial order raises its
+    own error at every WORKERS. A level's value sums its cells in cell order.
     """
     _retain_heap()
-    total = coords[0].size
-    order = max(fn.order for fn in integrands)
-    blocks = _blocks(total)
-    workers = _pool(len(blocks) - 1)
-    outs = np.empty((len(integrands), total))
-    out = {}   # block index -> the worker whose reply is unread
+    items = _items(tasks, CHUNK)
+    sums = [np.empty((len(task.integrands), sum(task.sizes()) // task.per_cell))
+            for task in tasks]
+    done = [False] * len(items)
+    nodes = {}
+    workers = _pool(min(WORKERS, len(items)) - 1)
+    if workers:
+        _deal(tasks, items, sums, done, nodes, workers)
+    for i, item in enumerate(items):
+        if not done[i]:
+            _store(tasks, sums, item, _evaluate(tasks, item, nodes))
+    out = []
+    for task, cells in zip(tasks, sums):
+        per_level, start = [], 0
+        for size in task.sizes():
+            stop = start + size // task.per_cell
+            per_level.append([float(np.sum(row[start:stop])) for row in cells])
+            start = stop
+        out.append(per_level)
+    return out
+
+
+def _deal(tasks, items, sums, done, nodes, workers):
+    """Share a round's items between this process and `workers`, filling `sums` and `done`.
+
+    An item that raises here is left undone for the serial sweep. An
+    exception that escapes while workers hold the round, `KeyboardInterrupt`
+    and signal-raised ones included, stops the pool; the next round forks a
+    new one.
+    """
     try:
-        for i, worker in enumerate(workers, 1):
-            start, stop = blocks[i]
-            try:
-                job = pickle.dumps((build, integrands, [c[start:stop] for c in coords],
-                                    order, CHUNK), pickle.HIGHEST_PROTOCOL)
-            except (pickle.PicklingError, AttributeError, TypeError):
-                break   # a lambda, a closure, a read-only mapping: the blocks run here
-            out[i] = worker
-            if not _send(worker, job):
-                del out[i]
-            del job   # its copy of the coordinates need not live through block 0
-        for i, (start, stop) in enumerate(blocks):
-            if i in out and _receive(out[i], outs, start, stop):
-                del out[i]
-                continue
-            out.pop(i, None)
-            _fill(build, integrands, coords, order, CHUNK, outs, start, stop)
+        job = pickle.dumps((tasks, CHUNK), pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return   # a lambda, a closure, a read-only mapping: every item runs here
+    queue, feed = _QUEUE
+    try:
+        pending = _offer(feed, b"".join(i.to_bytes(4, "little") for i in range(1, len(items))))
+        out = [worker for worker in workers if _send(worker, job)]
+        i = 0
+        while i is not None or pending:
+            if i is not None:
+                try:
+                    _store(tasks, sums, items[i], _evaluate(tasks, items[i], nodes))
+                    done[i] = True
+                except Exception:
+                    pass   # evaluated again after the round, in serial order, and raised there
+            pending = _offer(feed, pending)
+            i = _take(queue)
+        for worker in out:
+            _collect(worker, tasks, items, sums, done)
     except BaseException:
-        if out:
-            _stop_pool()
+        _stop_pool()
         raise
-    return [_reduce(values, weights, per_cell) for values in outs]
 
 
-def _fill(build, integrands, coords, order: int, chunk: int, outs, start: int, stop: int):
-    """Evaluate every integrand on nodes [start, stop) into `outs`, one geometry per chunk."""
-    for lo in range(start, stop, chunk):
-        sl = slice(lo, min(lo + chunk, stop))
-        geom = build(*(c[sl] for c in coords), order)
-        for values, fn in zip(outs, integrands):
-            values[sl] = np.broadcast_to(fn(geom), (sl.stop - sl.start,))
-        del geom
+def _collect(worker, tasks, items, sums, done):
+    """Read `worker`'s replies for the round until its end marker.
+
+    A worker that died, before or while replying, is reaped and leaves the pool.
+    """
+    head = bytearray(5)
+    while _move(os.readv, worker.replies, [head]):
+        i, status = int.from_bytes(head[:4], "little"), head[4]
+        if i == _END:
+            return
+        if status == 1:
+            continue
+        t, lo, hi = items[i]
+        block = np.empty((len(tasks[t].integrands), (hi - lo) // tasks[t].per_cell))
+        if status != 0 or not _move(os.readv, worker.replies, [block]):
+            break
+        _store(tasks, sums, items[i], block)
+        done[i] = True
+    _drop(worker)
 
 
 @lru_cache(maxsize=None)
@@ -407,37 +513,38 @@ def _retain_heap():
     mallopt(-2, TOP_PAD)   # -2 is M_TOP_PAD
 
 
-def _blocks(total: int) -> list:
-    """Split [0, total) into at most WORKERS contiguous (start, stop) runs of whole chunks.
-
-    Every block holds at least one full CHUNK, so a pass below two CHUNKs
-    is a single block.
-    """
-    chunks = -(-total // CHUNK)
-    workers = max(1, min(WORKERS, total // CHUNK))
-    cuts = [min(total, CHUNK * (chunks * i // workers)) for i in range(workers + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 # -- workers ------------------------------------------------------------------
 #
 # A worker is a child forked once and kept for the life of the process. It
-# reads jobs from one pipe, each an 8-byte length and a pickle of (build,
-# integrands, the block's coordinates, order, chunk), and answers each on
-# another: b"\0" and the float64 values, integrand by integrand, or b"\1"
-# when the job raised. Workers are forked, not spawned: a fresh interpreter
-# costs more than a shipped-size pass.
+# reads a round from its job pipe, an 8-byte length and a pickle of (tasks,
+# chunk), then takes 4-byte item numbers from the queue, a pipe shared by
+# the whole pool whose ends never block, until it finds it empty. For each
+# item it writes the number and b"\0" with the per-cell sums, or b"\1" when
+# the item raised, and at the end of the round the number _END. This
+# process fills the queue before it sends a round; a round of more items
+# than the queue holds feeds the rest as room frees, and a worker that finds
+# the queue empty first leaves them to the others. Workers are forked, not
+# spawned: a fresh interpreter costs more than a shipped-size round.
+
+_END = 2 ** 32 - 1
+# bytes per write to the queue: POSIX writes at most PIPE_BUF (512 or
+# more) bytes to a pipe whole, so no item number is ever split
+_FEED = 512
 
 
-@dataclass(frozen=True)
 class _Worker:
-    pid: int
-    jobs: int      # write end of the job pipe
-    replies: int   # read end of the reply pipe
+    """A worker's pid and pipe ends (a plain class: a dataclass costs a millisecond at import)."""
+
+    def __init__(self, pid: int, jobs: int, replies: int):
+        self.pid = pid
+        self.jobs = jobs         # write end of the job pipe
+        self.replies = replies   # read end of the reply pipe
 
 
-# this process's workers; a forked child starts with none (`_forget_pool`)
+# this process's workers, and the read and write ends of their queue; a
+# forked child starts with neither (`_forget_pool`)
 _POOL = []
+_QUEUE = []
 
 
 def _pool(size: int) -> list:
@@ -447,12 +554,17 @@ def _pool(size: int) -> list:
     would inherit their held locks) or once a fork fails in this call.
     """
     while len(_POOL) < size and hasattr(os, "fork") and threading.active_count() == 1:
+        if not _QUEUE:
+            _QUEUE.extend(os.pipe())
+            for fd in _QUEUE:
+                os.set_blocking(fd, False)
         jobs_r, jobs_w = os.pipe()
         replies_r, replies_w = os.pipe()
+        queue = os.dup(_QUEUE[0])   # `_forget_pool` closes the pool's own in the child
         try:
             pid = os.fork()
         except OSError:
-            for fd in (jobs_r, jobs_w, replies_r, replies_w):
+            for fd in (jobs_r, jobs_w, replies_r, replies_w, queue):
                 os.close(fd)
             break
         if pid == 0:
@@ -460,18 +572,18 @@ def _pool(size: int) -> list:
             try:
                 os.close(jobs_w)
                 os.close(replies_r)
-                _serve(jobs_r, replies_w)
+                _serve(jobs_r, replies_w, queue)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(jobs_r)
-        os.close(replies_w)
+        for fd in (jobs_r, replies_w, queue):
+            os.close(fd)
         _POOL.append(_Worker(pid, jobs_w, replies_r))
     return _POOL[:size]
 
 
-def _serve(jobs: int, replies: int):
-    """A worker's loop: run each job's chunk loop and reply, until end of file on `jobs`.
+def _serve(jobs: int, replies: int, queue: int):
+    """A worker's loop: take and reply to each round's items, until end of file on `jobs`.
 
     It ignores SIGINT, which a terminal sends the whole process group, and
     leaves only through `os._exit`, so it never flushes stdio or runs atexit.
@@ -482,18 +594,48 @@ def _serve(jobs: int, replies: int):
         job = bytearray(int.from_bytes(head, "little"))
         if not _move(os.readv, jobs, [job]):
             return
-        _move(os.writev, replies, _run(job))
+        _work(job, replies, queue)
 
 
-def _run(job) -> list:
-    """A worker's reply to one job: b"\\0" and the values, or b"\\1" if it raised."""
+def _work(job, replies: int, queue: int):
+    """A worker's share of one round: reply to each item it takes, then send the end marker.
+
+    A reply is the item's number and b"\\0" with its per-cell sums, or b"\\1" if it raised.
+    """
     try:
-        build, integrands, coords, order, chunk = pickle.loads(job)
-        outs = np.empty((len(integrands), coords[0].size))
-        _fill(build, integrands, coords, order, chunk, outs, 0, coords[0].size)
+        tasks, chunk = pickle.loads(job)
+        items = _items(tasks, chunk)
     except Exception:
-        return [b"\1"]
-    return [b"\0", outs]
+        items = []   # take nothing: the caller evaluates the round
+    nodes = {}
+    while items and (i := _take(queue)) is not None:
+        head = i.to_bytes(4, "little")
+        try:
+            reply = [head + b"\0", _evaluate(tasks, items[i], nodes)]
+        except Exception:
+            reply = [head + b"\1"]
+        _move(os.writev, replies, reply)
+    _move(os.writev, replies, [_END.to_bytes(4, "little") + b"\0"])
+
+
+def _take(queue: int):
+    """The next item number from the queue, or None when it is empty."""
+    try:
+        data = os.read(queue, 4)
+    except BlockingIOError:
+        return None
+    return int.from_bytes(data, "little") if len(data) == 4 else None
+
+
+def _offer(feed: int, pending: bytes) -> bytes:
+    """Write what fits of `pending` item numbers to the queue; return the rest."""
+    while pending:
+        try:
+            done = os.write(feed, pending[:_FEED])
+        except BlockingIOError:
+            break
+        pending = pending[done:]
+    return pending
 
 
 def _send(worker: _Worker, job: bytes) -> bool:
@@ -504,19 +646,6 @@ def _send(worker: _Worker, job: bytes) -> bool:
         _drop(worker)
         return False
     return True
-
-
-def _receive(worker: _Worker, outs, start: int, stop: int) -> bool:
-    """Read `worker`'s reply into outs[:, start:stop]; False if the job failed.
-
-    A worker that died, before or while replying, is reaped and leaves the pool.
-    """
-    status = os.read(worker.replies, 1)
-    if status == b"\0" and _move(os.readv, worker.replies, [v[start:stop] for v in outs]):
-        return True
-    if status != b"\1":
-        _drop(worker)
-    return False
 
 
 def _move(io, fd: int, buffers) -> bool:
@@ -549,9 +678,16 @@ def _drop(worker: _Worker):
 
 
 def _stop_pool():
-    """Kill and reap every worker of this process. Registered with atexit."""
+    """Kill and reap every worker of this process and close the queue. Registered with atexit."""
     for worker in list(_POOL):
         _drop(worker)
+    _close_queue()
+
+
+def _close_queue():
+    for fd in _QUEUE:
+        os.close(fd)
+    _QUEUE.clear()
 
 
 def _forget_pool():
@@ -564,6 +700,7 @@ def _forget_pool():
         os.close(worker.jobs)
         os.close(worker.replies)
     _POOL.clear()
+    _close_queue()
 
 
 atexit.register(_stop_pool)
@@ -571,59 +708,64 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _refine(nodes, build, integrands, spec: QuadratureSpec, per_cell: int) -> list:
-    """Run passes at doubling resolution until every integrand is stable.
+def _refine(runs, spec: QuadratureSpec) -> list:
+    """Refinement runs at doubling resolution until each integrand is stable.
 
-    `nodes(factor)` gives the coordinate arrays and weights of one pass; the
-    node set and its geometry are built once per level and shared by the
-    integrands still refining. Each integrand keeps its own value, error and
-    convergence. The reported error is the change under the last doubling,
-    floored at a few units of rounding so it stays a usable bound even when
-    consecutive levels agree bitwise.
+    A run is (build, integrands, domain), its domain a Region or a curve's
+    (t0, t1). All runs advance together, one `_pass` per round: levels 0
+    and 1 first, since no integrand converges on one level, then one level
+    per round for the integrands still refining. Each integrand keeps its
+    own value, error and convergence; the result is one list per run. The
+    reported error is the change under the last doubling, floored at a few
+    units of rounding so it stays a usable bound even when consecutive
+    levels agree bitwise.
     """
-    results = [None] * len(integrands)
-    last = [None] * len(integrands)
-    err = [0.0] * len(integrands)
-    for k in range(spec.max_refine + 1):
-        active = [i for i, res in enumerate(results) if res is None]
-        if not active:
+    results = [[None] * len(integrands) for _, integrands, _ in runs]
+    last = [[None] * len(integrands) for _, integrands, _ in runs]
+    err = [[0.0] * len(integrands) for _, integrands, _ in runs]
+    levels = tuple(range(min(spec.max_refine, 1) + 1))
+    while levels:
+        owners, tasks = [], []
+        for r, (build, integrands, domain) in enumerate(runs):
+            active = [i for i, res in enumerate(results[r]) if res is None]
+            if active:
+                owners.append((r, active))
+                tasks.append(_Task(build, tuple(integrands[i] for i in active), domain,
+                                   spec, levels))
+        if not tasks:
             break
-        *coords, weights = nodes(2 ** k)
-        values = _pass(build, [integrands[i] for i in active], coords, weights, per_cell)
-        for i, value in zip(active, values):
-            if last[i] is not None:
-                err[i] = abs(value - last[i])
-                if err[i] <= spec.rel_tol * max(1.0, abs(value)):
-                    results[i] = QuadratureResult(value, _floor_err(err[i], value), True, k)
-            last[i] = value
-    return [res if res is not None else
-            QuadratureResult(value, _floor_err(e, value), False, spec.max_refine)
-            for res, value, e in zip(results, last, err)]
+        for (r, active), per_level in zip(owners, _pass(tasks)):
+            for k, values in zip(levels, per_level):
+                for i, value in zip(active, values):
+                    if results[r][i] is not None:
+                        continue
+                    if last[r][i] is not None:
+                        err[r][i] = abs(value - last[r][i])
+                        if err[r][i] <= spec.rel_tol * max(1.0, abs(value)):
+                            results[r][i] = QuadratureResult(
+                                value, _floor_err(err[r][i], value), True, k)
+                    last[r][i] = value
+        k = levels[-1] + 1
+        levels = (k,) if k <= spec.max_refine else ()
+    return [[res if res is not None else
+             QuadratureResult(value, _floor_err(e, value), False, spec.max_refine)
+             for res, value, e in zip(*state)] for state in zip(results, last, err)]
 
 
 def _floor_err(err: float, value: float) -> float:
     return max(err, 16.0 * np.finfo(float).eps * max(1.0, abs(value)))
 
 
-def _region_pass(build, integrands, region: Region, spec: QuadratureSpec) -> list:
-    return _refine(lambda factor: region_nodes(region, spec, factor), build,
-                   integrands, spec, spec.order * spec.order)
-
-
-def _curve_pass(build, integrands, t0: float, t1: float, spec: QuadratureSpec) -> list:
-    return _refine(lambda factor: curve_nodes(t0, t1, spec, factor), build,
-                   integrands, spec, spec.order)
-
-
 def integrate_region(fn, region: Region, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate fn(u, v) du dv over the region with refinement control."""
-    return _region_pass(lambda u, v, order: (u, v), [_reads(0)(lambda uv: fn(*uv))],
-                        region, spec)[0]
+    run = (lambda u, v, order: (u, v), [_reads(0)(lambda uv: fn(*uv))], region)
+    return _refine([run], spec)[0][0]
 
 
 def integrate_curve(fn, t0: float, t1: float, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate fn(t) dt over [t0, t1] with refinement control."""
-    return _curve_pass(lambda t, order: t, [_reads(0)(lambda t: fn(t))], t0, t1, spec)[0]
+    run = (lambda t, order: t, [_reads(0)(lambda t: fn(t))], (t0, t1))
+    return _refine([run], spec)[0][0]
 
 
 # -- densities ----------------------------------------------------------------
@@ -648,16 +790,15 @@ def boundary_integrand_L(cg: cv.CurveGeometry, L: float):
 
 # -- scene integrals ----------------------------------------------------------
 #
-# A scene integrand maps one chunk's geometry to values at its nodes: a
+# A scene integrand maps one item's geometry to values at its nodes: a
 # SurfaceGeometry on region nodes, a CurveGeometry on boundary nodes. Only
 # the L-adapted frame and its connection forms depend on L, so one geometry
-# per node set serves the limit integrands, the Stokes curl and every
-# finite-L row. Each integrand declares the surface order it reads: 2 where
-# A, x and y enter with first derivatives at most (K dsigma, the Stokes
-# curl, every boundary integrand), 3 for K_L dsigma_L, whose curl of W23_L
-# takes them to second derivatives. Integrands and geometry builds are
-# module-level functions or partials over them, so a pass can pickle them
-# into a job for a worker.
+# per item serves the limit integrands, the Stokes curl and every finite-L
+# row. Each integrand declares the surface order it reads: 2 where A, x and
+# y enter with first derivatives at most (K dsigma, the Stokes curl, every
+# boundary integrand), 3 for K_L dsigma_L, whose curl of W23_L takes them to
+# second derivatives. Integrands and geometry builds are module-level
+# functions or partials over them, so a round can pickle them for a worker.
 
 
 def _root(L: float) -> float:
@@ -709,21 +850,34 @@ def _curve_geometry(model, phi: tuple, curve, t, order: int) -> cv.CurveGeometry
     return cv.CurveGeometry(model, SurfacePatch(phi), curve, t, order)
 
 
+def _scene_integrals(scene, area_fns, curve_fns) -> tuple:
+    """Refinement runs over the region and along each boundary curve, in shared rounds.
+
+    Returns one result per area integrand (None without any) and, per
+    boundary curve, one result per curve integrand. The region is checked
+    against the patch domain and scanned for characteristic points first.
+    """
+    runs = []
+    if area_fns:
+        ensure_region_in_domain(scene.patch, scene.region)
+        scan_region_regular(scene.model, scene.patch, scene.region)
+        runs.append((partial(_surface_geometry, scene.model, scene.patch.phi), area_fns,
+                     scene.region))
+    if curve_fns:
+        runs += [(partial(_curve_geometry, scene.model, scene.patch.phi, curve), curve_fns,
+                  (curve.t0, curve.t1)) for curve in scene.boundary]
+    results = _refine(runs, scene.quadrature)
+    return (results.pop(0) if area_fns else None), results
+
+
 def _region_integrals(scene, integrands) -> list:
     """One refinement run over the region, one result per integrand."""
-    ensure_region_in_domain(scene.patch, scene.region)
-    scan_region_regular(scene.model, scene.patch, scene.region)
-    build = partial(_surface_geometry, scene.model, scene.patch.phi)
-    return _region_pass(build, integrands, scene.region, scene.quadrature)
+    return _scene_integrals(scene, integrands, ())[0]
 
 
 def _boundary_integrals(scene, integrands) -> list:
     """One refinement run per boundary curve, one result per integrand."""
-    out = []
-    for curve in scene.boundary:
-        build = partial(_curve_geometry, scene.model, scene.patch.phi, curve)
-        out.append(_curve_pass(build, integrands, curve.t0, curve.t1, scene.quadrature))
-    return out
+    return _scene_integrals(scene, (), integrands)[1]
 
 
 def integrate_K_dsigma(scene) -> QuadratureResult:
@@ -774,10 +928,8 @@ def _finite_row(chi: int, L: float, area: QuadratureResult, boundary) -> FiniteL
 
 def finite_L_gauss_bonnet(scene, L: float) -> FiniteLRow:
     """The scaled finite-L Gauss-Bonnet sum against 2 pi chi / sqrt(L)."""
-    area_fn, curve_fn = _K_dsigma_L(L), _kn_ds_L(L)
-    area = _region_integrals(scene, [area_fn])[0]
-    boundary = [res for res, in _boundary_integrals(scene, [curve_fn])]
-    return _finite_row(scene.region.chi, L, area, boundary)
+    (area,), curves = _scene_integrals(scene, [_K_dsigma_L(L)], [_kn_ds_L(L)])
+    return _finite_row(scene.region.chi, L, area, [res for res, in curves])
 
 
 @dataclass(frozen=True)
@@ -805,14 +957,14 @@ def gauss_bonnet_residual(scene, L_values=()) -> GaussBonnetReport:
 
     The residual is the area integral plus the boundary integrals, summed
     left to right in the reported order, and vanishes for correctly oriented
-    scenes. One region pass and one pass per boundary curve evaluate the
-    limit integrands, the Stokes curl and every finite-L row on shared geometry.
+    scenes. One refinement run over the region and one along each boundary
+    curve evaluate the limit integrands, the Stokes curl and every finite-L
+    row on shared geometry, all of them in the same rounds.
     """
     L_values = tuple(L_values)
     area_fns = [_K_dsigma, _limit_curl] + [_K_dsigma_L(L) for L in L_values]
     curve_fns = [boundary_integrand_limit] + [_kn_ds_L(L) for L in L_values]
-    area, curl, *area_L = _region_integrals(scene, area_fns)
-    curves = _boundary_integrals(scene, curve_fns)
+    (area, curl, *area_L), curves = _scene_integrals(scene, area_fns, curve_fns)
     boundary = tuple(parts[0] for parts in curves)
     residual = area.value
     for res in boundary:

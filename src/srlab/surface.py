@@ -14,6 +14,7 @@ exact derivatives. Parameter inputs may be numpy arrays for batch work.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,26 @@ class SurfacePatch:
 
     def point(self, u, v) -> np.ndarray:
         return stack_values(self.jets(u, v, order=0))
+
+
+def basis_components(p, q, w) -> tuple:
+    """Components (a, b) with w = a p + b q, per point, for jets or values.
+
+    Euclidean normal equations in chart components; exact for vectors in
+    the span of p and q, which is the only supported input. A jet
+    determinant is inverted once; on values both stay divisions, since
+    `x / d` and `x * (1 / d)` may differ in the last bit.
+    """
+    e = sum(a * a for a in p)
+    f = sum(a * b for a, b in zip(p, q))
+    g = sum(b * b for b in q)
+    r1 = sum(a * c for a, c in zip(p, w))
+    r2 = sum(b * c for b, c in zip(q, w))
+    det = e * g - f * f
+    if isinstance(det, Jet):
+        inv_det = 1.0 / det
+        return (r1 * g - r2 * f) * inv_det, (e * r2 - f * r1) * inv_det
+    return (r1 * g - r2 * f) / det, (e * r2 - f * r1) / det
 
 
 def tangents(phi_jets):
@@ -106,6 +127,13 @@ class SurfaceGeometry:
     second derivatives that the curl of W23_L reads. Each coefficient is
     bitwise the same at every order that carries it.
 
+    The constructor builds what every reader needs. The rest is built on
+    first use and then kept: the f2 and f3 jets, which only a curve's pullback
+    reads (`CurveGeometry`); their values and f2's parameter components,
+    taken from order-0 truncations, which are bitwise the values of the full
+    jets; and `form_terms`, shared by every L-adapted assembly
+    (`curvature.LFormAssembly`) on the geometry, so an L sweep builds them once.
+
     The constructor refuses characteristic points (margin below EPS_CHAR)
     and immersion failures. Batch construction with array-valued u, v is the
     intended mode for quadrature.
@@ -133,8 +161,8 @@ class SurfaceGeometry:
         self.omega_s = tuple(pull(self.frame.omega))
         self.cof1_s = tuple(pull(self.frame.coframe[0]))
         self.cof2_s = tuple(pull(self.frame.coframe[1]))
-        e1_s = pull(self.frame.e1)
-        e2_s = pull(self.frame.e2)
+        self.e1_s = pull(self.frame.e1)
+        self.e2_s = pull(self.frame.e2)
         self.e3_s = pull(self.frame.e3)
         self._characteristic_check()
 
@@ -163,8 +191,7 @@ class SurfaceGeometry:
         self.y = sign * y_raw * inv_h
         self.wedge = sign * wedge_raw * inv_h   # (f^2 ^ f^3)(Tu, Tv) > 0
 
-        self.f1 = [self.y * a - self.x * b for a, b in zip(e1_s, e2_s)]
-        self.f2 = [self.x * a + self.y * b for a, b in zip(e1_s, e2_s)]
+        self.f1 = [self.y * a - self.x * b for a, b in zip(self.e1_s, self.e2_s)]
 
         normal = _cross(self.Tu, self.Tv)
         pairing = pair_oneform(normal, self.f1)
@@ -178,7 +205,52 @@ class SurfaceGeometry:
         self.f1cov = tuple(c * inv_pairing for c in normal)
 
         self.A = -pair_oneform(self.f1cov, self.e3_s)
-        self.f3 = [a + self.A * b for a, b in zip(self.e3_s, self.f1)]
+
+    # -- built on first use ---------------------------------------------------
+
+    @cached_property
+    def f2(self) -> list:
+        """f2 = x e1 + y e2."""
+        return [self.x * a + self.y * b for a, b in zip(self.e1_s, self.e2_s)]
+
+    @cached_property
+    def f3(self) -> list:
+        """f3 = e3 + A f1."""
+        return [a + self.A * b for a, b in zip(self.e3_s, self.f1)]
+
+    @cached_property
+    def f2_values(self) -> list:
+        x, y = self.x.truncate(0), self.y.truncate(0)
+        return [value_of(x * a.truncate(0) + y * b.truncate(0))
+                for a, b in zip(self.e1_s, self.e2_s)]
+
+    @cached_property
+    def f3_values(self) -> list:
+        A = self.A.truncate(0)
+        return [value_of(a.truncate(0) + A * b.truncate(0)) for a, b in zip(self.e3_s, self.f1)]
+
+    @cached_property
+    def f2_components(self) -> tuple:
+        """Values (a, b) with f2 = a Tu + b Tv."""
+        return basis_components([value_of(c) for c in self.Tu], [value_of(c) for c in self.Tv],
+                                self.f2_values)
+
+    @cached_property
+    def form_terms(self) -> tuple:
+        """(A, A^2, sin(alpha), cos(alpha), d(alpha)) one order below x, the
+        order of the L-adapted connection forms, which read them.
+
+        alpha is the angle of f2 from e1: sin(alpha) = -x, cos(alpha) = y;
+        d(alpha) is the pair of its u and v derivatives.
+        """
+        order = self.x.order - 1
+        A = self.A.truncate(order)
+        sin_a, cos_a = -self.x, self.y
+        # the factors of every product are read to `order` too
+        s_a, c_a = sin_a.truncate(order), cos_a.truncate(order)
+        # d(alpha) through the angle's sine and cosine, never the branch
+        dalpha = tuple(c_a * sin_a.deriv(k) - s_a * cos_a.deriv(k) for k in (0, 1))
+        return A, A * A, s_a, c_a, dalpha
 
     # -- construction checks ------------------------------------------------
 

@@ -8,9 +8,11 @@ compared against a plain high-order quadrature of sin(v), which is what
 K dsigma reduces to on that patch.
 """
 
+import collections
 import ctypes
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -31,7 +33,7 @@ from srlab import cli
 from srlab import curvature as cv
 from srlab import measures as ms
 from srlab.curvature import CurveOnSurface
-from srlab.errors import CharacteristicPointError, SceneError
+from srlab.errors import CharacteristicPointError, SceneError, TransversalityError
 from srlab.models import builtin_model
 from srlab.scenes import builtin_scene, load_scene, scene_from_config
 from srlab.surface import SurfaceGeometry, SurfacePatch
@@ -548,59 +550,50 @@ class TestSharedGeometry:
         assert rep.finite_rows == rows
 
     @staticmethod
-    def log_builds(monkeypatch, log, owner, name, kind, size):
-        """Append "kind size pid" to the file `log` on each `owner.name(...)` call.
+    def save_builds(monkeypatch, folder, owner, name, kind, coords):
+        """Save the node coordinates (the arguments at `coords`) of each
+        `owner.name(...)` call to a file in `folder`, named "kind-pid-n.npy".
 
-        Builds happen in the region-pass workers too, which a list in this
-        process cannot see.
+        Builds happen in the workers too, which a list in this process cannot see.
         """
-        orig = getattr(owner, name)
+        orig, counter = getattr(owner, name), itertools.count()
 
         def wrapper(*args):
-            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-            try:
-                os.write(fd, f"{kind} {size(args)} {os.getpid()}\n".encode())
-            finally:
-                os.close(fd)
+            np.save(folder / f"{kind}-{os.getpid()}-{next(counter)}.npy",
+                    np.stack([np.asarray(args[i], dtype=float) for i in coords]))
             return orig(*args)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     @pytest.mark.parametrize("L_values", [(), (1e2, 1e3, 1e4)])
     def test_one_geometry_per_chunk_per_level(self, monkeypatch, tmp_path, L_values):
+        # a round lays its levels' node sets end to end, for the region and
+        # each curve, and builds one geometry per item of whole cells in
+        # whichever process takes the item
         monkeypatch.setattr(ms, "CHUNK", 700)
         monkeypatch.setattr(ms, "WORKERS", 2)
-        log = tmp_path / "builds"
-        node_sets = {"region": [], "curve": []}
-
-        def log_node_sets(name, log):
-            orig = getattr(ms, name)
-
-            def wrapper(*args):
-                result = orig(*args)
-                log.append(result[0].size)
-                return result
-
-            monkeypatch.setattr(ms, name, wrapper)
-
-        self.log_builds(monkeypatch, log, ms, "SurfaceGeometry", "region", lambda a: np.size(a[2]))
-        self.log_builds(monkeypatch, log, cv, "CurveGeometry", "curve", lambda a: np.size(a[3]))
-        log_node_sets("region_nodes", node_sets["region"])
-        log_node_sets("curve_nodes", node_sets["curve"])
+        self.save_builds(monkeypatch, tmp_path, ms, "SurfaceGeometry", "region", (2, 3))
+        self.save_builds(monkeypatch, tmp_path, cv, "CurveGeometry", "curve", (3,))
+        rounds, run_round = [], ms._pass
+        monkeypatch.setattr(ms, "_pass", lambda tasks: rounds.append(tasks) or run_round(tasks))
         sc = at_quad(annulus_scene(), self.COARSE)
         ms.gauss_bonnet_residual(sc, L_values=L_values)
-        lines = [line.split() for line in log.read_text().splitlines()]
-        built = {kind: [int(size) for k, size, _ in lines if k == kind] for kind in node_sets}
-        assert len({pid for _, _, pid in lines}) > 1
+        files = list(tmp_path.glob("*.npy"))
+        assert len({f.name.split("-")[1] for f in files}) > 1
 
-        # one node set per level, at most max_refine + 1 levels per pass
-        assert len(node_sets["region"]) == len(set(node_sets["region"]))
-        assert len(node_sets["region"]) <= self.COARSE.max_refine + 1
-        assert len(node_sets["curve"]) <= len(sc.boundary) * (self.COARSE.max_refine + 1)
-        for kind in ("region", "curve"):
-            expected = sum(math.ceil(n / ms.CHUNK) for n in node_sets[kind])
-            assert len(built[kind]) == expected
-            assert sum(built[kind]) == sum(node_sets[kind])
+        # levels 0 and 1 in the first round, then one level per round
+        assert [{task.levels for task in tasks} for tasks in rounds] == \
+            [{(0, 1)}] + [{(k,)} for k in range(2, len(rounds) + 1)]
+        needed = collections.Counter()
+        for tasks in rounds:
+            for task in tasks:
+                kind = "region" if task.domain is sc.region else "curve"
+                *coords, _ = (np.concatenate(x) for x in zip(*map(task.nodes, task.levels)))
+                step = ms.CHUNK // task.per_cell * task.per_cell
+                for lo in range(0, coords[0].size, step):
+                    needed[kind, np.stack([c[lo:lo + step] for c in coords]).tobytes()] += 1
+        built = collections.Counter((f.name.split("-")[0], np.load(f).tobytes()) for f in files)
+        assert built == needed
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus"])
@@ -625,15 +618,17 @@ class TestSharedGeometry:
     def test_stokes_curl_adds_no_geometry_build(self, monkeypatch, tmp_path, name, workers):
         monkeypatch.setattr(ms, "CHUNK", 700)
         monkeypatch.setattr(ms, "WORKERS", workers)
-        log = tmp_path / "builds"
-        self.log_builds(monkeypatch, log, ms, "SurfaceGeometry", "region", lambda a: np.size(a[2]))
+        self.save_builds(monkeypatch, tmp_path, ms, "SurfaceGeometry", "region", (2, 3))
         sc = dataclasses.replace(builtin_scene(name), quadrature=self.COARSE)
         report = ms.gauss_bonnet_residual(sc, sc.L_grid)
         assert report.curl.converged and report.curl.refinements <= report.area.refinements
-        level0 = self.COARSE.cells[0] * self.COARSE.cells[1] * self.COARSE.order ** 2
-        chunks = sum(math.ceil(level0 * 4 ** k / ms.CHUNK)
-                     for k in range(report.area.refinements + 1))
-        assert len(log.read_text().splitlines()) == chunks
+        per_cell = self.COARSE.order ** 2
+        level0 = self.COARSE.cells[0] * self.COARSE.cells[1] * per_cell
+        levels = [level0 * 4 ** k for k in range(report.area.refinements + 1)]
+        # the first round joins levels 0 and 1; items are whole cells
+        step = ms.CHUNK // per_cell * per_cell
+        chunks = sum(math.ceil(n / step) for n in [sum(levels[:2])] + levels[2:])
+        assert len(list(tmp_path.glob("region-*.npy"))) == chunks
 
     def test_report_builds_no_companion_forms(self, monkeypatch):
         # K_L and kn_L read only W23_L: W12_L, W13_L and d(beta) stay unbuilt
@@ -727,6 +722,8 @@ class TestOrderBudget:
 
     @pytest.mark.parametrize("name", SCENES)
     def test_report_and_stokes_match_order_3(self, monkeypatch, name):
+        # the record sees only this process's builds
+        monkeypatch.setattr(ms, "WORKERS", 1)
         sc = at_quad(self.load(name), self.SPEC)
         L_values = (1e2, 1e4)
         orders = {"region": [], "curve": []}
@@ -763,9 +760,8 @@ def no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-# The test process. Region-pass workers are forked from it, so these
-# module-level callables, which pickle into a worker's job by name, can tell
-# where they run.
+# The test process. Workers are forked from it, so these module-level
+# callables, which pickle into a worker's job by name, can tell where they run.
 PARENT = os.getpid()
 
 
@@ -790,6 +786,18 @@ def sleeps_in_a_worker(geom):
     return ms._K_dsigma(geom)
 
 
+@ms._reads(2)
+def sleeps_in_a_worker_on_a_curve(cg):
+    if os.getpid() != PARENT:
+        time.sleep(60)
+    return ms.boundary_integrand_limit(cg)
+
+
+@ms._reads(2)
+def not_transverse(cg):
+    raise TransversalityError("the curve item fails wherever it runs")
+
+
 class Stop(BaseException):
     pass
 
@@ -800,9 +808,16 @@ def stops_in_the_parent(model, phi, u, v, order):
     return ms._surface_geometry(model, phi, u, v, order)
 
 
+def deal_to_workers(monkeypatch):
+    """Make this process evaluate only a round's first item, so the workers
+    take every other one, whatever the timing."""
+    take = ms._take
+    monkeypatch.setattr(ms, "_take", lambda queue: None if os.getpid() == PARENT else take(queue))
+
+
 class TestForkedPasses:
-    """Region passes split over the process's persistent workers give the
-    serial bits and leave no process behind, whatever the pass raises."""
+    """Rounds shared with the process's persistent workers give the serial
+    bits and leave no process behind, whatever a round raises."""
 
     COARSE = TestSharedGeometry.COARSE
 
@@ -832,6 +847,12 @@ class TestForkedPasses:
             runs.append(run())
         return tuple(runs)
 
+    def level_pass(self, fn, build=None):
+        """`ms._pass` of `fn` over the annulus region at level 1 of the coarse rule."""
+        sc = annulus_scene()
+        build = build or partial(ms._surface_geometry, sc.model, sc.patch.phi)
+        return ms._pass([ms._Task(build, (fn,), sc.region, self.COARSE, (1,))])[0][0][0]
+
     @pytest.mark.parametrize("name", TestOrderBudget.SCENES)
     def test_workers_give_the_serial_bits(self, monkeypatch, name):
         sc = at_quad(TestOrderBudget.load(name), self.COARSE)
@@ -847,6 +868,59 @@ class TestForkedPasses:
             self.serial_and_pooled(monkeypatch, run)
         assert serial_forks == 0 and pooled_forks == 1 and self.pool() == forks
         assert pooled == serial and pooled_gap == serial_gap
+
+    @pytest.mark.parametrize("max_refine", [0, 3])
+    @pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus", "dense"])
+    def test_a_round_gives_the_serial_bits_at_the_scene_quadrature(self, monkeypatch, name,
+                                                                   max_refine):
+        # rt_disk's kn_L row at L = 1e4 refines to level 2, a round of its own
+        sc = TestOrderBudget.load(name)
+        sc = at_quad(sc, dataclasses.replace(sc.quadrature, max_refine=max_refine))
+        L_values = (1e2, 1e3, 1e4)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            report = ms.gauss_bonnet_residual(sc, L_values=L_values)
+            runs.append((repr(report), repr(report.stokes_gap)))
+        assert runs[1] == runs[0]
+        if name == "rt_disk" and max_refine == 3:
+            (kn,), = ms._boundary_integrals(sc, [ms._kn_ds_L(1e4)])
+            assert kn.refinements == 2
+
+    def test_items_hold_whole_cells(self, monkeypatch):
+        # order 3: 9-node region cells and 3-node curve cells, which no
+        # CHUNK below divides
+        spec = ms.QuadratureSpec(order=3, cells=(5, 7), segments=11, max_refine=2)
+        sc = at_quad(builtin_scene("heisenberg_annulus"), spec)
+        serial = repr(ms.gauss_bonnet_residual(sc, L_values=(1e2, 1e4)))
+        for chunk in (50, 5):
+            monkeypatch.setattr(ms, "CHUNK", chunk)
+            for levels in ((0, 1), (2,)):
+                tasks = [ms._Task(None, (), sc.region, spec, levels),
+                         ms._Task(None, (), (0.0, 1.0), spec, levels)]
+                items = ms._items(tasks, chunk)
+                for t, task in enumerate(tasks):
+                    spans = [(lo, hi) for i, lo, hi in items if i == t]
+                    assert spans[0][0] == 0 and spans[-1][1] == sum(task.sizes())
+                    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                    for lo, hi in spans:
+                        assert (hi - lo) % task.per_cell == 0
+                        assert hi - lo <= max(chunk, task.per_cell)
+            for workers in (1, 2):
+                monkeypatch.setattr(ms, "WORKERS", workers)
+                assert repr(ms.gauss_bonnet_residual(sc, L_values=(1e2, 1e4))) == serial
+
+    @pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus"])
+    def test_a_report_does_not_depend_on_the_chunk_size(self, monkeypatch, name):
+        # a round joins node sets of two levels, so a geometry's node set
+        # changes with the chunk layout, and its values must not
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        sc = builtin_scene(name)
+        reports = []
+        for chunk in (8192, 777):
+            monkeypatch.setattr(ms, "CHUNK", chunk)
+            reports.append(repr(ms.gauss_bonnet_residual(sc, sc.L_grid)))
+        assert reports[1] == reports[0]
 
     def test_a_second_report_reuses_the_worker_through_sigint(self, monkeypatch):
         sc = at_quad(builtin_scene("rt_disk"), self.COARSE)
@@ -881,62 +955,85 @@ class TestForkedPasses:
         no_children()
 
     def test_a_job_that_does_not_pickle_runs_here(self, monkeypatch):
-        sc = annulus_scene()
-        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
-        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
         local = ms._reads(2)(lambda geom: ms._K_dsigma(geom))
         forks = self.count_forks(monkeypatch)
-        serial, pooled = self.serial_and_pooled(
-            monkeypatch, lambda: ms._pass(build, [local], (u, v), w, self.COARSE.order ** 2))
+        serial, pooled = self.serial_and_pooled(monkeypatch, lambda: self.level_pass(local))
         assert bitwise(pooled, serial)
         # the worker is forked before the job is pickled, and stays idle
         assert len(forks) == 1 and self.pool() == forks
 
     def test_a_job_that_raises_in_the_worker_gives_the_serial_sum(self, monkeypatch):
-        sc = annulus_scene()
-        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
-        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
-        sums = self.serial_and_pooled(
-            monkeypatch, lambda: ms._pass(build, [fails_in_a_worker], (u, v), w,
-                                          self.COARSE.order ** 2))
-        assert math.isfinite(sums[0][0]) and bitwise(sums[1], sums[0])
-        # a worker whose job fails stays in the pool
+        deal_to_workers(monkeypatch)
+        sums = self.serial_and_pooled(monkeypatch, lambda: self.level_pass(fails_in_a_worker))
+        assert math.isfinite(sums[0]) and bitwise(sums[1], sums[0])
+        # a worker whose items fail stays in the pool
         assert len(self.pool()) == 1
 
     def test_a_worker_that_dies_on_a_job_gives_the_serial_sum(self, monkeypatch):
-        sc = annulus_scene()
-        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
-        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
+        deal_to_workers(monkeypatch)
         forks = self.count_forks(monkeypatch)
-        sums = self.serial_and_pooled(
-            monkeypatch, lambda: ms._pass(build, [dies_in_a_worker], (u, v), w,
-                                          self.COARSE.order ** 2))
-        assert math.isfinite(sums[0][0]) and bitwise(sums[1], sums[0])
+        sums = self.serial_and_pooled(monkeypatch, lambda: self.level_pass(dies_in_a_worker))
+        assert math.isfinite(sums[0]) and bitwise(sums[1], sums[0])
         # the dead worker is reaped and leaves the pool
         assert len(forks) == 1 and self.pool() == []
         no_children()
 
-    def test_blocks_are_whole_chunks(self, monkeypatch):
-        monkeypatch.setattr(ms, "CHUNK", 700)
+    def test_a_curve_item_that_raises_in_a_worker_gives_the_serial_error(self, monkeypatch):
+        # two curve items: this process takes the first and the worker the
+        # second, which raises a typed error in every process
+        deal_to_workers(monkeypatch)
+        sc = at_quad(annulus_scene(), self.COARSE)
+        runs = [(partial(ms._curve_geometry, sc.model, sc.patch.phi, curve), [fn],
+                 (curve.t0, curve.t1))
+                for curve, fn in zip(sc.boundary, (ms.boundary_integrand_limit, not_transverse))]
+        forks = self.count_forks(monkeypatch)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            with pytest.raises(TransversalityError) as err:
+                ms._refine(runs, sc.quadrature)
+            errors.append(str(err.value))
+        assert errors[1] == errors[0]
+        assert len(forks) == 1 and self.pool() == forks
+
+    def test_a_round_larger_than_the_queue_gives_the_serial_bits(self, monkeypatch):
+        # as if the queue held two items at a time: this process feeds it
+        # the rest as it takes items, and a worker that finds it empty early
+        # leaves what remains to this process
         monkeypatch.setattr(ms, "WORKERS", 2)
-        assert ms._blocks(1399) == [(0, 1399)]
-        assert ms._blocks(1400) == [(0, 700), (700, 1400)]
-        assert ms._blocks(2101) == [(0, 1400), (1400, 2101)]
-        assert ms._blocks(4096) == [(0, 2100), (2100, 4096)]
+        monkeypatch.setattr(ms, "CHUNK", 64)
+        offer = ms._offer
+        monkeypatch.setattr(ms, "_offer",
+                            lambda feed, pending: offer(feed, pending[:8]) + pending[8:])
+        pooled = self.level_pass(ms._K_dsigma)
+        assert len(self.pool()) == 1 and ms._take(ms._QUEUE[0]) is None
         monkeypatch.setattr(ms, "WORKERS", 1)
-        assert ms._blocks(4096) == [(0, 4096)]
+        assert bitwise(pooled, self.level_pass(ms._K_dsigma))
+
+    def test_each_item_is_built_once_with_more_workers_than_cpus(self, monkeypatch, tmp_path):
+        # three workers and this process share the queue: no item is lost or
+        # taken twice, since a lost one would be built again after the round
+        monkeypatch.setattr(ms, "WORKERS", 4)
+        monkeypatch.setattr(ms, "CHUNK", 64)
+        TestSharedGeometry.save_builds(monkeypatch, tmp_path, ms, "SurfaceGeometry", "region",
+                                       (2, 3))
+        pooled = self.level_pass(ms._K_dsigma)
+        assert len(self.pool()) == 3
+        assert len(list(tmp_path.glob("region-*.npy"))) == 4096 // 64
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        assert bitwise(pooled, self.level_pass(ms._K_dsigma))
 
     @staticmethod
-    def characteristic_scene(tmp_path) -> str:
+    def characteristic_scene(tmp_path, item: int = 1) -> str:
         """The annulus scene with its plane's characteristic point moved onto a
-        quadrature node of the second block of the first region pass.
+        quadrature node of the given item of the first round.
 
         The node lies between the points of the pre-scan grid, so the scene
-        loads and the error comes from a chunk build in a worker.
+        loads and the error comes from an item's geometry build.
         """
         annulus = builtin_scene("heisenberg_annulus")
         u, v, _ = ms.region_nodes(annulus.region, annulus.quadrature)
-        node = ms._blocks(u.size)[1][0] + 845
+        node = item * ms.CHUNK + 845
         cfg = dict(shipped_config("heisenberg_annulus"), surface={
             "phi": [f"u - {float(u[node])!r}", f"v - {float(v[node])!r}", "0"],
             "domain": {"u": [-3.0, 3.0], "v": [-3.0, 3.0]},
@@ -946,6 +1043,8 @@ class TestForkedPasses:
         return str(path)
 
     def test_typed_error_from_a_child_block(self, monkeypatch, capsys, tmp_path):
+        # the worker takes the failing item, whatever the timing
+        deal_to_workers(monkeypatch)
         monkeypatch.setattr(ms, "WORKERS", 2)
         path = self.characteristic_scene(tmp_path)
         sc = load_scene(path)
@@ -958,37 +1057,47 @@ class TestForkedPasses:
             errors.append(str(err.value))
             code = cli.main(["gauss-bonnet", "--scene", path])
             exits.append((code, capsys.readouterr()))
-        # one worker, kept through both failed passes
+        # one worker, kept through both failed rounds
         assert len(forks) == 1 and self.pool() == forks
         assert errors[0] == errors[1]
         assert exits[0] == exits[1] and exits[0][0] == 4 and exits[0][1].out == ""
 
+    def test_typed_error_from_the_first_item_keeps_the_worker(self, monkeypatch, tmp_path):
+        # this process takes the first item, which fails: the worker still
+        # finishes the round, and the error comes from the serial sweep
+        sc = load_scene(self.characteristic_scene(tmp_path, item=0))
+        forks = self.count_forks(monkeypatch)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            with pytest.raises(CharacteristicPointError, match="surface patch touches") as err:
+                ms.gauss_bonnet_residual(sc)
+            errors.append(str(err.value))
+        assert errors[1] == errors[0]
+        assert len(forks) == 1 and self.pool() == forks
+
     def test_exception_in_the_parent_block_reaps_every_child(self, monkeypatch):
+        # this process evaluates a round's first item, so the build raises here
         monkeypatch.setattr(ms, "WORKERS", 2)
         monkeypatch.setattr(ms, "CHUNK", 700)
         forks = self.count_forks(monkeypatch)
         sc = annulus_scene()
-        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
         with pytest.raises(Stop):
-            ms._pass(partial(stops_in_the_parent, sc.model, sc.patch.phi), [ms._K_dsigma],
-                     (u, v), w, self.COARSE.order ** 2)
+            self.level_pass(ms._K_dsigma, partial(stops_in_the_parent, sc.model, sc.patch.phi))
         assert len(forks) == 1 and self.pool() == []
         no_children()
-        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
-        pooled = ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
+        pooled = self.level_pass(ms._K_dsigma)
         assert len(forks) == 2 and self.pool() == forks[1:]
         monkeypatch.setattr(ms, "WORKERS", 1)
-        assert bitwise(pooled, ms._pass(build, [ms._K_dsigma], (u, v), w,
-                                        self.COARSE.order ** 2))
+        assert bitwise(pooled, self.level_pass(ms._K_dsigma))
 
-    def test_a_timeout_while_a_job_is_out_stops_the_pool(self, monkeypatch):
-        # as the benchmark's per-operation SIGALRM limit raises
+    def timeout_stops_the_pool(self, monkeypatch, run):
+        """`run()` ends in a SIGALRM-raised exception, as the benchmark's
+        per-operation limit raises, which stops the pool."""
+        deal_to_workers(monkeypatch)
         monkeypatch.setattr(ms, "WORKERS", 2)
         monkeypatch.setattr(ms, "CHUNK", 700)
         forks = self.count_forks(monkeypatch)
-        sc = annulus_scene()
-        u, v, w = ms.region_nodes(sc.region, self.COARSE, 2)
-        build = partial(ms._surface_geometry, sc.model, sc.patch.phi)
 
         def on_alarm(signum, frame):
             raise Stop
@@ -997,17 +1106,26 @@ class TestForkedPasses:
         try:
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             with pytest.raises(Stop):
-                ms._pass(build, [sleeps_in_a_worker], (u, v), w, self.COARSE.order ** 2)
+                run()
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert len(forks) == 1 and self.pool() == []
         no_children()
-        pooled = ms._pass(build, [ms._K_dsigma], (u, v), w, self.COARSE.order ** 2)
+        return forks
+
+    def test_a_timeout_while_a_job_is_out_stops_the_pool(self, monkeypatch):
+        forks = self.timeout_stops_the_pool(monkeypatch,
+                                            lambda: self.level_pass(sleeps_in_a_worker))
+        pooled = self.level_pass(ms._K_dsigma)
         assert len(forks) == 2 and self.pool() == forks[1:]
         monkeypatch.setattr(ms, "WORKERS", 1)
-        assert bitwise(pooled, ms._pass(build, [ms._K_dsigma], (u, v), w,
-                                        self.COARSE.order ** 2))
+        assert bitwise(pooled, self.level_pass(ms._K_dsigma))
+
+    def test_a_timeout_while_curve_items_are_out_stops_the_pool(self, monkeypatch):
+        sc = at_quad(annulus_scene(), self.COARSE)
+        self.timeout_stops_the_pool(monkeypatch, lambda: ms._scene_integrals(
+            sc, [ms._K_dsigma], [sleeps_in_a_worker_on_a_curve]))
 
     def test_a_worker_killed_between_passes_gives_the_serial_bits(self, monkeypatch):
         sc = at_quad(builtin_scene("heisenberg_annulus"), self.COARSE)

@@ -92,11 +92,14 @@ class SubRiemannianModel:
         p_coef = -eval_twoform(d_omega, w, e2m)
         q_coef = eval_twoform(d_omega, w, e1m)
         e3 = [w[i] - p_coef * e1m[i] - q_coef * e2m[i] for i in range(3)]
+        # what no later step reads is freed before the larger jets are built
+        del d_omega, p_coef, q_coef
 
         c23 = _cross(e2m, e3)
         inv_det = 1.0 / pair_oneform(c23, e1m)
         cof1 = tuple(c * inv_det for c in c23)
         cof2 = tuple(c * inv_det for c in _cross(e3, e1m))
+        del c23, inv_det
         coframe = (cof1, cof2, omega)
 
         # the structure functions carry order - 3, the order of the
@@ -137,6 +140,13 @@ class FrameData:
     and its connection forms read the structure functions at k - 2 = K - 3,
     so order 4 at the chart level serves the curvature work on a surface.
     Every coefficient is bitwise the truncation of the full-order formula.
+
+    After its pullbacks a geometry keeps a cut of its frame: e1, e2 and e3
+    at order 1, which the Koszul oracle's brackets read; e^1, e^2 and tau
+    at order 0; omega, the third coframe row, at k - 1; sf and the point
+    whole. Every reader of a geometry's frame (`ConnectionFormsL`,
+    `koszul_connection_oracle`, `metric_matrix`, the frame report) gives the
+    bits it gives on the full frame.
     """
 
     point: tuple
@@ -379,6 +389,10 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
             if a < b:
                 br[(a, b)] = bracket_jets(u[a], u[b])
 
+    # the 9 distinct pairings e^m([u_a, u_b]), a < b, each evaluated once
+    pairs = {(ab, m): value_of(pair_oneform(duals[m], vec))
+             for ab, vec in br.items() for m in range(3)}
+
     def ip(pair, m):
         a, b = pair
         if a == b:
@@ -386,7 +400,7 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
         sign = 1.0
         if a > b:
             a, b, sign = b, a, -1.0
-        return sign * value_of(pair_oneform(duals[m], br[(a, b)]))
+        return sign * pairs[(a, b), m]
 
     out = np.zeros((3, 3, 3) + frame.shape)
     for i in range(3):

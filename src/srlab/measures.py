@@ -25,15 +25,16 @@ levels into items of whole cells, one geometry each, and shares them with
 the process's workers, children forked once at the first round of two or
 more items and reused by every later one. A worker gets the round pickled,
 with its nodes named (region or curve interval, spec, levels) rather than
-sent, takes item numbers from a queue shared with the caller, and replies
-with per-cell sums. A cell's sum depends only on its own values, and each
-level's cells are summed in cell order, so the bits are those of a serial
-pass. The caller then evaluates, in serial order, every item no process
-finished, so the first failing item raises its own error. The first round
-in a process asks glibc to keep freed heap (`_retain_heap`), so each item
-reuses the pages the one before it freed; each idle worker keeps its own,
-up to the 64 MiB pad, for the life of the process. Workers see the module
-as it was when they were forked.
+sent, takes item numbers from a queue shared with the caller, builds the
+nodes of each item's own cells, and replies with per-cell sums. A cell's
+sum depends only on its own values, and each level's cells are summed in
+cell order, so the bits are those of a serial pass. The caller then
+evaluates, in serial order, every item no process finished, so the first
+failing item raises its own error. The first round in a process asks
+glibc to keep freed heap (`_retain_heap`), so each item reuses the pages
+the one before it freed; each idle worker keeps its own, up to the 64 MiB
+pad, for the life of the process. Workers see the module as it was when
+they were forked.
 """
 
 import atexit
@@ -65,10 +66,11 @@ MAX_REGION_NODES = 2 ** 23
 MAX_CURVE_NODES = 2 ** 20
 # per-axis samples of the characteristic pre-scan grid over a region
 SCAN_SAMPLES = 25
-# freed heap glibc keeps at the top instead of returning it to the OS: a
-# chunk frees its jets (about 7 MB on the shipped scenes, 28 MB on a dense
-# frame) and the next one allocates them again, which without the pad
-# faults every page back in; 16 MiB still left most of the faults on dense
+# freed heap glibc keeps at the top instead of returning it to the OS: an
+# item frees its jets (its heap peaks at about 8 MB on the shipped scenes,
+# 29 MB on a dense frame) and the next one allocates them again, which
+# without the pad faults every page back in; 16 MiB still left most of the
+# faults on dense
 TOP_PAD = 64 << 20
 
 
@@ -272,39 +274,44 @@ def _composite_axis(a: float, b: float, cells: int, order: int):
     return nodes, weights
 
 
-def region_nodes(region: Region, spec: QuadratureSpec, factor: int = 1):
+def region_nodes(region: Region, spec: QuadratureSpec, factor: int = 1,
+                 cells: slice = slice(None)):
     """Quadrature nodes (u, v, w) in lexicographic cell order.
 
-    Disk and annulus regions are mapped from polar coordinates with the
-    Jacobian rho folded into the weights.
+    `cells` picks a range of the level's cells (all by default); the nodes
+    are bitwise those of the whole level at the same places. Disk and
+    annulus regions are mapped from polar coordinates with the Jacobian rho
+    folded into the weights.
     """
     n1 = spec.cells[0] * factor
     n2 = spec.cells[1] * factor
-    shape = (n1, n2, spec.order, spec.order)
+    # u (or rho) cell and v (or angle) cell of each picked cell; the axes
+    # (cell, u node, v node) keep each cell's nodes contiguous
+    i, j = np.divmod(np.arange(n1 * n2)[cells], n2)
+    shape = (i.size, spec.order, spec.order)
     if region.kind == "rectangle":
         (a, b), (c, d) = region.u_interval, region.v_interval
         un, uw = _composite_axis(a, b, n1, spec.order)
         vn, vw = _composite_axis(c, d, n2, spec.order)
-        # axes (u cell, v cell, u node, v node): C-order ravel walks cells
-        # lexicographically with each cell's nodes contiguous
-        u = np.broadcast_to(un[:, None, :, None], shape)
-        v = np.broadcast_to(vn[None, :, None, :], shape)
-        w = uw[:, None, :, None] * vw[None, :, None, :]
-        return u.ravel(), v.ravel(), np.broadcast_to(w, shape).ravel()
+        u = np.broadcast_to(un[i][:, :, None], shape)
+        v = np.broadcast_to(vn[j][:, None, :], shape)
+        w = uw[i][:, :, None] * vw[j][:, None, :]
+        return u.ravel(), v.ravel(), w.ravel()
     r1, r2 = region.radii
     rn, rw = _composite_axis(r1, r2, n1, spec.order)
     tn, tw = _composite_axis(0.0, TWO_PI, n2, spec.order)
-    rho = np.broadcast_to(rn[:, None, :, None], shape)
-    th = np.broadcast_to(tn[None, :, None, :], shape)
-    w = (rn * rw)[:, None, :, None] * tw[None, :, None, :]
-    u = region.center[0] + rho * np.cos(th)
-    v = region.center[1] + rho * np.sin(th)
-    return u.ravel(), v.ravel(), np.broadcast_to(w, shape).ravel()
+    rho = rn[i][:, :, None]
+    w = (rn * rw)[i][:, :, None] * tw[j][:, None, :]
+    u = region.center[0] + rho * np.cos(tn)[j][:, None, :]
+    v = region.center[1] + rho * np.sin(tn)[j][:, None, :]
+    return u.ravel(), v.ravel(), w.ravel()
 
 
-def curve_nodes(t0: float, t1: float, spec: QuadratureSpec, factor: int = 1):
+def curve_nodes(t0: float, t1: float, spec: QuadratureSpec, factor: int = 1,
+                cells: slice = slice(None)):
+    """Quadrature nodes and weights on [t0, t1], `cells` picking a range of segments."""
     nodes, weights = _composite_axis(t0, t1, spec.segments * factor, spec.order)
-    return nodes.ravel(), weights.ravel()
+    return nodes[cells].ravel(), weights[cells].ravel()
 
 
 @dataclass(frozen=True)
@@ -355,11 +362,11 @@ class _Task:
             return [spec.cells[0] * spec.cells[1] * self.per_cell * 4 ** k for k in self.levels]
         return [spec.segments * spec.order * 2 ** k for k in self.levels]
 
-    def nodes(self, level: int):
-        """Coordinate arrays and weights of one level."""
+    def nodes(self, level: int, cells: slice):
+        """Coordinate arrays and weights of a range of one level's cells."""
         if isinstance(self.domain, Region):
-            return region_nodes(self.domain, self.spec, 2 ** level)
-        return curve_nodes(*self.domain, self.spec, 2 ** level)
+            return region_nodes(self.domain, self.spec, 2 ** level, cells)
+        return curve_nodes(*self.domain, self.spec, 2 ** level, cells)
 
 
 def _items(tasks, chunk: int) -> list:
@@ -377,28 +384,26 @@ def _items(tasks, chunk: int) -> list:
     return items
 
 
-def _evaluate(tasks, item, nodes: dict):
+def _evaluate(tasks, item):
     """Per-cell weighted sums of one item's integrands, shape (integrands, cells).
 
     One geometry serves every integrand of the item, at the highest surface
-    order they declare (`fn.order`). `nodes` keeps each level's node set
-    once per round in this process. A cell's sum reads only that cell's
-    values, so it has the same bits whatever item, process or chunk size
-    computes it.
+    order they declare (`fn.order`), on the item's own cells, which are
+    built here. A cell's sum reads only that cell's values, so it has the
+    same bits whatever item, process or chunk size computes it.
     """
     t, lo, hi = item
     task = tasks[t]
+    n, per_cell = hi - lo, task.per_cell
     parts, start = [], 0
     for level, size in zip(task.levels, task.sizes()):
         a, b = max(lo, start), min(hi, start + size)
         if a < b:
-            if (t, level) not in nodes:
-                nodes[t, level] = task.nodes(level)
-            parts.append([x[a - start:b - start] for x in nodes[t, level]])
+            cells = slice((a - start) // per_cell, (b - start) // per_cell)
+            parts.append(task.nodes(level, cells))
         start += size
     *coords, weights = parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
     geom = task.build(*coords, max(fn.order for fn in task.integrands))
-    n, per_cell = hi - lo, task.per_cell
     sums = np.empty((len(task.integrands), n // per_cell))
     for row, fn in zip(sums, task.integrands):
         row[:] = np.sum((np.broadcast_to(fn(geom), (n,)) * weights).reshape(-1, per_cell), axis=1)
@@ -426,13 +431,12 @@ def _pass(tasks) -> list:
     sums = [np.empty((len(task.integrands), sum(task.sizes()) // task.per_cell))
             for task in tasks]
     done = [False] * len(items)
-    nodes = {}
     workers = _pool(min(WORKERS, len(items)) - 1)
     if workers:
-        _deal(tasks, items, sums, done, nodes, workers)
+        _deal(tasks, items, sums, done, workers)
     for i, item in enumerate(items):
         if not done[i]:
-            _store(tasks, sums, item, _evaluate(tasks, item, nodes))
+            _store(tasks, sums, item, _evaluate(tasks, item))
     out = []
     for task, cells in zip(tasks, sums):
         per_level, start = [], 0
@@ -444,7 +448,7 @@ def _pass(tasks) -> list:
     return out
 
 
-def _deal(tasks, items, sums, done, nodes, workers):
+def _deal(tasks, items, sums, done, workers):
     """Share a round's items between this process and `workers`, filling `sums` and `done`.
 
     An item that raises here is left undone for the serial sweep. An
@@ -464,7 +468,7 @@ def _deal(tasks, items, sums, done, nodes, workers):
         while i is not None or pending:
             if i is not None:
                 try:
-                    _store(tasks, sums, items[i], _evaluate(tasks, items[i], nodes))
+                    _store(tasks, sums, items[i], _evaluate(tasks, items[i]))
                     done[i] = True
                 except Exception:
                     pass   # evaluated again after the round, in serial order, and raised there
@@ -607,11 +611,10 @@ def _work(job, replies: int, queue: int):
         items = _items(tasks, chunk)
     except Exception:
         items = []   # take nothing: the caller evaluates the round
-    nodes = {}
     while items and (i := _take(queue)) is not None:
         head = i.to_bytes(4, "little")
         try:
-            reply = [head + b"\0", _evaluate(tasks, items[i], nodes)]
+            reply = [head + b"\0", _evaluate(tasks, items[i])]
         except Exception:
             reply = [head + b"\1"]
         _move(os.writev, replies, reply)

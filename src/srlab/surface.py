@@ -21,7 +21,7 @@ import numpy as np
 from .calculus import Jet, ScalarField, pair_oneform
 from .calculus.jets import Composer, jsqrt, stack_values, value_of
 from .errors import CharacteristicPointError, ImmersionError, TransversalityError
-from .frame import FrameData, SubRiemannianModel, _cross
+from .frame import FrameData, SubRiemannianModel, _cross, _cut
 
 SURFACE_VARS = ("u", "v")
 EPS_CHAR = 1e-8
@@ -117,6 +117,16 @@ def characteristic_report(model: SubRiemannianModel, patch: SurfacePatch, u, v):
     return characteristic_margin(model.contact_form(p0), *tangents(phi))
 
 
+def _kept(fr: FrameData, low: int) -> FrameData:
+    """The cut of a geometry's chart frame that its later readers take (see
+    `FrameData`), omega at `low`, the pullback's order. Truncation shares the
+    low-order arrays, so nothing is copied and the rest is freed."""
+    omega = tuple(_cut(fr.omega, low))
+    cof1, cof2 = (tuple(_cut(row, 0)) for row in fr.coframe[:2])
+    return FrameData(fr.point, _cut(fr.e1, 1), _cut(fr.e2, 1), _cut(fr.e3, 1), omega,
+                     (cof1, cof2, omega), fr.tau.truncate(0), fr.sf)
+
+
 class SurfaceGeometry:
     """Adapted frame data at parameter points, all stored as (u, v) jets.
 
@@ -126,6 +136,10 @@ class SurfaceGeometry:
     (K, the limit form and every boundary integrand); order 3 adds the
     second derivatives that the curl of W23_L reads. Each coefficient is
     bitwise the same at every order that carries it.
+
+    Of the chart frame, the geometry keeps only the cut its later readers
+    take (`frame`, see `FrameData`); the higher orders, read only by the
+    pullbacks, are freed once those are built.
 
     The constructor builds what every reader needs. The rest is built on
     first use and then kept: the f2 and f3 jets, which only a curve's pullback
@@ -164,6 +178,7 @@ class SurfaceGeometry:
         self.e1_s = pull(self.frame.e1)
         self.e2_s = pull(self.frame.e2)
         self.e3_s = pull(self.frame.e3)
+        self.frame = _kept(self.frame, order - 1)
         self._characteristic_check()
 
         # e^k(Tu) and e^k(Tv) for k = 1..3, which the finite-L forms and the

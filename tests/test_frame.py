@@ -8,14 +8,16 @@ rototranslation pair the Reeb field is (sin z, -cos z, 0) and the single
 nonzero structure function is a23_1 = 1 (its Minkowski analogue gives -1).
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from srlab import cli, surface
 from srlab.calculus import bracket_jets, chart_seeds, d_oneform_jets, eval_twoform, pair_oneform
 from srlab.calculus import jets as jets_module
-from srlab.calculus.jets import Jet
+from srlab.calculus.jets import Jet, value_of
 from srlab.errors import DegenerateFrameError, NonContactError, UnknownModelError
 from srlab.frame import (
     SF_KEYS,
@@ -234,6 +236,40 @@ class TestKoszulOracle:
             assert np.max(np.abs(forms.values() - koszul_connection_oracle(fr, L))) <= 1e-6
 
 
+def koszul_one_pairing_per_term(frame, L):
+    """The Koszul oracle with its 81 bracket pairings evaluated one by one:
+    the reference for the oracle, which evaluates each distinct one once."""
+    s = math.sqrt(L)
+    e1, e2, e3 = ([c.truncate(1) for c in f] for f in frame.frames())
+    u = [e1, e2, [c / s for c in e3]]
+    cof1, cof2, omega = ([c.truncate(0) for c in r] for r in frame.coframe)
+    duals = [cof1, cof2, [c * s for c in omega]]
+    br = {(a, b): bracket_jets(u[a], u[b]) for a in range(3) for b in range(3) if a < b}
+
+    def ip(a, b, m):
+        if a == b:
+            return 0.0
+        if a > b:
+            return -1.0 * value_of(pair_oneform(duals[m], br[b, a]))
+        return 1.0 * value_of(pair_oneform(duals[m], br[a, b]))
+
+    out = np.zeros((3, 3, 3) + frame.shape)
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                out[i, j, k] = 0.5 * (ip(k, i, j) - ip(i, j, k) + ip(j, k, i))
+    return out
+
+
+class TestKoszulPairings:
+    @pytest.mark.parametrize("name", ["dense", "rt_disk", "heisenberg_annulus"])
+    @pytest.mark.parametrize("L", [1.0, 1e4])
+    def test_each_pairing_once_gives_the_same_bits(self, name, L):
+        fr = frame_models()[name].frame(FRAME_POINTS)
+        got = koszul_connection_oracle(fr, L)
+        assert got.tobytes() == koszul_one_pairing_per_term(fr, L).tobytes()
+
+
 class TestScaledFormDeviation:
     @pytest.mark.parametrize("L", [1.0, 10.0, 100.0])
     def test_heisenberg_exactly_at_limit(self, L):
@@ -410,3 +446,46 @@ class TestFrameOrders:
     def test_low_order_names_the_frame(self, order):
         with pytest.raises(ValueError, match=f"chart frame needs order 3 .*got order {order}"):
             builtin_model("heisenberg").frame((0.1, 0.2, 0.3), order=order)
+
+
+class TestKeptFrame:
+    """A surface geometry keeps its chart frame only at the orders its later
+    readers take, and every reader gives the bits of the full frame."""
+
+    @staticmethod
+    def geometry(order):
+        scene = load_scene(DENSE_SCENE)
+        u, v = np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -0.6])
+        geom = SurfaceGeometry(scene.model, scene.patch, u, v, order)
+        return geom, scene.model.frame(scene.patch.point(u, v), order=order + 1)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_kept_orders(self, order):
+        geom, full = self.geometry(order)
+        kept = geom.frame
+        fields = {"e1": 1, "e2": 1, "e3": 1, "omega": order - 1, "cof1": 0, "cof2": 0, "tau": 0,
+                  "sf": order - 2}
+        got, want = TestFrameOrders.fields(kept), TestFrameOrders.fields(full)
+        for key, k in fields.items():
+            for jet, ref in zip(got[key], want[key]):
+                assert jet.order == k, key
+                assert jet_bits(jet) == jet_bits(ref.truncate(k)), key
+        assert kept.coframe[2] is kept.omega
+        assert all(np.array_equal(a, b) for a, b in zip(kept.point, full.point))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("L", [1.0, 1e2, 1e4])
+    def test_readers_match_the_full_frame(self, order, L):
+        geom, full = self.geometry(order)
+        for read in (lambda fr: ConnectionFormsL(fr, L).values(),
+                     lambda fr: koszul_connection_oracle(fr, L),
+                     lambda fr: metric_matrix(fr, L)):
+            assert read(geom.frame).tobytes() == read(full).tobytes()
+
+    def test_frame_report_matches_the_full_frame(self, capsys, monkeypatch):
+        argv = ["frame-report", "--scene", str(DENSE_SCENE), "--uv=0.3,1.1", "--L", "100"]
+        assert cli.main(argv) == 0
+        kept = capsys.readouterr().out
+        monkeypatch.setattr(surface, "_kept", lambda fr, low: fr)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == kept

@@ -546,7 +546,11 @@ class _Worker:
 
 
 # this process's workers, and the read and write ends of their queue; a
-# forked child starts with neither (`_forget_pool`)
+# forked child starts with neither (`_forget_pool`). Items are dealt through
+# the shared queue rather than split in advance (worker k of n taking items
+# k, k + n, ...) because the processes do not run at equal speed, and the
+# queue lets the faster one take more items: on a 2-vCPU host the fixed split
+# ran the dense report+Stokes workload at 2.75 ops/s against 2.99.
 _POOL = []
 _QUEUE = []
 

@@ -11,8 +11,10 @@ curves run along the region's edge and trace each edge component once.
 The boundary curves are taken as written, orientation included, but must
 follow the convention Gauss-Bonnet cancellation expects, the one induced
 from the region in the parameter plane: counterclockwise outer boundary,
-clockwise holes. A set that misses, reverses or repeats a component is
-rejected at `$.boundary`.
+clockwise holes. A curve with a sample step that turns against that
+orientation is rejected at `$.boundary[i]`, even one that doubles back along
+the edge and whose integral would still come out right. A set that misses
+or repeats a component, or part of one, is rejected at `$.boundary`.
 """
 
 import functools
@@ -182,18 +184,17 @@ def _build_region(cfg, path: str) -> Region:
                 _interval(_need(cfg, "u", path), f"{path}.u"),
                 _interval(_need(cfg, "v", path), f"{path}.v"),
             )
-        elif kind == "disk":
-            _reject_unknown(cfg, {"type", "center", "radius", "euler_characteristic"}, path)
+        elif kind in ("disk", "annulus"):
+            size = "radius" if kind == "disk" else "radii"
+            _reject_unknown(cfg, {"type", "center", size, "euler_characteristic"}, path)
             center = [_as_number(x, f"{path}.center[{i}]")
                       for i, x in enumerate(_as_list(_need(cfg, "center", path), f"{path}.center", 2))]
-            region = Region.disk(center, _as_number(_need(cfg, "radius", path), f"{path}.radius"))
-        elif kind == "annulus":
-            _reject_unknown(cfg, {"type", "center", "radii", "euler_characteristic"}, path)
-            center = [_as_number(x, f"{path}.center[{i}]")
-                      for i, x in enumerate(_as_list(_need(cfg, "center", path), f"{path}.center", 2))]
-            radii = [_as_number(x, f"{path}.radii[{i}]")
-                     for i, x in enumerate(_as_list(_need(cfg, "radii", path), f"{path}.radii", 2))]
-            region = Region.annulus(center, radii)
+            if kind == "disk":
+                region = Region.disk(center, _as_number(_need(cfg, size, path), f"{path}.{size}"))
+            else:
+                radii = [_as_number(x, f"{path}.radii[{i}]")
+                         for i, x in enumerate(_as_list(_need(cfg, size, path), f"{path}.radii", 2))]
+                region = Region.annulus(center, radii)
         else:
             raise SceneError(f"unknown region type {kind!r}", f"{path}.type")
     except ValueError as exc:
@@ -312,41 +313,31 @@ def boundary_edge_distances(region: Region, boundary):
         yield _edge_distance(region, *_edge_samples(curve)[:2])
 
 
-def _joined(starts, ends) -> bool:
-    """True when every end point is the start point of another piece, one to one."""
-    free = list(starts)
-    for p in ends:
-        k = next((k for k, q in enumerate(free) if math.dist(p, q) <= JOIN_TOL), None)
-        if k is None:
-            return False
-        free.pop(k)
-    return True
-
-
 def _check_boundary(region: Region, boundary, path: str):
     """Every curve lies on the region edge, and together they trace each edge
     component once with the induced orientation.
 
-    Per edge component the pieces must join up into closed loops, and the
-    angle they sweep about the region centre, summed from the same samples
-    as the edge distance, must total +2 pi on the outer edge
-    (counterclockwise) and -2 pi on an annulus hole (clockwise). The edge
-    integrals then equal those over the edge traced once, so a missing,
-    reversed, doubled or half-covered component is rejected. Each step
-    between samples, wrapped to (-pi, pi], must also lie within pi/4 of the
-    trapezoid rule on the curve's exact turning rate, so a curve that turns
-    a whole time or more between two samples cannot alias to a smaller step.
+    The induced way about the region centre is counterclockwise on the outer
+    edge and clockwise on an annulus hole. Per curve, every step between
+    samples, wrapped to (-pi, pi], must turn the induced way within
+    SWEEP_TOL and lie within pi/4 of the trapezoid rule on the curve's exact
+    turning rate, so a curve that turns a whole time or more between two
+    samples cannot alias to a smaller step. Per edge component, the curves'
+    arcs (start angle in the induced direction, sweep), ordered by start,
+    must chain: each end point is the next arc's start point, the last
+    wrapping to the first, and the sweeps total one turn. The edge integrals
+    then equal those over the edge traced once, so a missing, reversed,
+    doubled or half-covered component is rejected, and so is a curve that
+    doubles back along the edge.
     """
     if region.kind == "rectangle":
         (a, b), (c, d) = region.u_interval, region.v_interval
         cu, cv = 0.5 * (a + b), 0.5 * (c + d)
     else:
         cu, cv = region.center
-    expected = {"outer": 2 * math.pi}
+    arcs = {"outer": []}
     if region.kind == "annulus":
-        expected["inner"] = -2 * math.pi
-    swept = dict.fromkeys(expected, 0.0)
-    pieces = {edge: ([], []) for edge in expected}     # start and end points
+        arcs["inner"] = []
     for i, curve in enumerate(boundary):
         try:
             u, v, ut, vt = _edge_samples(curve)
@@ -366,9 +357,9 @@ def _check_boundary(region: Region, boundary, path: str):
             )
         du, dv = u - cu, v - cv
         hole = region.kind == "annulus" and math.hypot(du[0], dv[0]) < 0.5 * sum(region.radii)
-        edge = "inner" if hole else "outer"
-        steps = (np.diff(np.arctan2(dv, du)) + math.pi) % (2 * math.pi) - math.pi
-        rate = (du * vt - dv * ut) / (du * du + dv * dv)
+        edge, sign = ("inner", -1.0) if hole else ("outer", 1.0)
+        steps = sign * ((np.diff(np.arctan2(dv, du)) + math.pi) % (2 * math.pi) - math.pi)
+        rate = sign * (du * vt - dv * ut) / (du * du + dv * dv)
         predicted = 0.5 * (curve.t1 - curve.t0) / BOUNDARY_SAMPLES * (rate[:-1] + rate[1:])
         slip = float(np.max(np.abs(steps - predicted)))
         if slip > math.pi / 4:
@@ -378,22 +369,27 @@ def _check_boundary(region: Region, boundary, path: str):
                 "the one its derivative predicts (tolerance pi/4)",
                 f"{path}[{i}]",
             )
-        swept[edge] += float(np.sum(steps))
-        pieces[edge][0].append((u[0], v[0]))
-        pieces[edge][1].append((u[-1], v[-1]))
-    for edge, want in expected.items():
-        if not _joined(*pieces[edge]):
+        back = -float(np.min(steps))
+        if back > SWEEP_TOL:
             raise SceneError(
-                f"boundary curves along the {edge} edge do not join up into closed "
-                f"loops: an end point is no piece's start point (tolerance {JOIN_TOL:.0e})",
-                path,
+                f"boundary curve turns back along the {edge} edge: a step turns "
+                f"{back:.3g} rad against the induced orientation, counterclockwise "
+                f"on the outer edge and clockwise on a hole (tolerance {SWEEP_TOL:.0e})",
+                f"{path}[{i}]",
             )
-        if abs(swept[edge] - want) > SWEEP_TOL:
+        arcs[edge].append((sign * math.atan2(dv[0], du[0]), float(np.sum(steps)),
+                           (u[0], v[0]), (u[-1], v[-1])))
+    for edge, pieces in arcs.items():
+        pieces.sort()
+        starts = [start for _, _, start, _ in pieces]
+        gap = max(map(math.dist, [end for *_, end in pieces], starts[1:] + starts[:1]), default=0.0)
+        swept = sum(sweep for _, sweep, _, _ in pieces)
+        if gap > JOIN_TOL or abs(swept - 2 * math.pi) > SWEEP_TOL:
             raise SceneError(
-                f"boundary curves turn {swept[edge] / (2 * math.pi):.6g} times about the "
-                f"region centre along the {edge} edge, expected {want / (2 * math.pi):.0f}: "
-                "the outer edge must be traced once counterclockwise and each hole "
-                "once clockwise",
+                f"boundary curves do not trace the {edge} edge once: in order of start angle, "
+                f"an end point misses the next start point by up to {gap:.3g} (tolerance "
+                f"{JOIN_TOL:.0e}), and they turn {swept / (2 * math.pi):.6g} times about the "
+                "region centre, expected 1 (outer edge counterclockwise, each hole clockwise)",
                 path,
             )
 

@@ -749,6 +749,21 @@ class TestBoundaryCoverage:
             cfg["boundary"][0]["t"] = [0.0, 4 * math.pi]
         self.rejected(capsys, tmp_path, twice, "heisenberg_annulus", "outer")
 
+    @pytest.mark.parametrize("kept, pieces, index", [
+        (1, [(["0.8*cos(pi*sin(t))", "1.5+0.8*sin(pi*sin(t))"], [0.0, math.pi])], 1),
+        (1, [(["0.8*cos(t)", "1.5+0.8*sin(t)"], [0.0, math.pi]),
+             (["0.8*cos(-t)", "1.5+0.8*sin(-t)"], [-math.pi, 0.0])], 2),
+        (0, [(["0.8*cos(t+1.5*sin(t))", "1.5+0.8*sin(t+1.5*sin(t))"], [0.0, 2 * math.pi])], 0),
+    ], ids=["out-and-back", "half-forward-then-back", "circle-that-turns-back"])
+    def test_curve_that_doubles_back(self, capsys, tmp_path, kept, pieces, index):
+        # the integrals would come out as over the circle traced once, but
+        # piece `index` turns clockwise somewhere along the outer edge
+        def doubling(cfg):
+            cfg["boundary"][kept:] = [{"curve": curve, "t": t} for curve, t in pieces]
+        code, out, err = run(capsys, "validate", "--scene", write_scene(tmp_path, doubling, "rt_disk"))
+        assert code == 3 and out == ""
+        assert f"$.boundary[{index}]" in err and "outer edge" in err
+
     @pytest.mark.parametrize("turns, base, index", [
         (33, "rt_disk", 0), (65, "rt_disk", 0), (33, "heisenberg_annulus", 1),
     ], ids=["disk-33", "disk-65", "hole-33"])

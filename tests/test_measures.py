@@ -565,6 +565,36 @@ class TestOtherBuiltinModels:
             assert abs(row["gap"]) <= 1e-12
 
 
+class TestChartChangeLaw:
+    """`F(x, y, z) = (x, y, z + x y / 2)` carries the `heisenberg` frame onto the
+    `polarized_heisenberg` one, so `(heisenberg, phi)` and
+    `(polarized_heisenberg, F o phi)` are one surface in two charts and their
+    reports agree to rounding.
+
+    A law shares all pipeline code with what it checks, so it finds
+    coordinate-dependent bugs (a chart component read where a frame
+    component belongs), not a formula error common to both sides.
+    """
+
+    def report(self, model: str, phi: list):
+        annulus = shipped_config("heisenberg_annulus")
+        sc = scene_from_config(dict(
+            annulus, model={"builtin": model}, surface=dict(annulus["surface"], phi=phi),
+            quadrature={"order": 8, "cells": [4, 4], "segments": 16}))
+        return ms.gauss_bonnet_residual(sc, (1e2, 1e4))
+
+    def test_heisenberg_to_polarized(self):
+        a = self.report("heisenberg", ["u", "v", "0.3*u*v + 0.1*u"])
+        b = self.report("polarized_heisenberg", ["u", "v", "0.3*u*v + 0.1*u + u*v/2"])
+        pairs = [(a.area.value, b.area.value), (a.curl.value, b.curl.value)]
+        pairs += [(x.value, y.value) for x, y in zip(a.boundary, b.boundary, strict=True)]
+        for x, y in zip(a.finite_rows, b.finite_rows, strict=True):
+            pairs += [(x.area_part, y.area_part), (x.boundary_part, y.boundary_part)]
+        assert len(pairs) == 8
+        for x, y in pairs:
+            assert x == pytest.approx(y, rel=1e-12, abs=0.0)
+
+
 class TestSharedGeometry:
     """A report evaluates every integrand of a node set on one geometry.
 

@@ -68,9 +68,12 @@ def _surface_point(scene, text: str):
 
 
 def _parse_L_list(text: str):
-    values = tuple(float(p) for p in text.split(",") if p.strip())
-    if not values:
+    parts = text.split(",")
+    if not any(p.strip() for p in parts):
         raise ValueError("expected at least one L value")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"--L {text!r} has an empty entry")
+    values = tuple(map(float, parts))
     if len(values) > MAX_L_VALUES:
         raise ValueError(f"at most {MAX_L_VALUES} L values, got {len(values)}")
     if not all(math.isfinite(L) and L > 0 for L in values):
@@ -94,6 +97,17 @@ def _tolerance(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: an integer of at least 0, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
     return value
 
 
@@ -425,7 +439,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--L", default="1,10,100",
                    help="comma-separated L values; the oracles lose digits past about L = 1e9")
     p.add_argument("--samples", type=_sample_count, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-6, help="worst allowed gap (at least 0)")
 
     return parser

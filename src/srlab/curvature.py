@@ -50,12 +50,6 @@ class SurfaceOneForm:
         return value_of(self.P), value_of(self.Q)
 
 
-def tangent_components(geom: SurfaceGeometry, vec) -> tuple:
-    """Components (a, b) with vec = a Tu + b Tv (values), solved per point."""
-    return basis_components([value_of(c) for c in geom.Tu], [value_of(c) for c in geom.Tv],
-                            [value_of(c) for c in vec])
-
-
 def _require_second_derivatives(geom: SurfaceGeometry, quantity: str):
     """Raise ValueError unless `geom` is built to the order `quantity` reads."""
     if geom.order < 3:
@@ -160,7 +154,7 @@ class LFormAssembly:
 
     def frame_components(self):
         """(a, b) parameter components of X2 and X3 (values)."""
-        return self.geom.f2_components, tangent_components(self.geom, self.X3_values())
+        return self.geom.f2_components, self.geom.tangent_components(self.X3_values())
 
     def gauss_curvature(self):
         """K_L = d(W32_L)(X2, X3) = -d(W23_L)(X2, X3)."""
@@ -235,8 +229,8 @@ def limit_connection_form(geom: SurfaceGeometry) -> SurfaceOneForm:
 def gauss_curvature_limit_via_form(geom: SurfaceGeometry):
     """Second route to K: -d(pullback of A e^3) evaluated on (f2, f3)."""
     form = limit_connection_form(geom)
-    a2, b2 = tangent_components(geom, geom.f2)
-    a3, b3 = tangent_components(geom, geom.f3)
+    a2, b2 = geom.tangent_components(geom.f2)
+    a3, b3 = geom.tangent_components(geom.f3)
     return -form.curl() * (a2 * b3 - b2 * a3)
 
 

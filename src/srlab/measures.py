@@ -13,6 +13,13 @@ The finite-L variant integrates (1/sqrt(L)) K_L dsigma_L and the matching
 boundary term and compares against 2 pi chi / sqrt(L). Stokes' check reads
 d(A e^3) off K's node sets and geometry but shares no formula code with K.
 
+`gauss_bonnet_residual` is the one scene route: only it builds region and
+boundary runs. `integrate_K_dsigma`, `integrate_kn_ds`, `finite_L_gauss_bonnet`
+and `stokes_consistency_gap` read its report and stay because the benchmark's
+tracer hooks them by name. TestSharedGeometry's
+`test_report_matches_standalone_integrals_bitwise` (tests/test_measures.py)
+checks that shared rounds give the bits of separate runs.
+
 Quadrature is composite Gauss-Legendre with a fixed summation order
 (lexicographic over cells, pairwise within and across cells), so results are
 bitwise reproducible. Disk and annulus regions integrate in polar parameters
@@ -790,11 +797,6 @@ def boundary_integrand_limit(cg: cv.CurveGeometry):
     return np.asarray((cg.A * cg.y).value)
 
 
-def boundary_integrand_L(cg: cv.CurveGeometry, L: float):
-    """k_n^L ds_L against dt, in the form that needs no transversality."""
-    return np.asarray(cv.normal_curvature_L_jets(cg, L)[0].value)
-
-
 # -- scene integrals ----------------------------------------------------------
 #
 # A scene integrand maps one item's geometry to values at its nodes: a
@@ -835,12 +837,12 @@ def _scaled_K_dsigma_L(L: float, root: float, geom: SurfaceGeometry):
 
 
 def _kn_ds_L(L: float):
-    """(1/sqrt(L)) k_n^L ds_L against dt."""
+    """(1/sqrt(L)) k_n^L ds_L against dt, in the form that needs no transversality."""
     return _reads(2)(partial(_scaled_kn_ds_L, L, _root(L)))
 
 
 def _scaled_kn_ds_L(L: float, root: float, cg: cv.CurveGeometry):
-    return boundary_integrand_L(cg, L) / root
+    return np.asarray(cv.normal_curvature_L_jets(cg, L)[0].value) / root
 
 
 def _surface_geometry(model, phi: tuple, u, v, order: int) -> SurfaceGeometry:
@@ -857,50 +859,11 @@ def _curve_geometry(model, phi: tuple, curve, t, order: int) -> cv.CurveGeometry
     return cv.CurveGeometry(model, SurfacePatch(phi), curve, t, order)
 
 
-def _scene_integrals(scene, area_fns, curve_fns) -> tuple:
-    """Refinement runs over the region and along each boundary curve, in shared rounds.
-
-    Returns one result per area integrand (None without any) and, per
-    boundary curve, one result per curve integrand. The region is checked
-    against the patch domain and scanned for characteristic points first.
-    """
-    runs = []
-    if area_fns:
-        ensure_region_in_domain(scene.patch, scene.region)
-        scan_region_regular(scene.model, scene.patch, scene.region)
-        runs.append((partial(_surface_geometry, scene.model, scene.patch.phi), area_fns,
-                     scene.region))
-    if curve_fns:
-        runs += [(partial(_curve_geometry, scene.model, scene.patch.phi, curve), curve_fns,
-                  (curve.t0, curve.t1)) for curve in scene.boundary]
-    results = _refine(runs, scene.quadrature)
-    return (results.pop(0) if area_fns else None), results
-
-
-def _region_integrals(scene, integrands) -> list:
-    """One refinement run over the region, one result per integrand."""
-    return _scene_integrals(scene, integrands, ())[0]
-
-
-def _boundary_integrals(scene, integrands) -> list:
-    """One refinement run per boundary curve, one result per integrand."""
-    return _scene_integrals(scene, (), integrands)[1]
-
-
-def integrate_K_dsigma(scene) -> QuadratureResult:
-    """Integral of the limit Gaussian curvature against the limit measure."""
-    return _region_integrals(scene, [_K_dsigma])[0]
-
-
-def integrate_kn_ds(scene) -> tuple:
-    """Limit boundary integrals, one QuadratureResult per boundary curve."""
-    curves = _boundary_integrals(scene, [boundary_integrand_limit])
-    return tuple(res for res, in curves)
-
-
-def stokes_consistency_gap(scene) -> float:
-    """Stokes' check on the scene: the `stokes_gap` of its limit report."""
-    return gauss_bonnet_residual(scene).stokes_gap
+def _total(start: float, results) -> float:
+    """`start` plus the value of each result, added left to right."""
+    for res in results:
+        start += res.value
+    return start
 
 
 @dataclass(frozen=True)
@@ -920,9 +883,7 @@ class FiniteLRow:
 
 
 def _finite_row(chi: int, L: float, area: QuadratureResult, boundary) -> FiniteLRow:
-    boundary_part = 0.0
-    for res in boundary:
-        boundary_part += res.value
+    boundary_part = _total(0.0, boundary)
     return FiniteLRow(
         L=float(L),
         scaled_sum=area.value + boundary_part,
@@ -931,12 +892,6 @@ def _finite_row(chi: int, L: float, area: QuadratureResult, boundary) -> FiniteL
         boundary_part=boundary_part,
         converged=area.converged and all(res.converged for res in boundary),
     )
-
-
-def finite_L_gauss_bonnet(scene, L: float) -> FiniteLRow:
-    """The scaled finite-L Gauss-Bonnet sum against 2 pi chi / sqrt(L)."""
-    (area,), curves = _scene_integrals(scene, [_K_dsigma_L(L)], [_kn_ds_L(L)])
-    return _finite_row(scene.region.chi, L, area, [res for res, in curves])
 
 
 @dataclass(frozen=True)
@@ -953,9 +908,7 @@ class GaussBonnetReport:
     @property
     def stokes_gap(self) -> float:
         """|R - B| / max(1, |R|, |B|), R the `curl` integral, B the boundary sum."""
-        region, boundary = self.curl.value, 0.0
-        for res in self.boundary:
-            boundary += res.value
+        region, boundary = self.curl.value, _total(0.0, self.boundary)
         return abs(region - boundary) / max(1.0, abs(region), abs(boundary))
 
 
@@ -964,21 +917,46 @@ def gauss_bonnet_residual(scene, L_values=()) -> GaussBonnetReport:
 
     The residual is the area integral plus the boundary integrals, summed
     left to right in the reported order, and vanishes for correctly oriented
-    scenes. One refinement run over the region and one along each boundary
-    curve evaluate the limit integrands, the Stokes curl and every finite-L
-    row on shared geometry, all of them in the same rounds.
+    scenes. After the region's domain and characteristic-point checks, one
+    refinement run over the region and one along each boundary curve
+    evaluate the limit integrands, the Stokes curl and every finite-L row on
+    shared geometry, all of them in the same rounds.
     """
     L_values = tuple(L_values)
     area_fns = [_K_dsigma, _limit_curl] + [_K_dsigma_L(L) for L in L_values]
     curve_fns = [boundary_integrand_limit] + [_kn_ds_L(L) for L in L_values]
-    (area, curl, *area_L), curves = _scene_integrals(scene, area_fns, curve_fns)
+    ensure_region_in_domain(scene.patch, scene.region)
+    scan_region_regular(scene.model, scene.patch, scene.region)
+    model, phi = scene.model, scene.patch.phi
+    runs = [(partial(_surface_geometry, model, phi), area_fns, scene.region)]
+    runs += [(partial(_curve_geometry, model, phi, curve), curve_fns, (curve.t0, curve.t1))
+             for curve in scene.boundary]
+    (area, curl, *area_L), *curves = _refine(runs, scene.quadrature)
     boundary = tuple(parts[0] for parts in curves)
-    residual = area.value
-    for res in boundary:
-        residual += res.value
     rows = tuple(
         _finite_row(scene.region.chi, L, area_L[j], [parts[j + 1] for parts in curves])
         for j, L in enumerate(L_values)
     )
     return GaussBonnetReport(chi=scene.region.chi, area=area, boundary=boundary,
-                             residual=residual, curl=curl, finite_rows=rows)
+                             residual=_total(area.value, boundary), curl=curl,
+                             finite_rows=rows)
+
+
+def integrate_K_dsigma(scene) -> QuadratureResult:
+    """The report's `area`; kept because the benchmark's tracer hooks it by name."""
+    return gauss_bonnet_residual(scene).area
+
+
+def integrate_kn_ds(scene) -> tuple:
+    """The report's `boundary`; kept because the benchmark's tracer hooks it by name."""
+    return gauss_bonnet_residual(scene).boundary
+
+
+def finite_L_gauss_bonnet(scene, L: float) -> FiniteLRow:
+    """The report's row at L; kept because the benchmark's tracer hooks it by name."""
+    return gauss_bonnet_residual(scene, (L,)).finite_rows[0]
+
+
+def stokes_consistency_gap(scene) -> float:
+    """The report's `stokes_gap`; kept because the benchmark's tracer hooks it by name."""
+    return gauss_bonnet_residual(scene).stokes_gap

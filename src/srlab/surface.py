@@ -244,11 +244,15 @@ class SurfaceGeometry:
         A = self.A.truncate(0)
         return [value_of(a.truncate(0) + A * b.truncate(0)) for a, b in zip(self.e3_s, self.f1)]
 
+    def tangent_components(self, vec) -> tuple:
+        """Values (a, b) with vec = a Tu + b Tv, solved per point; vec holds jets or values."""
+        return basis_components([value_of(c) for c in self.Tu], [value_of(c) for c in self.Tv],
+                                [value_of(c) for c in vec])
+
     @cached_property
     def f2_components(self) -> tuple:
         """Values (a, b) with f2 = a Tu + b Tv."""
-        return basis_components([value_of(c) for c in self.Tu], [value_of(c) for c in self.Tv],
-                                self.f2_values)
+        return self.tangent_components(self.f2_values)
 
     @cached_property
     def form_terms(self) -> tuple:

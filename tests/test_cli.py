@@ -15,6 +15,7 @@ from conftest import shipped_config
 from srlab import cli
 from srlab import curvature as cv
 from srlab import frame
+from srlab import measures as ms
 from srlab import scenes as sc
 from srlab.curvature import CurveGeometry
 from srlab.errors import SamplingError
@@ -108,6 +109,7 @@ class TestGoldenOutputs:
         ("oracle_check_dense_scene",
          ["oracle-check", "--scene", DENSE_SCENE, "--samples", "3", "--seed", "5",
           "--L", "1,10,100"]),
+        ("gauss_bonnet_dense_scene", ["gauss-bonnet", "--scene", DENSE_SCENE]),
     ])
     def test_stdout_matches_golden(self, capsys, name, argv):
         code, out, err = run(capsys, *argv)
@@ -483,6 +485,30 @@ class TestSharedParser:
         assert run(capsys, *defaults) == (0, first_default, "")
 
 
+class TestRecordedCalls:
+    """Every call recorded in perfbench/reference.json, replayed through `main`
+    in one process: its exit code and the SHA-256 of its stdout match the record."""
+
+    @staticmethod
+    def replay(capsys, entries):
+        for entry in entries:
+            code, out, _ = run(capsys, *entry["argv"])
+            assert code == entry["exit"], entry["argv"]
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"], \
+                entry["argv"]
+
+    def test_every_recorded_call_matches(self, capsys):
+        ref = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        entries = ref["gb_shipped"] + [entry for kind in ref["queries"].values()
+                                       for entry in kind]
+        assert len(entries) == 254
+        self.replay(capsys, entries)
+
+    def test_gauss_bonnet_calls_match_without_workers(self, capsys, monkeypatch):
+        monkeypatch.setattr(ms, "WORKERS", 1)
+        self.replay(capsys, json.loads(REFERENCE.read_text(encoding="utf-8"))["gb_shipped"])
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("argv", [
         ("curvature", "--scene", "rt_disk", "--uv", "0.1,0.2", "--L", "nan"),
@@ -502,6 +528,11 @@ class TestInputChecks:
         assert out == ""
         assert "finite" in err or "at least 1" in err
         assert "zero-size" not in err
+
+    def test_negative_seed_is_a_usage_error_that_names_the_option(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--scene", "rt_disk", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "argument --seed: expected an integer of at least 0, got '-1'" in err
 
     def test_zero_tol_is_accepted(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--scene", "rt_disk", "--samples", "3",
@@ -539,7 +570,8 @@ class TestPointsInRange:
 
 
 class TestEmptyLList:
-    """An empty --L is a usage error on every subcommand that takes a list."""
+    """An empty --L, or one with an empty entry, is a usage error on every
+    subcommand that takes a list."""
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--scene", "rt_disk", "--quantity", "K", "--uv", "0.1,1.2", "--L", ""),
@@ -552,6 +584,17 @@ class TestEmptyLList:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "expected at least one L value" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gauss-bonnet", "--scene", "rt_disk", "--L", "1,,10"),
+        ("gauss-bonnet", "--scene", "rt_disk", "--L", "100,"),
+        ("sweep", "--scene", "rt_disk", "--quantity", "kn", "--t", "0.3", "--L", "1,,10"),
+        ("oracle-check", "--scene", "rt_disk", "--L", "100,"),
+    ])
+    def test_empty_entry_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"--L {argv[-1]!r} has an empty entry" in err
 
 
 class TestWorkCaps:

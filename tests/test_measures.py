@@ -576,23 +576,39 @@ class TestChartChangeLaw:
     component belongs), not a formula error common to both sides.
     """
 
-    def report(self, model: str, phi: list):
+    def report(self, model: str, phi: list, L_values=(1e2, 1e4)):
         annulus = shipped_config("heisenberg_annulus")
         sc = scene_from_config(dict(
             annulus, model={"builtin": model}, surface=dict(annulus["surface"], phi=phi),
             quadrature={"order": 8, "cells": [4, 4], "segments": 16}))
-        return ms.gauss_bonnet_residual(sc, (1e2, 1e4))
+        return ms.gauss_bonnet_residual(sc, L_values)
 
-    def test_heisenberg_to_polarized(self):
-        a = self.report("heisenberg", ["u", "v", "0.3*u*v + 0.1*u"])
-        b = self.report("polarized_heisenberg", ["u", "v", "0.3*u*v + 0.1*u + u*v/2"])
+    @staticmethod
+    def assert_scaled(a, b, scale: float):
+        """Every integral of report `a` is `scale` times its counterpart in `b`."""
         pairs = [(a.area.value, b.area.value), (a.curl.value, b.curl.value)]
         pairs += [(x.value, y.value) for x, y in zip(a.boundary, b.boundary, strict=True)]
         for x, y in zip(a.finite_rows, b.finite_rows, strict=True):
             pairs += [(x.area_part, y.area_part), (x.boundary_part, y.boundary_part)]
         assert len(pairs) == 8
         for x, y in pairs:
-            assert x == pytest.approx(y, rel=1e-12, abs=0.0)
+            assert x == pytest.approx(scale * y, rel=1e-12, abs=0.0)
+
+    def test_heisenberg_to_polarized(self):
+        a = self.report("heisenberg", ["u", "v", "0.3*u*v + 0.1*u"])
+        b = self.report("polarized_heisenberg", ["u", "v", "0.3*u*v + 0.1*u + u*v/2"])
+        self.assert_scaled(a, b, 1.0)
+
+    def test_heisenberg_dilation(self):
+        """The dilation `d(x, y, z) = (l x, l y, l^2 z)` pulls `g_L` back to
+        `l^2 g_{l^2 L}`, so the report of `d o phi` at `L` is `l` times that of
+        `phi` at `l^2 L`: the limit integrals scale by `l`, and the law ties
+        rows at different `L` together. Like every law here it cannot catch a
+        formula error that both sides share."""
+        l, z = 1.7, "0.3*u*v + 0.1*u"
+        dilated = self.report("heisenberg", [f"{l!r}*u", f"{l!r}*v", f"{l * l!r}*({z})"])
+        plain = self.report("heisenberg", ["u", "v", z], (l * l * 1e2, l * l * 1e4))
+        self.assert_scaled(dilated, plain, l)
 
 
 class TestSharedGeometry:
@@ -609,9 +625,12 @@ class TestSharedGeometry:
         monkeypatch.setattr(ms, "CHUNK", 700)
         sc = dataclasses.replace(builtin_scene(name), quadrature=self.COARSE)
         rep = ms.gauss_bonnet_residual(sc, L_values=sc.L_grid)
-        assert rep.area == ms.integrate_K_dsigma(sc)
-        assert rep.boundary == ms.integrate_kn_ds(sc)
-        rows = tuple(ms.finite_L_gauss_bonnet(sc, L) for L in sc.L_grid)
+        assert rep.area == over_region(sc, ms._K_dsigma)
+        assert rep.curl == over_region(sc, ms._limit_curl)
+        assert rep.boundary == along_boundary(sc, ms.boundary_integrand_limit)
+        rows = tuple(ms._finite_row(sc.region.chi, L, over_region(sc, ms._K_dsigma_L(L)),
+                                    along_boundary(sc, ms._kn_ds_L(L)))
+                     for L in sc.L_grid)
         assert rep.finite_rows == rows
 
     @staticmethod
@@ -668,9 +687,9 @@ class TestSharedGeometry:
         monkeypatch.setattr(ms, "CHUNK", 700)
         monkeypatch.setattr(ms, "WORKERS", workers)
         sc = dataclasses.replace(builtin_scene(name), quadrature=self.COARSE)
-        region = ms._region_integrals(sc, [ms._limit_curl])[0].value
+        region = over_region(sc, ms._limit_curl).value
         boundary = 0.0
-        for res in ms.integrate_kn_ds(sc):
+        for res in along_boundary(sc, ms.boundary_integrand_limit):
             boundary += res.value
         two_calls = abs(region - boundary) / max(1.0, abs(region), abs(boundary))
         with_rows = ms.gauss_bonnet_residual(sc, sc.L_grid)
@@ -696,6 +715,24 @@ class TestSharedGeometry:
         chunks = sum(math.ceil(n / step) for n in [sum(levels[:2])] + levels[2:])
         assert len(list(tmp_path.glob("region-*.npy"))) == chunks
 
+    def test_each_reader_makes_one_report(self, monkeypatch):
+        # only the report builds scene runs; the four readers each read one
+        sc = at_quad(annulus_scene(), self.COARSE)
+        full = ms.gauss_bonnet_residual(sc, (1e2,))
+        calls, report, refine = [], ms.gauss_bonnet_residual, ms._refine
+        monkeypatch.setattr(ms, "gauss_bonnet_residual",
+                            lambda *args: calls.append(args) or report(*args))
+        monkeypatch.setattr(ms, "_refine", lambda *args: calls.append("_refine") or refine(*args))
+        for read, args, report_args, want in [
+            (ms.integrate_K_dsigma, (sc,), (sc,), full.area),
+            (ms.integrate_kn_ds, (sc,), (sc,), full.boundary),
+            (ms.finite_L_gauss_bonnet, (sc, 1e2), (sc, (1e2,)), full.finite_rows[0]),
+            (ms.stokes_consistency_gap, (sc,), (sc,), full.stokes_gap),
+        ]:
+            calls.clear()
+            assert repr(read(*args)) == repr(want)
+            assert calls == [report_args, "_refine"]
+
     def test_report_builds_no_companion_forms(self, monkeypatch):
         # K_L and kn_L read only W23_L: W12_L, W13_L and d(beta) stay unbuilt
         built = []
@@ -716,7 +753,8 @@ class TestSharedGeometry:
         t = np.linspace(0.3, 5.9, 5)
         cg = cv.CurveGeometry(HEIS, PLANE, circ, t)
         num, norm = cv.normal_curvature_L_jets(cg, 100.0)
-        assert np.array_equal(ms.boundary_integrand_L(cg, 100.0), np.asarray(num.value))
+        # sqrt(100) is exactly 10
+        assert np.array_equal(ms._kn_ds_L(100.0)(cg), np.asarray(num.value) / 10.0)
         kn = cv.normal_curvature_L(cg, 100.0)
         assert np.array_equal(kn, np.asarray(num.value) / np.asarray(norm.value))
 
@@ -739,6 +777,27 @@ def dense_scene():
 def bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def region_run(sc, fns) -> tuple:
+    """A refinement run of `fns` over the scene's region, built as the report builds it."""
+    return partial(ms._surface_geometry, sc.model, sc.patch.phi), list(fns), sc.region
+
+
+def curve_runs(sc, fns) -> list:
+    """One refinement run of `fns` along each boundary curve of the scene."""
+    return [(partial(ms._curve_geometry, sc.model, sc.patch.phi, curve), list(fns),
+             (curve.t0, curve.t1)) for curve in sc.boundary]
+
+
+def over_region(sc, fn) -> ms.QuadratureResult:
+    """`fn` integrated over the scene's region in a run of its own."""
+    return ms._refine([region_run(sc, [fn])], sc.quadrature)[0][0]
+
+
+def along_boundary(sc, fn) -> tuple:
+    """`fn` integrated along each boundary curve, one result per curve, in runs of their own."""
+    return tuple(res for res, in ms._refine(curve_runs(sc, [fn]), sc.quadrature))
 
 
 class TestOrderBudget:
@@ -950,7 +1009,7 @@ class TestForkedPasses:
             runs.append((repr(report), repr(report.stokes_gap)))
         assert runs[1] == runs[0]
         if name == "rt_disk" and max_refine == 3:
-            (kn,), = ms._boundary_integrals(sc, [ms._kn_ds_L(1e4)])
+            kn, = along_boundary(sc, ms._kn_ds_L(1e4))
             assert kn.refinements == 2
 
     def test_items_hold_whole_cells(self, monkeypatch):
@@ -1190,8 +1249,8 @@ class TestForkedPasses:
 
     def test_a_timeout_while_curve_items_are_out_stops_the_pool(self, monkeypatch):
         sc = at_quad(annulus_scene(), self.COARSE)
-        self.timeout_stops_the_pool(monkeypatch, lambda: ms._scene_integrals(
-            sc, [ms._K_dsigma], [sleeps_in_a_worker_on_a_curve]))
+        runs = [region_run(sc, [ms._K_dsigma])] + curve_runs(sc, [sleeps_in_a_worker_on_a_curve])
+        self.timeout_stops_the_pool(monkeypatch, lambda: ms._refine(runs, sc.quadrature))
 
     def test_a_worker_killed_between_passes_gives_the_serial_bits(self, monkeypatch):
         sc = at_quad(builtin_scene("heisenberg_annulus"), self.COARSE)

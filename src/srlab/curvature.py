@@ -125,7 +125,8 @@ class LFormAssembly:
         self.dalpha = SurfaceOneForm(*dalpha)
 
         horiz = _mix(-s_a, self.w13, c_a, self.w23)         # -sin(a) w13 + cos(a) w23
-        self._dplus = _mix(1.0, self.dalpha, 1.0, self.w12)  # d(alpha) + w12
+        # d(alpha) + w12
+        self._dplus = SurfaceOneForm(self.dalpha.P + self.w12.P, self.dalpha.Q + self.w12.Q)
         self.omega23 = _mix(-self.sinb, self._dplus, self.cosb, horiz)
 
     @cached_property

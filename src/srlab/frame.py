@@ -146,7 +146,11 @@ class FrameData:
     at order 0; omega, the third coframe row, at k - 1; sf and the point
     whole. Every reader of a geometry's frame (`ConnectionFormsL`,
     `koszul_connection_oracle`, `metric_matrix`, the frame report) gives the
-    bits it gives on the full frame.
+    bits it gives on the full frame. A region quadrature item cuts e1, e2,
+    e3 and omega further, to order 0
+    (`SurfaceGeometry.cut_to_region_readers`): `ConnectionFormsL` and
+    `metric_matrix` give the same bits on that cut, the Koszul oracle needs
+    order 1.
     """
 
     point: tuple

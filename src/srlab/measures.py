@@ -74,8 +74,8 @@ MAX_CURVE_NODES = 2 ** 20
 # per-axis samples of the characteristic pre-scan grid over a region
 SCAN_SAMPLES = 25
 # freed heap glibc keeps at the top instead of returning it to the OS: an
-# item frees its jets (its heap peaks at about 8 MB on the shipped scenes,
-# 29 MB on a dense frame) and the next one allocates them again, which
+# item frees its jets (its heap peaks at about 6 MB on the shipped scenes,
+# 23 MB on a dense frame) and the next one allocates them again, which
 # without the pad faults every page back in; 16 MiB still left most of the
 # faults on dense
 TOP_PAD = 64 << 20
@@ -849,9 +849,12 @@ def _surface_geometry(model, phi: tuple, u, v, order: int) -> SurfaceGeometry:
     """The region `build`: geometry on the patch with components `phi`.
 
     It takes the components, not the patch, whose read-only `domain` does
-    not pickle; the geometry never reads the domain.
+    not pickle; the geometry never reads the domain. It keeps only what the
+    region integrands read (`SurfaceGeometry.cut_to_region_readers`).
     """
-    return SurfaceGeometry(model, SurfacePatch(phi), u, v, order)
+    geom = SurfaceGeometry(model, SurfacePatch(phi), u, v, order)
+    geom.cut_to_region_readers()
+    return geom
 
 
 def _curve_geometry(model, phi: tuple, curve, t, order: int) -> cv.CurveGeometry:

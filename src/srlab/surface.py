@@ -117,14 +117,15 @@ def characteristic_report(model: SubRiemannianModel, patch: SurfacePatch, u, v):
     return characteristic_margin(model.contact_form(p0), *tangents(phi))
 
 
-def _kept(fr: FrameData, low: int) -> FrameData:
+def _kept(fr: FrameData, low: int, frames: int = 1) -> FrameData:
     """The cut of a geometry's chart frame that its later readers take (see
-    `FrameData`), omega at `low`, the pullback's order. Truncation shares the
-    low-order arrays, so nothing is copied and the rest is freed."""
+    `FrameData`), omega at `low`, the pullback's order, and e1, e2, e3 at
+    `frames`. Truncation shares the low-order arrays, so nothing is copied
+    and the rest is freed."""
     omega = tuple(_cut(fr.omega, low))
     cof1, cof2 = (tuple(_cut(row, 0)) for row in fr.coframe[:2])
-    return FrameData(fr.point, _cut(fr.e1, 1), _cut(fr.e2, 1), _cut(fr.e3, 1), omega,
-                     (cof1, cof2, omega), fr.tau.truncate(0), fr.sf)
+    return FrameData(fr.point, _cut(fr.e1, frames), _cut(fr.e2, frames), _cut(fr.e3, frames),
+                     omega, (cof1, cof2, omega), fr.tau.truncate(0), fr.sf)
 
 
 class SurfaceGeometry:
@@ -138,8 +139,17 @@ class SurfaceGeometry:
     bitwise the same at every order that carries it.
 
     Of the chart frame, the geometry keeps only the cut its later readers
-    take (`frame`, see `FrameData`); the higher orders, read only by the
-    pullbacks, are freed once those are built.
+    take (`frame`, see `FrameData`). The pullbacks read it at order k - 1,
+    so the orders above that are freed before they are built, and the rest
+    of the cut once they are. Every intermediate jet of the construction is
+    freed after its last read.
+
+    A region quadrature item's geometry is cut further, to what the region
+    integrands (K dsigma, the Stokes curl, K_L) read
+    (`cut_to_region_readers`): A, x, y, the wedge, the tangents and their
+    coframe pairings, the pullback composer, the margin, the frame values
+    behind f2 and f3, and the chart frame's structure functions, with its
+    e1, e2, e3 and omega at order 0.
 
     The constructor builds what every reader needs. The rest is built on
     first use and then kept: the f2 and f3 jets, which only a curve's pullback
@@ -157,35 +167,45 @@ class SurfaceGeometry:
                  order: int = SURFACE_ORDER):
         phi = patch.jets(u, v, order)
         self.phi = phi
-        p0 = [np.asarray(j.value) for j in phi]
         self.Tu, self.Tv = tangents(phi)
 
         self._immersion_check()
 
         self.order = order
-        self.frame: FrameData = model.frame(p0, order=order + 1)
+        frame = model.frame([np.asarray(j.value) for j in phi], order=order + 1)
+        # the pullbacks read omega, e^1, e^2 and e1, e2, e3 at the composer's
+        # order and later readers only the cut `_kept` takes, so the rest of
+        # the frame is freed before the pullbacks are built, and their
+        # sources once they are
+        low = order - 1
+        sources = [_cut(f, low) for f in (frame.omega, *frame.coframe[:2], *frame.frames())]
+        self.frame = _kept(frame, low)
+        del frame
+        self._characteristic_check()
         # the chart jets only ever meet Tu and Tv, which carry order - 1, so
         # the pullback is built to that order: its degree-order powers would
         # be dropped unread
-        self.pullback = Composer([j.centered().truncate(order - 1) for j in phi])
-
-        def pull(jets):
-            return [self.pullback.pull(c) for c in jets]
-
-        self.omega_s = tuple(pull(self.frame.omega))
-        self.cof1_s = tuple(pull(self.frame.coframe[0]))
-        self.cof2_s = tuple(pull(self.frame.coframe[1]))
-        self.e1_s = pull(self.frame.e1)
-        self.e2_s = pull(self.frame.e2)
-        self.e3_s = pull(self.frame.e3)
-        self.frame = _kept(self.frame, order - 1)
-        self._characteristic_check()
+        self.pullback = Composer([j.centered().truncate(low) for j in phi])
+        pulled = [[self.pullback.pull(c) for c in row] for row in sources]
+        del sources
+        self.omega_s, self.cof1_s, self.cof2_s = (tuple(row) for row in pulled[:3])
+        self.e1_s, self.e2_s, self.e3_s = pulled[3:]
 
         # e^k(Tu) and e^k(Tv) for k = 1..3, which the finite-L forms and the
         # induced metric read as well
         rows = (self.cof1_s, self.cof2_s, self.omega_s)
         self.coframe_Tu = tuple(pair_oneform(r, self.Tu) for r in rows)
         self.coframe_Tv = tuple(pair_oneform(r, self.Tv) for r in rows)
+        self.x, self.y, self.wedge = self._horizontal()
+        self.f1 = [self.y * a - self.x * b for a, b in zip(self.e1_s, self.e2_s)]
+        self.f1cov = self._conormal()
+        self.A = -pair_oneform(self.f1cov, self.e3_s)
+
+    def _horizontal(self) -> tuple:
+        """x, y and the wedge (f^2 ^ f^3)(Tu, Tv), oriented so the wedge is positive.
+
+        Each intermediate jet is freed after its last read.
+        """
         cof1_Tu, cof2_Tu, omega_Tu = self.coframe_Tu
         cof1_Tv, cof2_Tv, omega_Tv = self.coframe_Tv
 
@@ -193,21 +213,20 @@ class SurfaceGeometry:
         t = [omega_Tu * b - omega_Tv * a for a, b in zip(self.Tu, self.Tv)]
         x_raw = pair_oneform(self.cof1_s, t)
         y_raw = pair_oneform(self.cof2_s, t)
-        norm_h = jsqrt(x_raw * x_raw + y_raw * y_raw)
+        del t
 
         # orientation: require (f^2 ^ f^3)(Tu, Tv) > 0, flipping f2 if needed
         f2_Tu = x_raw * cof1_Tu + y_raw * cof2_Tu
         f2_Tv = x_raw * cof1_Tv + y_raw * cof2_Tv
         wedge_raw = f2_Tu * omega_Tv - f2_Tv * omega_Tu
+        del f2_Tu, f2_Tv
         sign = np.where(np.asarray(wedge_raw.value) >= 0.0, 1.0, -1.0)
 
-        inv_h = 1.0 / norm_h
-        self.x = sign * x_raw * inv_h
-        self.y = sign * y_raw * inv_h
-        self.wedge = sign * wedge_raw * inv_h   # (f^2 ^ f^3)(Tu, Tv) > 0
+        inv_h = 1.0 / jsqrt(x_raw * x_raw + y_raw * y_raw)
+        return sign * x_raw * inv_h, sign * y_raw * inv_h, sign * wedge_raw * inv_h
 
-        self.f1 = [self.y * a - self.x * b for a, b in zip(self.e1_s, self.e2_s)]
-
+    def _conormal(self) -> tuple:
+        """f^1, the covector normal to the surface with f^1(f1) = 1."""
         normal = _cross(self.Tu, self.Tv)
         pairing = pair_oneform(normal, self.f1)
         pv = np.asarray(pairing.value)
@@ -217,9 +236,8 @@ class SurfaceGeometry:
                 f"(min pairing {float(np.min(np.abs(pv))):.3e})"
             )
         inv_pairing = 1.0 / pairing
-        self.f1cov = tuple(c * inv_pairing for c in normal)
-
-        self.A = -pair_oneform(self.f1cov, self.e3_s)
+        del pairing
+        return tuple(c * inv_pairing for c in normal)
 
     # -- built on first use ---------------------------------------------------
 
@@ -234,15 +252,21 @@ class SurfaceGeometry:
         return [a + self.A * b for a, b in zip(self.e3_s, self.f1)]
 
     @cached_property
+    def _frame_values(self) -> tuple:
+        """e1_s, e2_s, e3_s and f1 cut to order 0, all that the value readers take."""
+        return tuple(_cut(f, 0) for f in (self.e1_s, self.e2_s, self.e3_s, self.f1))
+
+    @cached_property
     def f2_values(self) -> list:
+        e1, e2, _, _ = self._frame_values
         x, y = self.x.truncate(0), self.y.truncate(0)
-        return [value_of(x * a.truncate(0) + y * b.truncate(0))
-                for a, b in zip(self.e1_s, self.e2_s)]
+        return [value_of(x * a + y * b) for a, b in zip(e1, e2)]
 
     @cached_property
     def f3_values(self) -> list:
+        _, _, e3, f1 = self._frame_values
         A = self.A.truncate(0)
-        return [value_of(a.truncate(0) + A * b.truncate(0)) for a, b in zip(self.e3_s, self.f1)]
+        return [value_of(a + A * b) for a, b in zip(e3, f1)]
 
     def tangent_components(self, vec) -> tuple:
         """Values (a, b) with vec = a Tu + b Tv, solved per point; vec holds jets or values."""
@@ -270,6 +294,22 @@ class SurfaceGeometry:
         # d(alpha) through the angle's sine and cosine, never the branch
         dalpha = tuple(c_a * sin_a.deriv(k) - s_a * cos_a.deriv(k) for k in (0, 1))
         return A, A * A, s_a, c_a, dalpha
+
+    # -- region items ----------------------------------------------------------
+
+    def cut_to_region_readers(self):
+        """Drop what no region integrand reads (K dsigma, the Stokes curl, K_L).
+
+        Deletes phi, f1cov, the pulled coframe rows and the pulled frame,
+        keeping e1_s, e2_s, e3_s and f1 only at order 0 for the f2 and f3
+        values, and cuts the chart frame's e1, e2, e3 and omega to order 0.
+        A dropped attribute, and f2 or f3, which read one, then raises
+        AttributeError. Every value a region integrand reads keeps its bits.
+        """
+        self._frame_values   # the order-0 cut the f2 and f3 values read
+        for name in ("phi", "f1cov", "cof1_s", "cof2_s", "omega_s", "e1_s", "e2_s", "e3_s", "f1"):
+            delattr(self, name)
+        self.frame = _kept(self.frame, 0, 0)
 
     # -- construction checks ------------------------------------------------
 

@@ -610,6 +610,28 @@ class TestChartChangeLaw:
         plain = self.report("heisenberg", ["u", "v", z], (l * l * 1e2, l * l * 1e4))
         self.assert_scaled(dilated, plain, l)
 
+    def test_heisenberg_left_translation(self):
+        """The left translation `(x + a, y + b, z + c + (a y - b x)/2)` carries
+        each left-invariant `heisenberg` field to itself, so it is an isometry
+        of every `g_L` and the translated surface has the surface's report.
+        Like every law here it cannot catch a formula error that both sides
+        share."""
+        a, b, c, z = 0.7, 1.3, 0.4, "0.3*u*v + 0.1*u"
+        moved = self.report("heisenberg", [f"u + {a!r}", f"v + {b!r}",
+                                           f"{z} + {c!r} + ({a!r}*v - {b!r}*u)/2"])
+        self.assert_scaled(moved, self.report("heisenberg", ["u", "v", z]), 1.0)
+
+    def test_heisenberg_rotation(self):
+        """The rotation `(x cos t - y sin t, x sin t + y cos t, z)` about the z
+        axis turns `(e1, e2)` by `t` at every point and fixes `e3`, so it is an
+        isometry of every `g_L` and the rotated surface has the surface's
+        report. Like every law here it cannot catch a formula error that both
+        sides share."""
+        t, z = 0.6, "0.3*u*v + 0.1*u"
+        turned = self.report("heisenberg", [f"u*cos({t!r}) - v*sin({t!r})",
+                                            f"u*sin({t!r}) + v*cos({t!r})", z])
+        self.assert_scaled(turned, self.report("heisenberg", ["u", "v", z]), 1.0)
+
 
 class TestSharedGeometry:
     """A report evaluates every integrand of a node set on one geometry.
@@ -878,6 +900,48 @@ class TestOrderBudget:
         assert repr(ms.gauss_bonnet_residual(sc, L_values=L_values)) == repr(report)
         assert repr(ms.gauss_bonnet_residual(sc)) == repr(limit_only)
         assert bitwise(ms.stokes_consistency_gap(sc), gap)
+
+
+class TestRegionCut:
+    """A region item's geometry keeps only what the region integrands read,
+    and each of them gives the bits it gives on the whole geometry."""
+
+    @staticmethod
+    def geometries(name, order):
+        sc = TestOrderBudget.load(name)
+        u, v, _ = ms.region_nodes(sc.region, TestOrderBudget.SPEC)
+        return (ms._surface_geometry(sc.model, sc.patch.phi, u, v, order),
+                SurfaceGeometry(sc.model, sc.patch, u, v, order))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("name", TestOrderBudget.SCENES)
+    def test_region_integrands_match_the_whole_geometry(self, name, order):
+        cut, whole = self.geometries(name, order)
+        rows = [ms._K_dsigma_L(L) for L in (1e2, 1e3, 1e4)]
+        for fn in [ms._K_dsigma, ms._limit_curl] + (rows if order == 3 else []):
+            assert bitwise(fn(cut), fn(whole))
+        if order == 2:
+            for fn in rows:
+                with pytest.raises(ValueError, match="order 3"):
+                    fn(cut)
+
+    # f2 and f3 are built from dropped jets, so they raise too
+    @pytest.mark.parametrize("attr", ["phi", "f1cov", "cof1_s", "cof2_s", "omega_s", "e1_s",
+                                      "e2_s", "e3_s", "f1", "f2", "f3"])
+    def test_a_dropped_jet_raises(self, attr):
+        cut, whole = self.geometries("dense", 3)
+        getattr(whole, attr)
+        with pytest.raises(AttributeError):
+            getattr(cut, attr)
+
+    def test_kept_orders(self):
+        cut, whole = self.geometries("dense", 3)
+        for attr in ("A", "x", "y", "wedge"):
+            assert getattr(cut, attr).order == getattr(whole, attr).order == 2
+        assert all(p.order == 2 for p in cut.coframe_Tu + cut.coframe_Tv)
+        fr = cut.frame
+        assert {c.order for c in fr.e1 + fr.e2 + fr.e3 + list(fr.omega)} == {0}
+        assert fr.coframe[2] is fr.omega
 
 
 def no_children():
@@ -1308,8 +1372,9 @@ class TestRetainedHeap:
 class TestItemWorkingSet:
     def test_dense_item_heap_peak(self):
         """One 8192-node dense item, K and the curl with three K_L rows at
-        order 3, peaks at 28.9 MB of traced heap (38.2 MB while a geometry
-        kept its whole chart frame)."""
+        order 3, peaks at 23.1 MB of traced heap: 28.9 MB while construction
+        held each jet until it returned and the item kept jets no region
+        integrand reads, 38.2 MB while a geometry kept its whole chart frame."""
         sc = dense_scene()
         fns = (ms._K_dsigma, ms._limit_curl) + tuple(ms._K_dsigma_L(L) for L in (1e2, 1e3, 1e4))
         task = ms._Task(partial(ms._surface_geometry, sc.model, sc.patch.phi), fns, sc.region,
@@ -1321,4 +1386,4 @@ class TestItemWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 30e6
+        assert peak < 24e6

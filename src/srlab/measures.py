@@ -28,16 +28,17 @@ with the Jacobian folded into the weights.
 A report's integrals advance together in rounds (`_refine`): levels 0 and 1
 of the region and of every boundary curve first, then one level per round
 for the integrands still refining. A round (`_pass`) cuts each run's joined
-levels into items of whole cells, one geometry each, and shares them with
-the process's workers, children forked once at the first round of two or
-more items and reused by every later one. A worker gets the round pickled,
-with its nodes named (region or curve interval, spec, levels) rather than
-sent, takes item numbers from a queue shared with the caller, builds the
-nodes of each item's own cells, and replies with per-cell sums. A cell's
-sum depends only on its own values, and each level's cells are summed in
-cell order, so the bits are those of a serial pass. The caller then
-evaluates, in serial order, every item no process finished, so the first
-failing item raises its own error. The first round in a process asks
+levels into items of whole cells, one geometry each. A round of two or more
+items that pickles is shared with the process's workers, children forked
+once at the first such round and reused by every later one. A worker gets
+the round as one pickle, with its nodes named (region or curve interval,
+spec, levels) rather than sent, takes item numbers from a queue shared with
+the caller, builds the nodes of each item's own cells, and answers the
+round with one pickle of the per-cell sums of the items it finished. A
+cell's sum depends only on its own values, and each level's cells are
+summed in cell order, so the bits are those of a serial pass. The caller
+then evaluates, in serial order, every item no process finished, so the
+first failing item raises its own error. The first round in a process asks
 glibc to keep freed heap (`_retain_heap`), so each item reuses the pages
 the one before it freed; each idle worker keeps its own, up to the 64 MiB
 pad, for the life of the process. Workers see the module as it was when
@@ -426,21 +427,24 @@ def _store(tasks, sums, item, block):
 def _pass(tasks) -> list:
     """One round: every task's integrands on its levels, as [task][level][integrand] sums.
 
-    With workers (`_pool`) the items are shared out first (`_deal`). Then
-    this process evaluates, in serial order (tasks, then levels, in order),
-    every item no process finished: all of them without workers or when the
-    round does not pickle, else those that failed, here or in a worker, or
-    whose worker died. So the first failing item in serial order raises its
-    own error at every WORKERS. A level's value sums its cells in cell order.
+    A round of two or more items that pickles (`_job`) is shared out first
+    with workers (`_pool`, `_deal`). Then this process evaluates, in serial
+    order (tasks, then levels, in order), every item no process finished:
+    all of them without workers, else those that failed, here or in a
+    worker, or whose worker died. So the first failing item in serial order
+    raises its own error at every WORKERS. A level's value sums its cells in
+    cell order.
     """
     _retain_heap()
     items = _items(tasks, CHUNK)
     sums = [np.empty((len(task.integrands), sum(task.sizes()) // task.per_cell))
             for task in tasks]
     done = [False] * len(items)
-    workers = _pool(min(WORKERS, len(items)) - 1)
+    size = min(WORKERS, len(items)) - 1
+    job = _job(tasks) if size > 0 else None
+    workers = _pool(size) if job else []
     if workers:
-        _deal(tasks, items, sums, done, workers)
+        _deal(tasks, items, sums, done, workers, job)
     for i, item in enumerate(items):
         if not done[i]:
             _store(tasks, sums, item, _evaluate(tasks, item))
@@ -455,18 +459,23 @@ def _pass(tasks) -> list:
     return out
 
 
-def _deal(tasks, items, sums, done, workers):
+def _job(tasks):
+    """The round as a worker reads it, pickled, or None when it does not pickle."""
+    try:
+        return pickle.dumps((tasks, CHUNK), pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None   # a lambda, a closure, a read-only mapping: every item runs here
+
+
+def _deal(tasks, items, sums, done, workers, job: bytes):
     """Share a round's items between this process and `workers`, filling `sums` and `done`.
 
-    An item that raises here is left undone for the serial sweep. An
+    An item that raises here is left undone for the serial sweep. A worker
+    that died before or while answering is reaped and leaves the pool. An
     exception that escapes while workers hold the round, `KeyboardInterrupt`
     and signal-raised ones included, stops the pool; the next round forks a
     new one.
     """
-    try:
-        job = pickle.dumps((tasks, CHUNK), pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return   # a lambda, a closure, a read-only mapping: every item runs here
     queue, feed = _QUEUE
     try:
         pending = _offer(feed, b"".join(i.to_bytes(4, "little") for i in range(1, len(items))))
@@ -482,31 +491,17 @@ def _deal(tasks, items, sums, done, workers):
             pending = _offer(feed, pending)
             i = _take(queue)
         for worker in out:
-            _collect(worker, tasks, items, sums, done)
+            try:
+                answer = pickle.load(worker.replies)
+            except (EOFError, pickle.UnpicklingError):
+                _drop(worker)
+                continue
+            for i, block in answer.items():
+                _store(tasks, sums, items[i], block)
+                done[i] = True
     except BaseException:
         _stop_pool()
         raise
-
-
-def _collect(worker, tasks, items, sums, done):
-    """Read `worker`'s replies for the round until its end marker.
-
-    A worker that died, before or while replying, is reaped and leaves the pool.
-    """
-    head = bytearray(5)
-    while _move(os.readv, worker.replies, [head]):
-        i, status = int.from_bytes(head[:4], "little"), head[4]
-        if i == _END:
-            return
-        if status == 1:
-            continue
-        t, lo, hi = items[i]
-        block = np.empty((len(tasks[t].integrands), (hi - lo) // tasks[t].per_cell))
-        if status != 0 or not _move(os.readv, worker.replies, [block]):
-            break
-        _store(tasks, sums, items[i], block)
-        done[i] = True
-    _drop(worker)
 
 
 @lru_cache(maxsize=None)
@@ -526,30 +521,31 @@ def _retain_heap():
 
 # -- workers ------------------------------------------------------------------
 #
-# A worker is a child forked once and kept for the life of the process. It
-# reads a round from its job pipe, an 8-byte length and a pickle of (tasks,
-# chunk), then takes 4-byte item numbers from the queue, a pipe shared by
-# the whole pool whose ends never block, until it finds it empty. For each
-# item it writes the number and b"\0" with the per-cell sums, or b"\1" when
-# the item raised, and at the end of the round the number _END. This
-# process fills the queue before it sends a round; a round of more items
-# than the queue holds feeds the rest as room frees, and a worker that finds
-# the queue empty first leaves them to the others. Workers are forked, not
-# spawned: a fresh interpreter costs more than a shipped-size round.
+# A worker is a child forked once and kept for the life of the process. Its
+# job and reply pipes carry only pickles, through buffered files. A round
+# comes as one pickle of the bytes of a pickle of (tasks, chunk), so a round
+# the worker cannot unpickle (a callable defined after the fork) still
+# leaves the stream in step. The worker takes 4-byte item numbers from the
+# queue, a pipe shared by the whole pool whose ends never block, until it
+# finds it empty, and answers the round with one pickle, {item number:
+# per-cell sums} of the items it finished; an item that raised is left out.
+# This process fills the queue before it sends a round; a round of more
+# items than the queue holds feeds the rest as room frees, and a worker that
+# finds the queue empty first leaves them to the others. Workers are forked,
+# not spawned: a fresh interpreter costs more than a shipped-size round.
 
-_END = 2 ** 32 - 1
 # bytes per write to the queue: POSIX writes at most PIPE_BUF (512 or
 # more) bytes to a pipe whole, so no item number is ever split
 _FEED = 512
 
 
 class _Worker:
-    """A worker's pid and pipe ends (a plain class: a dataclass costs a millisecond at import)."""
+    """A worker's pid and pipe files (a plain class: a dataclass costs a millisecond at import)."""
 
-    def __init__(self, pid: int, jobs: int, replies: int):
+    def __init__(self, pid: int, jobs, replies):
         self.pid = pid
-        self.jobs = jobs         # write end of the job pipe
-        self.replies = replies   # read end of the reply pipe
+        self.jobs = jobs         # the job pipe, buffered for writing
+        self.replies = replies   # the reply pipe, buffered for reading
 
 
 # this process's workers, and the read and write ends of their queue; a
@@ -587,49 +583,37 @@ def _pool(size: int) -> list:
             try:
                 os.close(jobs_w)
                 os.close(replies_r)
-                _serve(jobs_r, replies_w, queue)
+                _serve(open(jobs_r, "rb"), open(replies_w, "wb"), queue)
                 code = 0
             finally:
                 os._exit(code)
         for fd in (jobs_r, replies_w, queue):
             os.close(fd)
-        _POOL.append(_Worker(pid, jobs_w, replies_r))
+        _POOL.append(_Worker(pid, open(jobs_w, "wb"), open(replies_r, "rb")))
     return _POOL[:size]
 
 
-def _serve(jobs: int, replies: int, queue: int):
-    """A worker's loop: take and reply to each round's items, until end of file on `jobs`.
+def _serve(jobs, replies, queue: int):
+    """A worker's loop: take and answer each round's items, until end of file on `jobs`.
 
     It ignores SIGINT, which a terminal sends the whole process group, and
     leaves only through `os._exit`, so it never flushes stdio or runs atexit.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    head = bytearray(8)
-    while _move(os.readv, jobs, [head]):
-        job = bytearray(int.from_bytes(head, "little"))
-        if not _move(os.readv, jobs, [job]):
-            return
-        _work(job, replies, queue)
-
-
-def _work(job, replies: int, queue: int):
-    """A worker's share of one round: reply to each item it takes, then send the end marker.
-
-    A reply is the item's number and b"\\0" with its per-cell sums, or b"\\1" if it raised.
-    """
-    try:
-        tasks, chunk = pickle.loads(job)
-        items = _items(tasks, chunk)
-    except Exception:
-        items = []   # take nothing: the caller evaluates the round
-    while items and (i := _take(queue)) is not None:
-        head = i.to_bytes(4, "little")
+    while jobs.peek(1):   # empty only at end of file
+        job, answer = pickle.load(jobs), {}
         try:
-            reply = [head + b"\0", _evaluate(tasks, items[i])]
+            tasks, chunk = pickle.loads(job)
+            items = _items(tasks, chunk)
         except Exception:
-            reply = [head + b"\1"]
-        _move(os.writev, replies, reply)
-    _move(os.writev, replies, [_END.to_bytes(4, "little") + b"\0"])
+            items = []   # take nothing: the caller evaluates the round
+        while items and (i := _take(queue)) is not None:
+            try:
+                answer[i] = _evaluate(tasks, items[i])
+            except Exception:
+                pass   # left out: the caller evaluates it again
+        pickle.dump(answer, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
 
 
 def _take(queue: int):
@@ -655,39 +639,31 @@ def _offer(feed: int, pending: bytes) -> bytes:
 def _send(worker: _Worker, job: bytes) -> bool:
     """Hand `job` to `worker`; False, with the worker reaped, if it is gone."""
     try:
-        _move(os.writev, worker.jobs, [len(job).to_bytes(8, "little"), job])
+        pickle.dump(job, worker.jobs, pickle.HIGHEST_PROTOCOL)
+        worker.jobs.flush()
     except BrokenPipeError:
         _drop(worker)
         return False
     return True
 
 
-def _move(io, fd: int, buffers) -> bool:
-    """Run `io` (os.readv or os.writev) on `fd` until every buffer is done.
-
-    False when a read meets end of file first.
-    """
-    views = [view for view in (memoryview(b).cast("B") for b in buffers) if view.nbytes]
-    while views:
-        done = io(fd, views)
-        if not done:
-            return False
-        while views and done >= views[0].nbytes:
-            done -= views.pop(0).nbytes
-        if done:
-            views[0] = views[0][done:]
-    return True
-
-
 def _drop(worker: _Worker):
     """Kill and reap one worker, close its pipes and take it out of the pool."""
     _POOL.remove(worker)
-    os.close(worker.jobs)
-    os.close(worker.replies)
     try:
         os.kill(worker.pid, signal.SIGKILL)
         os.waitpid(worker.pid, 0)
     except (ProcessLookupError, ChildProcessError):   # reaped by someone else
+        pass
+    _close(worker)
+
+
+def _close(worker: _Worker):
+    """Close `worker`'s pipe files, dropping what a dead worker left unread of a job."""
+    worker.replies.close()
+    try:
+        worker.jobs.close()
+    except BrokenPipeError:
         pass
 
 
@@ -711,8 +687,7 @@ def _forget_pool():
     file when its parent exits.
     """
     for worker in _POOL:
-        os.close(worker.jobs)
-        os.close(worker.replies)
+        _close(worker)
     _POOL.clear()
     _close_queue()
 

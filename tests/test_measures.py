@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import resource
 import signal
 import subprocess
@@ -36,7 +37,7 @@ from srlab import measures as ms
 from srlab.curvature import CurveOnSurface
 from srlab.errors import CharacteristicPointError, SceneError, TransversalityError
 from srlab.models import builtin_model
-from srlab.scenes import builtin_scene, load_scene, scene_from_config
+from srlab.scenes import MAX_L_VALUES, builtin_scene, load_scene, scene_from_config
 from srlab.surface import SurfaceGeometry, SurfacePatch
 
 HEIS = builtin_model("heisenberg")
@@ -566,20 +567,22 @@ class TestOtherBuiltinModels:
 
 
 class TestChartChangeLaw:
-    """`F(x, y, z) = (x, y, z + x y / 2)` carries the `heisenberg` frame onto the
-    `polarized_heisenberg` one, so `(heisenberg, phi)` and
-    `(polarized_heisenberg, F o phi)` are one surface in two charts and their
-    reports agree to rounding.
+    """A map `F` that carries one model's frame onto another's (or its own)
+    makes `(model, phi)` and `(model', F o phi)` one surface in two charts, so
+    their reports agree to rounding. `F(x, y, z) = (x, y, z + x y / 2)` carries
+    the `heisenberg` frame onto the `polarized_heisenberg` one; the other laws
+    are isometries of one model.
 
     A law shares all pipeline code with what it checks, so it finds
     coordinate-dependent bugs (a chart component read where a frame
     component belongs), not a formula error common to both sides.
     """
 
-    def report(self, model: str, phi: list, L_values=(1e2, 1e4)):
-        annulus = shipped_config("heisenberg_annulus")
+    def report(self, model: str, phi: list, L_values=(1e2, 1e4), base="heisenberg_annulus"):
+        """The report of `phi` in `model` over the region and boundary of scene `base`."""
+        cfg = shipped_config(base)
         sc = scene_from_config(dict(
-            annulus, model={"builtin": model}, surface=dict(annulus["surface"], phi=phi),
+            cfg, model={"builtin": model}, surface=dict(cfg["surface"], phi=phi),
             quadrature={"order": 8, "cells": [4, 4], "segments": 16}))
         return ms.gauss_bonnet_residual(sc, L_values)
 
@@ -590,7 +593,7 @@ class TestChartChangeLaw:
         pairs += [(x.value, y.value) for x, y in zip(a.boundary, b.boundary, strict=True)]
         for x, y in zip(a.finite_rows, b.finite_rows, strict=True):
             pairs += [(x.area_part, y.area_part), (x.boundary_part, y.boundary_part)]
-        assert len(pairs) == 8
+        assert b.boundary and len(pairs) == 6 + len(b.boundary)
         for x, y in pairs:
             assert x == pytest.approx(scale * y, rel=1e-12, abs=0.0)
 
@@ -631,6 +634,32 @@ class TestChartChangeLaw:
         turned = self.report("heisenberg", [f"u*cos({t!r}) - v*sin({t!r})",
                                             f"u*sin({t!r}) + v*cos({t!r})", z])
         self.assert_scaled(turned, self.report("heisenberg", ["u", "v", z]), 1.0)
+
+    def test_rototranslation(self):
+        """`F(x, y, z) = (x cos a - y sin a + b1, x sin a + y cos a + b2, z + a)`
+        carries `e1 = (cos z, sin z, 0)` at `p` to `e1` at `F(p)` and fixes
+        `e2 = d/dz`, so it is an isometry of every `g_L` and the moved
+        `rt_disk` surface has the surface's report. Like every law here it
+        cannot catch a formula error that both sides share."""
+        a, b1, b2 = 0.6, 0.7, -1.3
+        moved = self.report("rototranslation", [f"u*cos({a!r}) + {b1!r}",
+                                                f"u*sin({a!r}) + {b2!r}", f"v + {a!r}"],
+                            base="rt_disk")
+        plain = self.report("rototranslation", ["u", "0", "v"], base="rt_disk")
+        self.assert_scaled(moved, plain, 1.0)
+
+    def test_minkowski_rototranslation(self):
+        """`F(x, y, z) = (x cosh a + y sinh a + b1, x sinh a + y cosh a + b2, z + a)`
+        carries `e1 = (cosh z, sinh z, 0)` at `p` to `e1` at `F(p)` and fixes
+        `e2 = d/dz`, so it is an isometry of every `g_L` and the moved
+        `rt_disk` surface has the surface's report. Like every law here it
+        cannot catch a formula error that both sides share."""
+        a, b1, b2 = 0.6, 0.7, -1.3
+        moved = self.report("minkowski_rototranslation",
+                            [f"u*cosh({a!r}) + {b1!r}", f"u*sinh({a!r}) + {b2!r}", f"v + {a!r}"],
+                            base="rt_disk")
+        plain = self.report("minkowski_rototranslation", ["u", "0", "v"], base="rt_disk")
+        self.assert_scaled(moved, plain, 1.0)
 
 
 class TestSharedGeometry:
@@ -1148,8 +1177,67 @@ class TestForkedPasses:
         forks = self.count_forks(monkeypatch)
         serial, pooled = self.serial_and_pooled(monkeypatch, lambda: self.level_pass(local))
         assert bitwise(pooled, serial)
-        # the worker is forked before the job is pickled, and stays idle
-        assert len(forks) == 1 and self.pool() == forks
+        # the round is pickled before any worker is forked, so none is
+        assert forks == [] and self.pool() == []
+
+    def test_a_64_row_report_gives_the_serial_bits(self, monkeypatch):
+        # the worker takes every item but the first, so its one answer holds
+        # most of the round's per-cell sums: more than a 64 KiB pipe buffer
+        deal_to_workers(monkeypatch)
+        sc = builtin_scene("rt_disk")
+        L_values = tuple(10.0 ** (k / 8) for k in range(MAX_L_VALUES))
+        answers, load = [], pickle.load
+
+        def measured(file):
+            obj = load(file)
+            if isinstance(obj, dict):
+                answers.append(len(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)))
+            return obj
+
+        monkeypatch.setattr(pickle, "load", measured)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ms, "WORKERS", workers)
+            runs.append(repr(ms.gauss_bonnet_residual(sc, L_values)))
+        assert runs[1] == runs[0]
+        assert len(self.pool()) == 1 and max(answers) > 1 << 16
+
+    def test_a_worker_that_dies_while_answering_gives_the_serial_sum(self, monkeypatch):
+        # the worker writes half of its answer and exits: the caller reads a
+        # truncated pickle, reaps the worker and evaluates its items itself
+        deal_to_workers(monkeypatch)
+        dump = pickle.dump
+
+        def half_then_exit(obj, file, *args):
+            if os.getpid() == PARENT:
+                return dump(obj, file, *args)
+            data = pickle.dumps(obj, *args)
+            file.write(data[:len(data) // 2])
+            file.flush()
+            os._exit(0)
+
+        monkeypatch.setattr(pickle, "dump", half_then_exit)
+        forks = self.count_forks(monkeypatch)
+        sums = self.serial_and_pooled(monkeypatch, lambda: self.level_pass(ms._K_dsigma))
+        assert math.isfinite(sums[0]) and bitwise(sums[1], sums[0])
+        assert len(forks) == 1 and self.pool() == []
+        no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_stopping_the_pool_closes_every_pipe(self, monkeypatch):
+        sc = at_quad(builtin_scene("rt_disk"), self.COARSE)
+        monkeypatch.setattr(ms, "CHUNK", 700)
+        monkeypatch.setattr(ms, "WORKERS", 2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        ms.gauss_bonnet_residual(sc)
+        (worker,) = self.pool()
+        os.kill(worker, signal.SIGKILL)
+        # wait for the worker's end without reaping it, so the next round's
+        # job meets a closed pipe and stays unsent in the job file
+        os.waitid(os.P_PID, worker, os.WEXITED | os.WNOWAIT)
+        ms.gauss_bonnet_residual(sc)
+        ms._stop_pool()
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_a_job_that_raises_in_the_worker_gives_the_serial_sum(self, monkeypatch):
         deal_to_workers(monkeypatch)

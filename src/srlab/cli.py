@@ -16,7 +16,7 @@ import numpy as np
 
 from . import curvature as cv
 from . import measures as ms
-from .errors import NumericalError, SamplingError, ValidationError
+from .errors import NumericalError, SamplingError, SrLabError, ValidationError
 from .frame import ConnectionFormsL, SF_KEYS, koszul_connection_oracle, scaled_form_deviation
 from .scenes import (
     BUILTIN_SCENES, MAX_L_VALUES, boundary_edge_distances, resolve_scene, scan_region,
@@ -236,12 +236,11 @@ def cmd_sweep(scene, args) -> tuple:
         if not curve.t0 <= args.t <= curve.t1:
             raise ValueError(f"--t {args.t!r} lies outside curve {args.curve}'s parameter "
                              f"interval [{curve.t0!r}, {curve.t1!r}]")
-        t = np.asarray([args.t])
-        cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
-        limit = float(cv.normal_curvature_limit(cg)[0])
+        cg = cv.CurveGeometry(scene.model, scene.patch, curve, np.asarray(args.t))
+        limit = float(cv.normal_curvature_limit(cg))
         rows.append(("L", "kn_L", "kn_limit", "abs_gap"))
         for L in grid:
-            kn = float(cv.normal_curvature_L(cg, L)[0])
+            kn = float(cv.normal_curvature_L(cg, L))
             rows.append((_fmt(L), _fmt(kn), _fmt(limit), _fmt(abs(kn - limit))))
 
     return [",".join(row) for row in rows], EXIT_OK
@@ -321,24 +320,61 @@ def _sample_region_points(region, n, rng):
     return np.asarray(uu), np.asarray(vv)
 
 
-def _curve_oracle_gaps(scene, curve, ts, grid):
-    """Max relative gap between kn_L and the geodesic-curvature oracle, per L.
+def _region_oracle_gaps(geom, rows) -> tuple:
+    """Per L in `rows`: the max gap of the connection forms against the Koszul
+    formula and the max relative gap of K_L against the induced-metric oracle.
 
-    `ts[k]` are the samples drawn for `grid[k]`. Nothing in a curve geometry
-    depends on L, so one built on all of them serves every L, and each gap is
-    taken over that L's own samples. The geometry feeds both; the oracle's
-    formula shares no code with the pipeline's.
+    L enters as a (k, 1) array against the geometry's n nodes, so one call
+    of each function evaluates every row, each node and L with the bits a
+    float L gives, and row r's gaps are the maxima over its own slice.
     """
-    t = np.concatenate(ts)
+    fr = geom.frame
+    L = np.asarray(rows, dtype=float)[:, None]
+    shape = (len(rows),) + fr.shape
+    conn = np.abs(ConnectionFormsL(fr, L).values() - koszul_connection_oracle(fr, L))
+    kl = cv.gauss_curvature_L(geom, L)
+    oracle = cv.induced_metric_gauss_oracle(geom, L)
+    rel = np.broadcast_to(np.abs(kl - oracle) / np.maximum(1.0, np.abs(oracle)), shape)
+    return np.max(conn, axis=(0, 1, 2, 4)).tolist(), np.max(rel, axis=1).tolist()
+
+
+def _curve_relative_gaps(scene, curve, t, L):
+    """|kn_L - kg| / max(1, |kg|) at each node of one curve geometry, where kg
+    is the geodesic-curvature oracle. The geometry feeds both; the oracle's
+    formula shares no code with the pipeline's."""
     cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
+    kn = cv.normal_curvature_L(cg, L)
+    kg = cv.geodesic_curvature_oracle(cg, L)
+    # a curve along which nothing varies gives 0-d values
+    return np.broadcast_to(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg)), cg.shape)
+
+
+def _curve_oracle_gaps(scene, draws, rows, n: int) -> list:
+    """Max relative gap between kn_L and the geodesic-curvature oracle, per
+    boundary curve and L in `rows`.
+
+    `draws[r][i]` are curve i's n samples for `rows[r]`. Nothing in a curve
+    geometry depends on L, so one geometry on several curves' samples for
+    every row, laid end to end with L given per node, serves them all; the
+    curves are grouped so that no geometry holds more than MAX_SAMPLES
+    nodes. Each gap is the max over its own curve's and row's samples. A
+    group that fails a check is evaluated again curve by curve, so the first
+    failing curve raises what it raises on its own.
+    """
+    k = len(rows)
+    L = np.repeat(np.asarray(rows, dtype=float), n)
+    per_group = max(1, MAX_SAMPLES // (k * n))
     gaps = []
-    for k, L in enumerate(grid):
-        kn = cv.normal_curvature_L(cg, L)
-        kg = cv.geodesic_curvature_oracle(cg, L)
-        own = slice(k * len(ts[k]), (k + 1) * len(ts[k]))
-        # a curve along which nothing varies gives 0-d values
-        kn, kg = (np.broadcast_to(a, t.shape)[own] for a in (kn, kg))
-        gaps.append(float(np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg)))))
+    for first in range(0, len(scene.boundary), per_group):
+        curves = scene.boundary[first:first + per_group]
+        ts = [np.concatenate([d[i] for d in draws]) for i in range(first, first + len(curves))]
+        try:
+            rel = _curve_relative_gaps(scene, curves, ts, np.tile(L, len(curves)))
+        except SrLabError:
+            for curve, t in zip(curves, ts):
+                _curve_relative_gaps(scene, curve, t, L)
+            raise
+        gaps.extend(np.max(rel.reshape(len(curves), k, n), axis=2).tolist())
     return gaps
 
 
@@ -348,32 +384,28 @@ def cmd_oracle_check(scene, args) -> tuple:
     rng = np.random.default_rng(args.seed)
     uu, vv = _sample_region_points(scene.region, n, rng)
     geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
-    fr = geom.frame
     # curve samples in the order of the report: L outer, curve inner
     draws = [[rng.uniform(c.t0, c.t1, n) for c in scene.boundary] for _ in grid]
-    # consecutive L rows share a curve geometry while their samples fit in MAX_SAMPLES
-    rows_per_build = max(1, MAX_SAMPLES // n)
+    # consecutive L rows are evaluated together while their nodes fit in MAX_SAMPLES
+    rows_per_batch = max(1, MAX_SAMPLES // n)
 
     lines = [f"scene {scene.name}: oracle check at {n} region points"]
     worst = 0.0
+    # evaluated a batch of rows at a time, but checked and formatted in the
+    # order of the report, so the first failure decides the error
     for row, L in enumerate(grid):
-        lines.append(f"L = {_fmt(L)}:")
-        gap_conn = float(np.max(np.abs(
-            ConnectionFormsL(fr, L).values() - koszul_connection_oracle(fr, L))))
-        lines.append(f"  connection forms vs Koszul formula: max gap {_fmt(gap_conn)}")
-        worst = max(worst, gap_conn)
-
-        kl = np.asarray(cv.gauss_curvature_L(geom, L))
-        oracle = np.asarray(cv.induced_metric_gauss_oracle(geom, L))
-        gap_k = float(np.max(np.abs(kl - oracle) / np.maximum(1.0, np.abs(oracle))))
-        lines.append(f"  surface curvature vs induced-metric oracle: max relative gap {_fmt(gap_k)}")
-        worst = max(worst, gap_k)
-
-        at = row % rows_per_build
+        at = row % rows_per_batch
         if at == 0:
-            rows = slice(row, row + rows_per_build)
-            curve_gaps = [_curve_oracle_gaps(scene, curve, [d[i] for d in draws[rows]], grid[rows])
-                          for i, curve in enumerate(scene.boundary)]
+            batch = slice(row, row + rows_per_batch)
+            conn_gaps, k_gaps = _region_oracle_gaps(geom, grid[batch])
+        lines.append(f"L = {_fmt(L)}:")
+        lines.append(f"  connection forms vs Koszul formula: max gap {_fmt(conn_gaps[at])}")
+        lines.append(f"  surface curvature vs induced-metric oracle: "
+                     f"max relative gap {_fmt(k_gaps[at])}")
+        worst = max(worst, conn_gaps[at], k_gaps[at])
+
+        if at == 0:
+            curve_gaps = _curve_oracle_gaps(scene, draws[batch], grid[batch], n)
         for i, gaps in enumerate(curve_gaps):
             lines.append(
                 f"  boundary curvature vs geodesic-curvature oracle "

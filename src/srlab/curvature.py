@@ -85,13 +85,18 @@ class LFormAssembly:
     the angle alpha with d(alpha) (`SurfaceGeometry.form_terms`), and the
     values of f2 and f3 with f2's parameter components. So only the L-scaled
     connection coefficients and the terms of the angle beta are built per L.
+
+    L is a positive float or an array of them that broadcasts against the
+    node shape (see `ConnectionFormsL`): one L per node, or a (k, 1) array
+    of k rows on n nodes, which builds k assemblies' values in one pass.
+    Each node and L gets the bits a float L gives.
     """
 
-    def __init__(self, geom: SurfaceGeometry, L: float):
+    def __init__(self, geom: SurfaceGeometry, L):
         forms = ConnectionFormsL(geom.frame, L)     # refuses L <= 0
         self.geom = geom
         self.L = forms.L
-        s = math.sqrt(self.L)
+        self._root = s = forms.root
 
         A, A2, s_a, c_a, dalpha = geom.form_terms
         self.denom2 = A2 + self.L   # L + A^2
@@ -132,7 +137,7 @@ class LFormAssembly:
     @cached_property
     def dbeta(self) -> SurfaceOneForm:
         A = self.geom.A
-        scale = math.sqrt(self.L) / self.denom2
+        scale = self._root / self.denom2
         return SurfaceOneForm(scale * A.deriv(0), scale * A.deriv(1))
 
     @cached_property
@@ -171,12 +176,12 @@ class LFormAssembly:
         return (p12 * q13 - q12 * p13) * (a2 * b3 - b2 * a3)
 
 
-def projected_connection_form(geom: SurfaceGeometry, L: float) -> SurfaceOneForm:
+def projected_connection_form(geom: SurfaceGeometry, L) -> SurfaceOneForm:
     """W23_L pulled back to the parameter plane."""
     return LFormAssembly(geom, L).omega23
 
 
-def gauss_curvature_L(geom: SurfaceGeometry, L: float):
+def gauss_curvature_L(geom: SurfaceGeometry, L):
     return LFormAssembly(geom, L).gauss_curvature()
 
 
@@ -223,8 +228,13 @@ def gauss_curvature_limit(geom: SurfaceGeometry):
 
 
 def limit_connection_form(geom: SurfaceGeometry) -> SurfaceOneForm:
-    """The limit of W23_L / sqrt(L): the pullback of A e^3."""
-    return SurfaceOneForm(geom.A * geom.coframe_Tu[2], geom.A * geom.coframe_Tv[2])
+    """The limit of W23_L / sqrt(L): the pullback of A e^3.
+
+    Its readers take values and the curl, so it is built to order 1, the
+    order to which a region item's geometry keeps the pairings e^3(T.).
+    """
+    A = geom.A.truncate(1)
+    return SurfaceOneForm(A * geom.coframe_Tu[2].truncate(1), A * geom.coframe_Tv[2].truncate(1))
 
 
 def gauss_curvature_limit_via_form(geom: SurfaceGeometry):
@@ -292,17 +302,21 @@ def metric_gauss_curvature(E: Jet, F: Jet, G: Jet):
     return (det3(m1) - det3(m2)) / (det_g * det_g)
 
 
-def induced_metric_components(geom: SurfaceGeometry, L: float):
-    """E, F, G jets of the induced metric g_L(T_i, T_j) on the patch."""
+def induced_metric_components(geom: SurfaceGeometry, L):
+    """E, F, G jets of the induced metric g_L(T_i, T_j) on the patch.
+
+    L is a float or an array that broadcasts against the node shape, bitwise
+    the float's value at each node and L.
+    """
     on_tu, on_tv = geom.coframe_Tu, geom.coframe_Tv
-    weights = (1.0, 1.0, float(L))
+    weights = (1.0, 1.0, L if isinstance(L, np.ndarray) else float(L))
     E = sum(w * p * p for w, p in zip(weights, on_tu))
     G = sum(w * p * p for w, p in zip(weights, on_tv))
     F = sum(w * p * q for w, p, q in zip(weights, on_tu, on_tv))
     return E, F, G
 
 
-def induced_metric_gauss_oracle(geom: SurfaceGeometry, L: float):
+def induced_metric_gauss_oracle(geom: SurfaceGeometry, L):
     """Gaussian curvature via the induced metric; independent of the forms."""
     _require_second_derivatives(geom, "the induced-metric curvature oracle")
     return metric_gauss_curvature(*induced_metric_components(geom, L))
@@ -336,6 +350,25 @@ class CurveOnSurface:
         return self.u.jet({"t": tj}), self.v.jet({"t": tj})
 
 
+def _laid_end_to_end(jets: list, sizes: list) -> Jet:
+    """One jet in t over several parts' jets, their nodes laid end to end.
+
+    A coefficient that is the same structural zero in every part stays one;
+    any other becomes the concatenation of the parts' values, a part's
+    scalar broadcast over its nodes. Where one part has a structural zero
+    that another does not, its nodes carry that zero as an array entry,
+    which leaves every finite value as it is up to the sign of a zero.
+    """
+    coef = []
+    for cs in zip(*(j.coef for j in jets)):
+        if all(type(c) is float and c == 0.0 for c in cs) and len({repr(c) for c in cs}) == 1:
+            coef.append(cs[0])
+        else:
+            coef.append(np.concatenate([np.broadcast_to(np.asarray(c, dtype=float), (n,))
+                                        for c, n in zip(cs, sizes)]))
+    return Jet(jets[0].nvars, jets[0].order, coef)
+
+
 class CurveGeometry:
     """Adapted-frame data along a curve, as jets in the curve parameter.
 
@@ -345,15 +378,36 @@ class CurveGeometry:
     carry order - 1 in t, so the default order 2 gives the x_L' that k_n^L
     reads, and everything the limit, the speed and the geodesic-curvature
     oracle read, on a chart frame of order 3.
+
+    `curve` is one `CurveOnSurface` sampled at `t` (any shape), or a
+    sequence of curves with a matching sequence of 1-d sample arrays: the
+    parts, whose nodes are laid end to end in one geometry, so a batch of
+    curves costs the numpy calls of one. Each node gets the bits a build of
+    its own part gives (see `_laid_end_to_end`). The checks run part by
+    part, in part order, each on its own nodes: the stationary point and
+    the tangent decomposition, whose tolerance scales with the part's own
+    fastest chart speed, at construction, then transversality
+    (`require_transverse`), whose message names the part's own minimum. So
+    a joined build raises what the first failing part raises alone.
     """
 
-    def __init__(self, model, patch, curve: CurveOnSurface, t, order: int = 2):
+    def __init__(self, model, patch, curve, t, order: int = 2):
         if order < 2:
             raise ValueError(
                 f"kn_L needs a curve geometry of order 2 or more (it reads x_L'), "
                 f"got order {order}"
             )
-        cu, cv = curve.jets(t, order)
+        if isinstance(curve, CurveOnSurface):
+            cu, cv = curve.jets(t, order)
+            self.shape = np.shape(t)
+            self.parts = (...,)
+        else:
+            sizes = [np.size(ti) for ti in t]
+            jets = [c.jets(np.ravel(ti), order) for c, ti in zip(curve, t)]
+            cu, cv = (_laid_end_to_end([j[k] for j in jets], sizes) for k in (0, 1))
+            ends = np.cumsum(sizes).tolist()
+            self.shape = (ends[-1],)
+            self.parts = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
         self.udot = cu.deriv(0)
         self.vdot = cv.deriv(0)
         u0, v0 = np.asarray(cu.value), np.asarray(cv.value)
@@ -364,8 +418,6 @@ class CurveGeometry:
         self.gamma_dot = [p.deriv(0) for p in phi_t]
         speed2 = sum(c * c for c in self.gamma_dot)
         sp = value_of(speed2)
-        if np.any(sp <= 0):
-            raise NumericalError("curve has a stationary point in the sampled range")
         self.chart_speed = np.sqrt(sp)
 
         f2_t = [self.pull(c) for c in self.geom.f2]
@@ -374,31 +426,44 @@ class CurveGeometry:
 
         omega_t = [self.pull(c) for c in self.geom.omega_s]
         shortcut = pair_oneform(omega_t, self.gamma_dot)
-        gap = np.max(np.abs(value_of(self.y) - value_of(shortcut)))
-        scale = 1.0 + float(np.max(self.chart_speed))
-        if gap > 1e-10 * scale:
-            raise NumericalError(
-                f"tangent decomposition disagrees with the contact pairing by {gap:.3e}"
-            )
+        diff = np.abs(value_of(self.y) - value_of(shortcut))
+        for sp_part, diff_part, speed_part in self._by_part(sp, diff, self.chart_speed):
+            if np.any(sp_part <= 0):
+                raise NumericalError("curve has a stationary point in the sampled range")
+            gap = np.max(diff_part)
+            scale = 1.0 + float(np.max(speed_part))
+            if gap > 1e-10 * scale:
+                raise NumericalError(
+                    f"tangent decomposition disagrees with the contact pairing by {gap:.3e}"
+                )
 
         self.A = self.pull(self.geom.A)
 
-    def speed_L(self, L: float) -> Jet:
-        """|gamma'|_L = sqrt(x^2 + y^2 (A^2 + L)): induced arclength per unit of t."""
+    def _by_part(self, *values):
+        """Each part's share of `values`, node arrays or 0-d where nothing varies."""
+        if len(self.parts) == 1:
+            return [values]
+        return [[np.broadcast_to(v, self.shape)[p] for v in values] for p in self.parts]
+
+    def speed_L(self, L) -> Jet:
+        """|gamma'|_L = sqrt(x^2 + y^2 (A^2 + L)): induced arclength per unit of t.
+
+        L is a float or an array that broadcasts against the node shape (one
+        L per node for a joined build), bitwise the float's value at each.
+        """
         x, y, A = self.x, self.y, self.A
         return jsqrt(x * x + y * y * (A * A + L))
 
-    def transversality(self):
-        """min |y| / |gamma'| over the sampled parameters."""
-        return float(np.min(np.abs(value_of(self.y)) / self.chart_speed))
-
     def require_transverse(self):
-        worst = self.transversality()
-        if worst < EPS_TRANS:
-            raise TransversalityError(
-                f"curve is tangent to the horizontal line field: min |y|/|gamma'| "
-                f"= {worst:.3e} (threshold {EPS_TRANS:.0e})"
-            )
+        """Raise TransversalityError for the first part whose min |y| / |gamma'|
+        falls below EPS_TRANS, naming that part's minimum."""
+        for y, speed in self._by_part(value_of(self.y), self.chart_speed):
+            worst = float(np.min(np.abs(y) / speed))
+            if worst < EPS_TRANS:
+                raise TransversalityError(
+                    f"curve is tangent to the horizontal line field: min |y|/|gamma'| "
+                    f"= {worst:.3e} (threshold {EPS_TRANS:.0e})"
+                )
 
 
 def normal_curvature_limit(cg: CurveGeometry):
@@ -407,12 +472,14 @@ def normal_curvature_limit(cg: CurveGeometry):
     return np.sign(value_of(cg.y)) * value_of(cg.A)
 
 
-def normal_curvature_L_jets(cg: CurveGeometry, L: float):
+def normal_curvature_L_jets(cg: CurveGeometry, L):
     """Jets of k_n^L |gamma'|_L and of |gamma'|_L in the curve parameter.
 
     The first is -y_L (x_L)' + x_L (y_L)' + W23_L(gamma'): the signed
     curvature under the L metric times induced arclength per unit of t. It
-    needs no transversality.
+    needs no transversality. L is a float or an array that broadcasts
+    against the node shape (one L per node for a joined build), bitwise the
+    float's value at each node.
     """
     x, y, A = cg.x, cg.y, cg.A
     norm = cg.speed_L(L)
@@ -430,11 +497,11 @@ def normal_curvature_L_jets(cg: CurveGeometry, L: float):
             norm)
 
 
-def normal_curvature_L(cg: CurveGeometry, L: float):
+def normal_curvature_L(cg: CurveGeometry, L):
     """Signed curvature of the curve in the surface under the L metric.
 
     The numerator of `normal_curvature_L_jets` per unit of induced arclength,
-    so any parametrization may be used.
+    so any parametrization may be used. L is a float or an array, as there.
     """
     cg.require_transverse()
     num, norm = normal_curvature_L_jets(cg, L)
@@ -475,12 +542,14 @@ def metric_geodesic_curvature(comps, dcomps, cdot, cddot):
     return pairing / (v2 * np.sqrt(v2))  # g(a, J cdot) / v^3 = g(a, n) / v^2
 
 
-def geodesic_curvature_oracle(cg: CurveGeometry, L: float):
+def geodesic_curvature_oracle(cg: CurveGeometry, L):
     """Geodesic curvature of the curve in the induced 2D metric.
 
     Independent of the connection-form pipeline: only the induced metric
     components, their parameter derivatives, and the curve's first two
-    derivatives enter. The orientation matches N_L = -y_L X2 + x_L X3.
+    derivatives enter. The orientation matches N_L = -y_L X2 + x_L X3. L is
+    a float or an array that broadcasts against the node shape (see
+    `induced_metric_components`).
     """
     cg.require_transverse()
     E, F, G = induced_metric_components(cg.geom, L)

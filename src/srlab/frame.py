@@ -14,6 +14,7 @@ evaluation.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,29 +298,44 @@ class ConnectionFormsL:
     The orthonormal frame is (e1, e2, e3/sqrt(L)) and forms are expanded in
     its dual basis (e^1, e^2, sqrt(L) e^3). `coefficient(i, j, k)` returns
     the k-th component of omega_i^j with 1-based frame indices, as a jet.
+
+    L is a positive float, or an array that broadcasts against the frame's
+    node shape: one L per node, or k rows of L on the same n nodes as a
+    (k, 1) array against (n,) nodes. An array L gives at each node and L
+    the bits the float gives there: the same IEEE operations, with the
+    structural zeros a division by a float keeps (`_over`).
     """
 
-    def __init__(self, frame: FrameData, L: float):
-        if L <= 0:
-            raise ValueError("the metric parameter L must be positive")
+    def __init__(self, frame: FrameData, L):
+        if isinstance(L, np.ndarray):
+            if np.any(L <= 0):
+                raise ValueError("the metric parameter L must be positive")
+            self.L = L.astype(float, copy=False)
+            s = np.sqrt(self.L)
+            div = _over
+        else:
+            if L <= 0:
+                raise ValueError("the metric parameter L must be positive")
+            self.L = float(L)
+            s = math.sqrt(self.L)
+            div = operator.truediv
         self.frame = frame
-        self.L = float(L)
-        s = math.sqrt(self.L)
+        self.root = s
         a = frame.sf
         self._forms = {
             (1, 2): (
                 -a["a12_1"],
                 -a["a12_2"],
-                (a["a23_1"] - a["a13_2"] - self.L) / (2.0 * s),
+                div(a["a23_1"] - a["a13_2"] - self.L, 2.0 * s),
             ),
             (1, 3): (
-                -a["a13_1"] / s,
-                -(a["a13_2"] + a["a23_1"] + self.L) / (2.0 * s),
+                div(-a["a13_1"], s),
+                div(-(a["a13_2"] + a["a23_1"] + self.L), 2.0 * s),
                 0.0,
             ),
             (2, 3): (
-                (-a["a13_2"] - a["a23_1"] + self.L) / (2.0 * s),
-                -a["a23_2"] / s,
+                div(-a["a13_2"] - a["a23_1"] + self.L, 2.0 * s),
+                div(-a["a23_2"], s),
                 0.0,
             ),
         }
@@ -332,13 +348,25 @@ class ConnectionFormsL:
         return -self._forms[(j, i)][k - 1]
 
     def values(self) -> np.ndarray:
-        """Coefficients as an array of shape (3, 3, 3) or (3, 3, 3, n)."""
-        out = np.zeros((3, 3, 3) + self.frame.shape)
+        """Coefficients as an array of shape (3, 3, 3) + the node shape
+        broadcast against L's."""
+        out = np.zeros((3, 3, 3) + np.broadcast_shapes(self.frame.shape, np.shape(self.L)))
         for i in range(1, 4):
             for j in range(1, 4):
                 for k in range(1, 4):
                     out[i - 1, j - 1, k - 1] = value_of(self.coefficient(i, j, k))
         return out
+
+
+def _over(jet: Jet, d: np.ndarray) -> Jet:
+    """jet / d for a positive array d, keeping each structural zero.
+
+    Division by a positive float maps a structural zero to itself (the
+    Python float 0.0 or -0.0); an array divisor would make it an array of
+    zeros that later products no longer skip.
+    """
+    return Jet(jet.nvars, jet.order,
+               [c if type(c) is float and c == 0.0 else c / d for c in jet.coef])
 
 
 LIMIT_FORMS = {
@@ -369,21 +397,35 @@ def scaled_form_deviation(frame: FrameData, L: float) -> dict:
     return out
 
 
-def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
+def koszul_connection_oracle(frame: FrameData, L) -> np.ndarray:
     """Connection coefficients from the Koszul formula, for cross-checking.
 
     Computes <nabla_{U_k} U_i, U_j> for the orthonormal frame U = (e1, e2,
     e3/sqrt(L)) directly from numerically evaluated Lie brackets,
     2 <nabla_X Y, Z> = <[X, Y], Z> - <[Y, Z], X> + <[Z, X], Y>
     (the inner-product derivative terms vanish on an orthonormal frame).
-    Returns shape (3, 3, 3) or (3, 3, 3, n): index order [i, j, k] matching
+    Returns shape (3, 3, 3) + the node shape: index order [i, j, k] matching
     ConnectionFormsL.coefficient(i+1, j+1, k+1).
+
+    L is a float or, as for `ConnectionFormsL`, an array that broadcasts
+    against the node shape, bitwise the float's value at each node and L.
     """
-    s = math.sqrt(L)
     # only values are read: brackets need the fields to order 1, pairings
     # the duals to order 0
     e1, e2, e3 = (_cut(f, 1) for f in frame.frames())
-    u = [e1, e2, [c / s for c in e3]]
+    if isinstance(L, np.ndarray):
+        if np.any(L <= 0):
+            raise ValueError("the metric parameter L must be positive")
+        s = np.sqrt(L)
+        # a structural zero stays one, as under division by a float
+        u3 = [Jet(c.nvars, c.order, [x if type(x) is float and x == 0.0 else x / s
+                                     for x in c.coef]) for c in e3]
+        shape = np.broadcast_shapes(frame.shape, L.shape)
+    else:
+        s = math.sqrt(L)
+        u3 = [c / s for c in e3]
+        shape = frame.shape
+    u = [e1, e2, u3]
     cof1, cof2, omega = (_cut(r, 0) for r in frame.coframe)
     duals = [cof1, cof2, tuple(c * s for c in omega)]
 
@@ -406,7 +448,7 @@ def koszul_connection_oracle(frame: FrameData, L: float) -> np.ndarray:
             a, b, sign = b, a, -1.0
         return sign * pairs[(a, b), m]
 
-    out = np.zeros((3, 3, 3) + frame.shape)
+    out = np.zeros((3, 3, 3) + shape)
     for i in range(3):
         for j in range(3):
             for k in range(3):

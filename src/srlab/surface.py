@@ -146,10 +146,10 @@ class SurfaceGeometry:
 
     A region quadrature item's geometry is cut further, to what the region
     integrands (K dsigma, the Stokes curl, K_L) read
-    (`cut_to_region_readers`): A, x, y, the wedge, the tangents and their
-    coframe pairings, the pullback composer, the margin, the frame values
-    behind f2 and f3, and the chart frame's structure functions, with its
-    e1, e2, e3 and omega at order 0.
+    (`cut_to_region_readers`): A, x, y, the wedge, the tangents' values and
+    their coframe pairings to order 1, the pullback composer, the margin,
+    the frame values behind f2 and f3, and the chart frame's structure
+    functions, with its e1, e2, e3 and omega at order 0.
 
     The constructor builds what every reader needs. The rest is built on
     first use and then kept: the f2 and f3 jets, which only a curve's pullback
@@ -303,13 +303,19 @@ class SurfaceGeometry:
         Deletes phi, f1cov, the pulled coframe rows and the pulled frame,
         keeping e1_s, e2_s, e3_s and f1 only at order 0 for the f2 and f3
         values, and cuts the chart frame's e1, e2, e3 and omega to order 0.
-        A dropped attribute, and f2 or f3, which read one, then raises
-        AttributeError. Every value a region integrand reads keeps its bits.
+        The coframe pairings e^k(Tu), e^k(Tv) are cut to order 1, which the
+        L-adapted forms and the limit form's curl read, and Tu, Tv to their
+        values, which the tangent solves read. A dropped attribute, and f2
+        or f3, which read one, then raises AttributeError. Every value a
+        region integrand reads keeps its bits.
         """
         self._frame_values   # the order-0 cut the f2 and f3 values read
         for name in ("phi", "f1cov", "cof1_s", "cof2_s", "omega_s", "e1_s", "e2_s", "e3_s", "f1"):
             delattr(self, name)
         self.frame = _kept(self.frame, 0, 0)
+        self.coframe_Tu, self.coframe_Tv = (tuple(_cut(side, 1))
+                                            for side in (self.coframe_Tu, self.coframe_Tv))
+        self.Tu, self.Tv = _cut(self.Tu, 0), _cut(self.Tv, 0)
 
     # -- construction checks ------------------------------------------------
 

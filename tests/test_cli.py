@@ -18,7 +18,7 @@ from srlab import frame
 from srlab import measures as ms
 from srlab import scenes as sc
 from srlab.curvature import CurveGeometry
-from srlab.errors import SamplingError
+from srlab.errors import CharacteristicPointError, SamplingError
 from srlab.frame import SubRiemannianModel
 from srlab.measures import Region
 from srlab.surface import SurfaceGeometry
@@ -361,15 +361,43 @@ class TestCurveGeometryBuilds:
         assert len(builds) == 1
 
     @pytest.mark.usefixtures("fresh_builtin_scenes")
-    def test_oracle_check_builds_one_per_curve(self, capsys, monkeypatch, builds):
+    def test_oracle_check_builds_one_for_all_curves(self, capsys, monkeypatch, builds):
         frames = counted(monkeypatch, SubRiemannianModel, "frame")
         code, out, _ = run(capsys, "oracle-check", "--scene", "heisenberg_annulus",
                            "--L", "1,10,100", "--samples", "4")
         assert code == 0 and "oracle check: ok" in out
-        assert len(builds) == 2
+        assert len(builds) == 1
         # scene load, the region geometry (whose frame the connection check
-        # reuses) and one per curve geometry
-        assert len(frames) == 1 + 1 + 2
+        # reuses) and the one curve geometry over both curves and every L
+        assert len(frames) == 1 + 1 + 1
+
+
+def reference_gaps(scene, n, grid, seed) -> list:
+    """The gaps oracle-check prints, in order, from one geometry per L row
+    and per (L, curve) pair with L a float, which the batched evaluation
+    must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    uu, vv = cli._sample_region_points(scene.region, n, rng)
+    draws = [[rng.uniform(c.t0, c.t1, n) for c in scene.boundary] for _ in grid]
+    gaps = []
+    for L, ts in zip(grid, draws):
+        geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
+        fr = geom.frame
+        gaps.append(np.max(np.abs(frame.ConnectionFormsL(fr, L).values()
+                                  - frame.koszul_connection_oracle(fr, L))))
+        kl = cv.gauss_curvature_L(geom, L)
+        oracle = cv.induced_metric_gauss_oracle(geom, L)
+        gaps.append(np.max(np.abs(kl - oracle) / np.maximum(1.0, np.abs(oracle))))
+        for curve, t in zip(scene.boundary, ts):
+            cg = CurveGeometry(scene.model, scene.patch, curve, t, 3)
+            kn = cv.normal_curvature_L(cg, L)
+            kg = cv.geodesic_curvature_oracle(cg, L)
+            gaps.append(np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg))))
+    return [repr(float(g)) for g in gaps]
+
+
+def printed_gaps(out) -> list:
+    return [line.rsplit(" ", 1)[1] for line in out.splitlines() if "max " in line]
 
 
 class TestOracleCheckCurveBatches:
@@ -391,25 +419,17 @@ class TestOracleCheckCurveBatches:
         return sizes
 
     def test_gaps_match_one_geometry_per_L_and_curve(self, capsys):
-        code, out, _ = run(capsys, *self.ARGV)
-        assert code == 0
-        printed = [line.rsplit(" ", 1)[1] for line in out.splitlines()
-                   if "geodesic-curvature oracle" in line]
+        for name in ("heisenberg_annulus", "rt_disk"):
+            code, out, _ = run(capsys, *self.ARGV[:2], name, *self.ARGV[3:])
+            assert code == 0
+            scene = sc.builtin_scene(name)
+            assert printed_gaps(out) == reference_gaps(scene, 4, (1.0, 10.0, 100.0), 0)
+            assert len(printed_gaps(out)) == 3 * (2 + len(scene.boundary))
 
-        scene = sc.builtin_scene("heisenberg_annulus")
-        rng = np.random.default_rng(0)
-        cli._sample_region_points(scene.region, 4, rng)
-        expected = []
-        for L in (1.0, 10.0, 100.0):
-            for curve in scene.boundary:
-                t = rng.uniform(curve.t0, curve.t1, 4)
-                cg = CurveGeometry(scene.model, scene.patch, curve, t, 3)
-                kn = cv.normal_curvature_L(cg, L)
-                kg = cv.geodesic_curvature_oracle(cg, L)
-                expected.append(repr(float(np.max(np.abs(kn - kg) / np.maximum(1.0, np.abs(kg))))))
-        assert printed == expected
-
-    @pytest.mark.parametrize("cap,sizes", [(8, [8, 8, 4, 4]), (4, [4] * 6)])
+    # the rows whose samples fit in the cap share one curve geometry, and
+    # the curves of a batch share it while their samples still fit
+    @pytest.mark.parametrize("cap,sizes", [(8, [8, 8, 8]), (4, [4] * 6), (12, [12, 12]),
+                                           (24, [24])])
     def test_builds_split_by_L_row_at_the_sample_cap(self, capsys, monkeypatch, cap, sizes):
         _, whole, _ = run(capsys, *self.ARGV)
         built = self.sample_counts(monkeypatch)
@@ -418,23 +438,61 @@ class TestOracleCheckCurveBatches:
         assert code == 0 and out == whole
         assert built == sizes
 
-    def test_tangent_boundary_curve_exits_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize("samples,n_L", [(1, 64), (3, 2), (50, 1)])
+    @pytest.mark.parametrize("name", ["heisenberg_annulus", "rt_disk", DENSE_SCENE],
+                             ids=["heisenberg_annulus", "rt_disk", "dense_scene"])
+    def test_batches_print_the_gaps_of_one_geometry_per_row(self, capsys, monkeypatch,
+                                                             name, samples, n_L):
+        grid = [10.0 ** (k / 7) for k in range(n_L)]
+        argv = ("oracle-check", "--scene", name, "--samples", str(samples), "--seed", "2",
+                "--L", ",".join(map(repr, grid)))
+        code, whole, _ = run(capsys, *argv)
+        assert code == 0
+        scene = sc.resolve_scene(name)
+        assert printed_gaps(whole) == reference_gaps(scene, samples, grid, 2)
+        # caps that split the rows into batches and the curves into groups
+        for cap in (samples, 2 * samples + 1):
+            monkeypatch.setattr(cli, "MAX_SAMPLES", cap)
+            assert run(capsys, *argv)[:2] == (0, whole)
+
+    @staticmethod
+    def rectangle(cfg):
         # on the rototranslation plane the horizontal line field is d/dv, so
         # the rectangle's sides u = const are tangent to it; nothing varies
         # along the side before them, so its values come out 0-d
-        def rectangle(cfg):
-            cfg["region"] = {"type": "rectangle", "u": [-0.5, 0.5], "v": [1.0, 2.0],
-                             "euler_characteristic": 1}
-            cfg["boundary"] = [
-                {"curve": ["t", "1"], "t": [-0.5, 0.5]},
-                {"curve": ["0.5", "t"], "t": [1.0, 2.0]},
-                {"curve": ["-t", "2"], "t": [-0.5, 0.5]},
-                {"curve": ["-0.5", "-t"], "t": [-2.0, -1.0]},
-            ]
+        cfg["region"] = {"type": "rectangle", "u": [-0.5, 0.5], "v": [1.0, 2.0],
+                         "euler_characteristic": 1}
+        cfg["boundary"] = [
+            {"curve": ["t", "1"], "t": [-0.5, 0.5]},
+            {"curve": ["0.5", "t"], "t": [1.0, 2.0]},
+            {"curve": ["-t", "2"], "t": [-0.5, 0.5]},
+            {"curve": ["-0.5", "-t"], "t": [-2.0, -1.0]},
+        ]
+
+    def test_tangent_boundary_curve_exits_4(self, capsys, tmp_path):
         code, out, err = run(capsys, "oracle-check", "--scene",
-                             write_scene(tmp_path, rectangle, "rt_disk"), "--L", "1,10")
+                             write_scene(tmp_path, self.rectangle, "rt_disk"), "--L", "1,10")
         assert code == 4 and out == ""
         assert "tangent to the horizontal line field" in err
+
+    def test_a_failing_group_raises_what_its_first_failing_curve_raises(
+            self, capsys, monkeypatch, tmp_path):
+        # a joined build checks the surface under all of its curves at once,
+        # so it may fail at a later curve's node before an earlier curve's check
+        scene = write_scene(tmp_path, self.rectangle, "rt_disk")
+        _, _, tangent = run(capsys, "oracle-check", "--scene", scene, "--L", "1,10")
+        orig = CurveGeometry.__init__
+
+        def init(self, model, patch, curve, t, *rest):
+            if not isinstance(curve, cv.CurveOnSurface):
+                raise CharacteristicPointError("the joined build fails first")
+            orig(self, model, patch, curve, t, *rest)
+
+        monkeypatch.setattr(CurveGeometry, "__init__", init)
+        assert run(capsys, "oracle-check", "--scene", scene, "--L", "1,10") == (4, "", tangent)
+        # curves that pass one by one leave the group's own error
+        assert run(capsys, "oracle-check", "--scene", "heisenberg_annulus", "--L", "1") == (
+            4, "", "numerical error: the joined build fails first\n")
 
 
 class TestUsage:
@@ -648,7 +706,7 @@ class TestFiniteOutputs:
 
     @pytest.mark.parametrize("formula, result, argv", [
         ("gauss_curvature_L", np.nan, ("--uv", "0.1,1.2")),
-        ("normal_curvature_L", np.array([np.nan]), ("--quantity", "kn", "--t", "0.3")),
+        ("normal_curvature_L", np.array(np.nan), ("--quantity", "kn", "--t", "0.3")),
     ])
     def test_sweep_nan_exits_4(self, capsys, monkeypatch, formula, result, argv):
         monkeypatch.setattr(cli.cv, formula, lambda *a, **k: result)

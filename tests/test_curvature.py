@@ -7,12 +7,14 @@ connection-form pipeline.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from srlab import curvature as cv
 from srlab.calculus import Jet, ScalarField
+from srlab.calculus.jets import value_of
 from srlab.errors import NumericalError, TransversalityError
 from srlab.frame import ConnectionFormsL
 from srlab.models import builtin_model
@@ -475,3 +477,239 @@ class TestOrderErrors:
         geom = self.geometry(3)
         assert np.isfinite(cv.gauss_curvature_L(geom, 10.0))
         assert np.isfinite(cv.induced_metric_gauss_oracle(geom, 10.0))
+
+
+# -- L as an array --------------------------------------------------------------
+
+DENSE_SCENE = str(Path(__file__).parent / "golden" / "dense_scene.json")
+L_RANGE = np.array([1.0, 7.5, 100.0, 3.1e4, 1e6, 1e9])
+
+
+def structural_zeros(x) -> list:
+    return [type(c) is float and c == 0.0 for c in (x.coef if isinstance(x, Jet) else [x])]
+
+
+def coefficient_rows(x, per_node: bool, shape) -> list:
+    """Each coefficient (or the value) of an array-L result as k rows on the nodes.
+
+    With `per_node` the nodes are the k rows' `shape` nodes laid end to end,
+    one L per node; otherwise L was a (k, 1) array against `shape`."""
+    k = len(L_RANGE)
+    full = (k * shape[0],) if per_node else (k,) + shape
+    return [np.broadcast_to(np.asarray(c, dtype=float), full).reshape((k,) + shape)
+            for c in (x.coef if isinstance(x, Jet) else [x])]
+
+
+def assert_rows_match(got, want, per_node, shape):
+    """`got` from one call with an L array; `want[r]` from the float call at L_RANGE[r]."""
+    rows = coefficient_rows(got, per_node, shape)
+    for r, w in enumerate(want):
+        assert structural_zeros(w) == structural_zeros(got)
+        for g, c in zip(rows, w.coef if isinstance(w, Jet) else [w]):
+            want_r = np.broadcast_to(np.asarray(c, dtype=float), shape)
+            assert g[r].tobytes() == np.ascontiguousarray(want_r).tobytes()
+
+
+def region_readers():
+    """Each L-aware region function, as L -> the list of its jet or value results."""
+    def forms(g, L):
+        f = ConnectionFormsL(g.frame, L)
+        return [f.coefficient(i, j, k) for i, j in ((1, 2), (1, 3), (2, 3)) for k in (1, 2, 3)]
+
+    def assembly(g, L):
+        a = cv.LFormAssembly(g, L)
+        forms = [getattr(a, name) for name in ("omega23", "omega12", "omega13", "dbeta")]
+        return [f.P for f in forms] + [f.Q for f in forms] + [a.gauss_curvature(),
+                                                              a.second_fundamental()]
+
+    return [forms, assembly,
+            lambda g, L: list(cv.induced_metric_components(g, L)),
+            lambda g, L: [cv.gauss_curvature_L(g, L)],
+            lambda g, L: [cv.induced_metric_gauss_oracle(g, L)]]
+
+
+def curve_readers():
+    """Each L-aware curve function, as L -> the list of its jet or value results."""
+    return [lambda cg, L: [cg.speed_L(L)],
+            lambda cg, L: list(cv.normal_curvature_L_jets(cg, L)),
+            lambda cg, L: [cv.normal_curvature_L(cg, L)],
+            lambda cg, L: [cv.geodesic_curvature_oracle(cg, L)]]
+
+
+class TestLArrays:
+    """Every L-aware function takes L as an array, one L per node or a (k, 1)
+    array of rows against the nodes, and gives at each node and L the bits,
+    and the structural zeros, of the call with that L as a float."""
+
+    SCENES = pytest.mark.parametrize("name", ["rt_disk", "heisenberg_annulus", DENSE_SCENE],
+                                     ids=["rt_disk", "heisenberg_annulus", "dense_scene"])
+
+    @staticmethod
+    def region(name, n=5):
+        from srlab import cli
+        from srlab.scenes import resolve_scene
+
+        scene = resolve_scene(name)
+        uu, vv = cli._sample_region_points(scene.region, n, np.random.default_rng(4))
+        return scene, uu, vv
+
+    @pytest.mark.parametrize("per_node", [True, False], ids=["per-node", "rows"])
+    @SCENES
+    def test_region_functions(self, name, per_node):
+        scene, uu, vv = self.region(name)
+        k, n = len(L_RANGE), len(uu)
+        geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
+        if per_node:
+            joined = SurfaceGeometry(scene.model, scene.patch, np.tile(uu, k), np.tile(vv, k))
+            L = np.repeat(L_RANGE, n)
+        else:
+            joined, L = geom, L_RANGE[:, None]
+        for read in region_readers():
+            got = read(joined, L)
+            want = [read(geom, float(Lr)) for Lr in L_RANGE]
+            for i, part in enumerate(got):
+                assert_rows_match(part, [w[i] for w in want], per_node, (n,))
+
+    @pytest.mark.parametrize("per_node", [True, False], ids=["per-node", "rows"])
+    @SCENES
+    def test_connection_values_and_koszul(self, name, per_node):
+        from srlab.frame import koszul_connection_oracle
+
+        scene, uu, vv = self.region(name)
+        k, n = len(L_RANGE), len(uu)
+        fr = SurfaceGeometry(scene.model, scene.patch, uu, vv).frame
+        if per_node:
+            joined = SurfaceGeometry(scene.model, scene.patch, np.tile(uu, k), np.tile(vv, k))
+            frj, L = joined.frame, np.repeat(L_RANGE, n)
+        else:
+            frj, L = fr, L_RANGE[:, None]
+        for read in (lambda f, L: ConnectionFormsL(f, L).values(), koszul_connection_oracle):
+            got = read(frj, L).reshape((3, 3, 3, k, n))
+            want = np.stack([read(fr, float(Lr)) for Lr in L_RANGE], axis=3)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("per_node", [True, False], ids=["per-node", "rows"])
+    @SCENES
+    def test_curve_functions(self, name, per_node):
+        from srlab.scenes import resolve_scene
+
+        scene = resolve_scene(name)
+        k, m = len(L_RANGE), 4
+        for i, curve in enumerate(scene.boundary):
+            t = np.random.default_rng(i).uniform(curve.t0, curve.t1, m)
+            cg = cv.CurveGeometry(scene.model, scene.patch, curve, t)
+            if per_node:
+                joined = cv.CurveGeometry(scene.model, scene.patch, curve, np.tile(t, k))
+                L = np.repeat(L_RANGE, m)
+            else:
+                joined, L = cg, L_RANGE[:, None]
+            for read in curve_readers():
+                got = read(joined, L)
+                want = [read(cg, float(Lr)) for Lr in L_RANGE]
+                for j, part in enumerate(got):
+                    assert_rows_match(part, [w[j] for w in want], per_node, (m,))
+
+    def test_non_positive_entry_raises_the_float_error(self):
+        from srlab.frame import koszul_connection_oracle
+
+        scene, uu, vv = self.region("rt_disk", 2)
+        geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
+        circ = cv.CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, 2 * np.pi))
+        cg = cv.CurveGeometry(HEIS, PLANE, circ, np.array([0.1, 0.2]))
+        for bad in (np.array([1.0, 0.0]), np.array([-2.0, 3.0]), np.array([[5.0], [-1.0]])):
+            for call in (lambda L: ConnectionFormsL(geom.frame, L),
+                         lambda L: cv.LFormAssembly(geom, L),
+                         lambda L: cv.gauss_curvature_L(geom, L),
+                         lambda L: cv.normal_curvature_L_jets(cg, L)):
+                with pytest.raises(ValueError, match="the metric parameter L must be positive"):
+                    call(bad)
+                with pytest.raises(ValueError, match="the metric parameter L must be positive"):
+                    call(float(np.min(bad)))
+        # the Koszul oracle's float path refuses a negative L through its square root
+        with pytest.raises(ValueError):
+            koszul_connection_oracle(geom.frame, -2.0)
+        with pytest.raises(ValueError):
+            koszul_connection_oracle(geom.frame, np.array([1.0, -2.0]))
+
+
+class TestJoinedCurveGeometry:
+    """A curve geometry over several (curve, t) parts laid end to end gives
+    each node what a build of its own part gives, and raises what the first
+    failing part raises when the parts are built and checked one by one."""
+
+    @staticmethod
+    def values(cg, L):
+        return [value_of(cg.x), value_of(cg.y), value_of(cg.A), cg.chart_speed,
+                value_of(cg.speed_L(L)), cv.normal_curvature_L(cg, L),
+                cv.geodesic_curvature_oracle(cg, L), cv.normal_curvature_limit(cg)]
+
+    def parts_match(self, model, patch, curves, ts, same_bits):
+        joined = cv.CurveGeometry(model, patch, curves, ts)
+        assert joined.shape == (sum(map(len, ts)),)
+        Ls = [37.0, 2.5e6]
+        L = np.concatenate([np.full(len(t), Ls[i % 2]) for i, t in enumerate(ts)])
+        got = self.values(joined, L)
+        start = 0
+        for i, (curve, t) in enumerate(zip(curves, ts)):
+            own = slice(start, start + len(t))
+            start += len(t)
+            want = self.values(cv.CurveGeometry(model, patch, curve, t), Ls[i % 2])
+            for g, w in zip(got, want):
+                g, w = np.broadcast_to(g, joined.shape)[own], np.broadcast_to(w, t.shape)
+                assert g.tobytes() == w.tobytes() if same_bits else np.array_equal(g, w)
+
+    def test_annulus_parts_give_their_own_bits(self):
+        scene = builtin_scene("heisenberg_annulus")
+        ts = [np.random.default_rng(i).uniform(0.0, 6.2, 5 + i) for i in range(2)]
+        self.parts_match(scene.model, scene.patch, scene.boundary, ts, same_bits=True)
+
+    def test_parts_of_different_shape(self):
+        # a side along which only u varies, then a circle: the side's v jet
+        # is constant where the circle's is not
+        scene = builtin_scene("rt_disk")
+        side = cv.CurveOnSurface.parse(("t", "1.2"), (-0.5, 0.5))
+        ts = [np.array([-0.4, 0.1, 0.3]), np.array([0.5, 2.0])]
+        self.parts_match(scene.model, scene.patch, (side, scene.boundary[0]), ts,
+                         same_bits=False)
+
+    RT = builtin_scene("rt_disk")
+    # on the rototranslation plane the horizontal line field is d/dv, so a
+    # side u = const is tangent to it and a side v = const is transverse
+    TRANSVERSE = cv.CurveOnSurface.parse(("t", "1.2"), (-0.5, 0.5))
+    TANGENT = cv.CurveOnSurface.parse(("0.5", "t"), (1.0, 2.0))
+    STATIONARY = cv.CurveOnSurface.parse(("0.1", "1.4"), (0.0, 1.0))
+
+    def first_error(self, curves, ts):
+        """What building and checking the parts one by one raises first."""
+        for curve, t in zip(curves, ts):
+            try:
+                cv.CurveGeometry(self.RT.model, self.RT.patch, curve, t).require_transverse()
+            except NumericalError as exc:
+                return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("case", ["tangent-second", "stationary-then-tangent"])
+    def test_joined_build_raises_the_first_failing_part(self, case):
+        curves = {"tangent-second": (self.TRANSVERSE, self.TANGENT),
+                  "stationary-then-tangent": (self.STATIONARY, self.TANGENT)}[case]
+        ts = [np.array([0.0, 0.2, 0.4]), np.array([1.1, 1.5])]
+        want = self.first_error(curves, ts)
+        assert want is not None
+        with pytest.raises(NumericalError) as caught:
+            cv.CurveGeometry(self.RT.model, self.RT.patch, curves, ts).require_transverse()
+        assert (type(caught.value), str(caught.value)) == want
+        expected = {"tangent-second": "tangent to the horizontal line field",
+                    "stationary-then-tangent": "stationary point"}[case]
+        assert expected in want[1]
+
+    def test_each_part_reports_its_own_transversality_minimum(self):
+        # the nearly tangent part fails with a minimum near 1e-7, the tangent
+        # one after it with 0, which is the least over the joined nodes
+        nearly = cv.CurveOnSurface.parse(("0.5 + 1e-7*t", "t"), (1.0, 2.0))
+        curves = (self.TRANSVERSE, nearly, self.TANGENT)
+        ts = [np.array([0.0, 0.2]), np.array([1.1, 1.6]), np.array([1.3, 1.9])]
+        want = self.first_error(curves, ts)
+        assert want[0] is TransversalityError and "= 8.912e-08" in want[1]
+        with pytest.raises(TransversalityError) as caught:
+            cv.CurveGeometry(self.RT.model, self.RT.patch, curves, ts).require_transverse()
+        assert (type(caught.value), str(caught.value)) == want

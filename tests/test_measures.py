@@ -949,6 +949,15 @@ class TestRegionCut:
         rows = [ms._K_dsigma_L(L) for L in (1e2, 1e3, 1e4)]
         for fn in [ms._K_dsigma, ms._limit_curl] + (rows if order == 3 else []):
             assert bitwise(fn(cut), fn(whole))
+        # the readers of the cut tangents and pairings, one at a time: the
+        # tangent solves read Tu, Tv values, the forms the pairings to order 1
+        readers = [lambda g: g.f2_components,
+                   lambda g: g.tangent_components(g.f3_values),
+                   lambda g: cv.limit_connection_form(g).curl()]
+        if order == 3:
+            readers += [lambda g, L=L: cv.LFormAssembly(g, L).omega23.curl() for L in (1e2, 1e4)]
+        for read in readers:
+            assert bitwise(read(cut), read(whole))
         if order == 2:
             for fn in rows:
                 with pytest.raises(ValueError, match="order 3"):
@@ -967,7 +976,14 @@ class TestRegionCut:
         cut, whole = self.geometries("dense", 3)
         for attr in ("A", "x", "y", "wedge"):
             assert getattr(cut, attr).order == getattr(whole, attr).order == 2
-        assert all(p.order == 2 for p in cut.coframe_Tu + cut.coframe_Tv)
+        assert all(p.order == 2 for p in whole.coframe_Tu + whole.coframe_Tv)
+        assert all(p.order == 1 for p in cut.coframe_Tu + cut.coframe_Tv)
+        assert {c.order for c in whole.Tu + whole.Tv} == {2}
+        assert {c.order for c in cut.Tu + cut.Tv} == {0}
+        # what the cut keeps is the whole geometry's, bit for bit
+        for kept, full in zip(cut.coframe_Tu + cut.coframe_Tv + tuple(cut.Tu + cut.Tv),
+                              whole.coframe_Tu + whole.coframe_Tv + tuple(whole.Tu + whole.Tv)):
+            assert all(bitwise(a, b) for a, b in zip(kept.coef, full.coef))
         fr = cut.frame
         assert {c.order for c in fr.e1 + fr.e2 + fr.e3 + list(fr.omega)} == {0}
         assert fr.coframe[2] is fr.omega

@@ -214,17 +214,14 @@ def cmd_curvature(scene, args) -> tuple:
 def cmd_sweep(scene, args) -> tuple:
     grid = _parse_L_list(args.L) if args.L is not None else (scene.L_grid or (1e2, 1e3, 1e4))
 
-    rows = []
     if args.quantity == "K":
         if args.uv is None:
             raise ValueError("--quantity K needs --uv")
         u, v = _surface_point(scene, args.uv)
         geom = SurfaceGeometry(scene.model, scene.patch, u, v)
         limit = float(cv.gauss_curvature_limit(geom))
-        rows.append(("L", "K_L", "K_limit", "abs_gap"))
-        for L in grid:
-            kl = float(cv.gauss_curvature_L(geom, L))
-            rows.append((_fmt(L), _fmt(kl), _fmt(limit), _fmt(abs(kl - limit))))
+        values = cv.gauss_curvature_L(geom, np.asarray(grid))
+        head = ("L", "K_L", "K_limit", "abs_gap")
     else:
         if args.t is None:
             raise ValueError("--quantity kn needs --t")
@@ -238,12 +235,13 @@ def cmd_sweep(scene, args) -> tuple:
                              f"interval [{curve.t0!r}, {curve.t1!r}]")
         cg = cv.CurveGeometry(scene.model, scene.patch, curve, np.asarray(args.t))
         limit = float(cv.normal_curvature_limit(cg))
-        rows.append(("L", "kn_L", "kn_limit", "abs_gap"))
-        for L in grid:
-            kn = float(cv.normal_curvature_L(cg, L))
-            rows.append((_fmt(L), _fmt(kn), _fmt(limit), _fmt(abs(kn - limit))))
+        values = cv.normal_curvature_L(cg, np.asarray(grid))
+        head = ("L", "kn_L", "kn_limit", "abs_gap")
 
-    return [",".join(row) for row in rows], EXIT_OK
+    rows = [",".join(head)]
+    for L, value in zip(grid, values.tolist()):
+        rows.append(",".join((_fmt(L), _fmt(value), _fmt(limit), _fmt(abs(value - limit)))))
+    return rows, EXIT_OK
 
 
 def cmd_gauss_bonnet(scene, args) -> tuple:
@@ -325,8 +323,8 @@ def _region_oracle_gaps(geom, rows) -> tuple:
     formula and the max relative gap of K_L against the induced-metric oracle.
 
     L enters as a (k, 1) array against the geometry's n nodes, so one call
-    of each function evaluates every row, each node and L with the bits a
-    float L gives, and row r's gaps are the maxima over its own slice.
+    of each function evaluates every row, and row r's gaps are the maxima
+    over its own slice.
     """
     fr = geom.frame
     L = np.asarray(rows, dtype=float)[:, None]

@@ -20,7 +20,6 @@ metric by the Brioschi second-derivative formula, and the signed geodesic
 curvature of boundary curves in that same metric via Christoffel symbols.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,10 +85,9 @@ class LFormAssembly:
     values of f2 and f3 with f2's parameter components. So only the L-scaled
     connection coefficients and the terms of the angle beta are built per L.
 
-    L is a positive float or an array of them that broadcasts against the
-    node shape (see `ConnectionFormsL`): one L per node, or a (k, 1) array
-    of k rows on n nodes, which builds k assemblies' values in one pass.
-    Each node and L gets the bits a float L gives.
+    L is a positive number or an array that broadcasts against the node
+    shape: one L per node, or a (k, 1) array of k rows on n nodes, which
+    builds k assemblies' values in one pass.
     """
 
     def __init__(self, geom: SurfaceGeometry, L):
@@ -185,40 +183,6 @@ def gauss_curvature_L(geom: SurfaceGeometry, L):
     return LFormAssembly(geom, L).gauss_curvature()
 
 
-def omega23_koszul_values(geom: SurfaceGeometry, L: float):
-    """W23_L on (Tu, Tv) assembled from the Koszul connection oracle.
-
-    Expands X2 and X3 in the orthonormal frame (e1, e2, e3 / sqrt(L)) and
-    differentiates the component functions directly:
-
-        <D_V X2, X3> = sum_m V(c2_m) c3_m + sum_ijk v_k c2_i c3_j Koszul[ijk].
-
-    Shares no code with the structure-function connection coefficients, so
-    it cross-checks the assembled form end to end.
-    """
-    from .frame import koszul_connection_oracle
-
-    gam = koszul_connection_oracle(geom.frame, L)
-    s = math.sqrt(L)
-    x, y, A = geom.x, geom.y, geom.A
-    inv_denom = 1.0 / jsqrt(A * A + L)
-    c2 = (x, y, Jet.constant(0.0, 2, x.order))
-    c3 = (A * y * inv_denom, -(A * x) * inv_denom, s * inv_denom)
-    base = geom.frame.shape
-
-    def along(vec_index, pairings):
-        vk = [value_of(pairings[0]), value_of(pairings[1]), s * value_of(pairings[2])]
-        total = sum(value_of(c.deriv(vec_index)) * value_of(d) for c, d in zip(c2, c3))
-        total = np.broadcast_to(np.asarray(total, dtype=float), base).copy()
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    total += value_of(c2[i]) * value_of(c3[j]) * vk[k] * gam[i, j, k]
-        return total
-
-    return along(0, geom.coframe_Tu), along(1, geom.coframe_Tv)
-
-
 def gauss_curvature_limit(geom: SurfaceGeometry):
     """K = -dA(f2) - A^2."""
     a2, b2 = geom.f2_components
@@ -235,14 +199,6 @@ def limit_connection_form(geom: SurfaceGeometry) -> SurfaceOneForm:
     """
     A = geom.A.truncate(1)
     return SurfaceOneForm(A * geom.coframe_Tu[2].truncate(1), A * geom.coframe_Tv[2].truncate(1))
-
-
-def gauss_curvature_limit_via_form(geom: SurfaceGeometry):
-    """Second route to K: -d(pullback of A e^3) evaluated on (f2, f3)."""
-    form = limit_connection_form(geom)
-    a2, b2 = geom.tangent_components(geom.f2)
-    a3, b3 = geom.tangent_components(geom.f3)
-    return -form.curl() * (a2 * b3 - b2 * a3)
 
 
 @dataclass(frozen=True)
@@ -305,11 +261,11 @@ def metric_gauss_curvature(E: Jet, F: Jet, G: Jet):
 def induced_metric_components(geom: SurfaceGeometry, L):
     """E, F, G jets of the induced metric g_L(T_i, T_j) on the patch.
 
-    L is a float or an array that broadcasts against the node shape, bitwise
-    the float's value at each node and L.
+    L is a positive number or an array that broadcasts against the node
+    shape.
     """
     on_tu, on_tv = geom.coframe_Tu, geom.coframe_Tv
-    weights = (1.0, 1.0, L if isinstance(L, np.ndarray) else float(L))
+    weights = (1.0, 1.0, np.asarray(L, dtype=float))
     E = sum(w * p * p for w, p in zip(weights, on_tu))
     G = sum(w * p * p for w, p in zip(weights, on_tv))
     F = sum(w * p * q for w, p, q in zip(weights, on_tu, on_tv))
@@ -448,8 +404,8 @@ class CurveGeometry:
     def speed_L(self, L) -> Jet:
         """|gamma'|_L = sqrt(x^2 + y^2 (A^2 + L)): induced arclength per unit of t.
 
-        L is a float or an array that broadcasts against the node shape (one
-        L per node for a joined build), bitwise the float's value at each.
+        L is a positive number or an array that broadcasts against the node
+        shape (one L per node for a joined build).
         """
         x, y, A = self.x, self.y, self.A
         return jsqrt(x * x + y * y * (A * A + L))
@@ -477,9 +433,8 @@ def normal_curvature_L_jets(cg: CurveGeometry, L):
 
     The first is -y_L (x_L)' + x_L (y_L)' + W23_L(gamma'): the signed
     curvature under the L metric times induced arclength per unit of t. It
-    needs no transversality. L is a float or an array that broadcasts
-    against the node shape (one L per node for a joined build), bitwise the
-    float's value at each node.
+    needs no transversality. L is a positive number or an array that
+    broadcasts against the node shape (one L per node for a joined build).
     """
     x, y, A = cg.x, cg.y, cg.A
     norm = cg.speed_L(L)
@@ -501,7 +456,7 @@ def normal_curvature_L(cg: CurveGeometry, L):
     """Signed curvature of the curve in the surface under the L metric.
 
     The numerator of `normal_curvature_L_jets` per unit of induced arclength,
-    so any parametrization may be used. L is a float or an array, as there.
+    so any parametrization may be used. L is as there.
     """
     cg.require_transverse()
     num, norm = normal_curvature_L_jets(cg, L)
@@ -548,8 +503,7 @@ def geodesic_curvature_oracle(cg: CurveGeometry, L):
     Independent of the connection-form pipeline: only the induced metric
     components, their parameter derivatives, and the curve's first two
     derivatives enter. The orientation matches N_L = -y_L X2 + x_L X3. L is
-    a float or an array that broadcasts against the node shape (see
-    `induced_metric_components`).
+    a positive number or an array that broadcasts against the node shape.
     """
     cg.require_transverse()
     E, F, G = induced_metric_components(cg.geom, L)

@@ -13,8 +13,6 @@ downstream get exact derivatives, and points may be numpy arrays for batch
 evaluation.
 """
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,43 +297,31 @@ class ConnectionFormsL:
     its dual basis (e^1, e^2, sqrt(L) e^3). `coefficient(i, j, k)` returns
     the k-th component of omega_i^j with 1-based frame indices, as a jet.
 
-    L is a positive float, or an array that broadcasts against the frame's
-    node shape: one L per node, or k rows of L on the same n nodes as a
-    (k, 1) array against (n,) nodes. An array L gives at each node and L
-    the bits the float gives there: the same IEEE operations, with the
-    structural zeros a division by a float keeps (`_over`).
+    L is a positive number or an array that broadcasts against the node
+    shape: one L per node, or k rows of L on n nodes as a (k, 1) array.
     """
 
     def __init__(self, frame: FrameData, L):
-        if isinstance(L, np.ndarray):
-            if np.any(L <= 0):
-                raise ValueError("the metric parameter L must be positive")
-            self.L = L.astype(float, copy=False)
-            s = np.sqrt(self.L)
-            div = _over
-        else:
-            if L <= 0:
-                raise ValueError("the metric parameter L must be positive")
-            self.L = float(L)
-            s = math.sqrt(self.L)
-            div = operator.truediv
+        self.L = np.asarray(L, dtype=float)
+        if np.any(self.L <= 0):
+            raise ValueError("the metric parameter L must be positive")
         self.frame = frame
-        self.root = s
+        self.root = s = np.sqrt(self.L)
         a = frame.sf
         self._forms = {
             (1, 2): (
                 -a["a12_1"],
                 -a["a12_2"],
-                div(a["a23_1"] - a["a13_2"] - self.L, 2.0 * s),
+                _over(a["a23_1"] - a["a13_2"] - self.L, 2.0 * s),
             ),
             (1, 3): (
-                div(-a["a13_1"], s),
-                div(-(a["a13_2"] + a["a23_1"] + self.L), 2.0 * s),
+                _over(-a["a13_1"], s),
+                _over(-(a["a13_2"] + a["a23_1"] + self.L), 2.0 * s),
                 0.0,
             ),
             (2, 3): (
-                div(-a["a13_2"] - a["a23_1"] + self.L, 2.0 * s),
-                div(-a["a23_2"], s),
+                _over(-a["a13_2"] - a["a23_1"] + self.L, 2.0 * s),
+                _over(-a["a23_2"], s),
                 0.0,
             ),
         }
@@ -350,7 +336,7 @@ class ConnectionFormsL:
     def values(self) -> np.ndarray:
         """Coefficients as an array of shape (3, 3, 3) + the node shape
         broadcast against L's."""
-        out = np.zeros((3, 3, 3) + np.broadcast_shapes(self.frame.shape, np.shape(self.L)))
+        out = np.zeros((3, 3, 3) + np.broadcast_shapes(self.frame.shape, self.L.shape))
         for i in range(1, 4):
             for j in range(1, 4):
                 for k in range(1, 4):
@@ -358,12 +344,12 @@ class ConnectionFormsL:
         return out
 
 
-def _over(jet: Jet, d: np.ndarray) -> Jet:
-    """jet / d for a positive array d, keeping each structural zero.
+def _over(jet: Jet, d) -> Jet:
+    """jet / d for a positive number or array d, keeping each structural zero.
 
-    Division by a positive float maps a structural zero to itself (the
-    Python float 0.0 or -0.0); an array divisor would make it an array of
-    zeros that later products no longer skip.
+    A structural zero (the Python float 0.0 or -0.0) stays itself; dividing
+    it by a numpy divisor would make a numpy zero that later products no
+    longer skip.
     """
     return Jet(jet.nvars, jet.order,
                [c if type(c) is float and c == 0.0 else c / d for c in jet.coef])
@@ -384,14 +370,13 @@ def scaled_form_deviation(frame: FrameData, L: float) -> dict:
     constant limit forms -e^3/2, -e^2/2, e^1/2.
     """
     forms = ConnectionFormsL(frame, L)
-    s = math.sqrt(forms.L)
     scale = {(1, 2): 1.0 / L, (1, 3): L ** -0.5, (2, 3): L ** -0.5}
     out = {}
     for (i, j), limit in LIMIT_FORMS.items():
         c1, c2, c3 = (forms.coefficient(i, j, k) for k in (1, 2, 3))
         dev = 0.0
         # components on (e^1, e^2, e^3), not on the scaled duals
-        for c, lim in zip((c1, c2, c3 * s), limit):
+        for c, lim in zip((c1, c2, c3 * forms.root), limit):
             dev = max(dev, float(np.max(np.abs(value_of(c) * scale[(i, j)] - lim))))
         out[f"w{i}{j}"] = dev
     return out
@@ -407,24 +392,19 @@ def koszul_connection_oracle(frame: FrameData, L) -> np.ndarray:
     Returns shape (3, 3, 3) + the node shape: index order [i, j, k] matching
     ConnectionFormsL.coefficient(i+1, j+1, k+1).
 
-    L is a float or, as for `ConnectionFormsL`, an array that broadcasts
-    against the node shape, bitwise the float's value at each node and L.
+    L is a positive number or an array that broadcasts against the node
+    shape.
     """
+    L = np.asarray(L, dtype=float)
+    if np.any(L <= 0):
+        raise ValueError("the metric parameter L must be positive")
+    s = np.sqrt(L)
     # only values are read: brackets need the fields to order 1, pairings
     # the duals to order 0
     e1, e2, e3 = (_cut(f, 1) for f in frame.frames())
-    if isinstance(L, np.ndarray):
-        if np.any(L <= 0):
-            raise ValueError("the metric parameter L must be positive")
-        s = np.sqrt(L)
-        # a structural zero stays one, as under division by a float
-        u3 = [Jet(c.nvars, c.order, [x if type(x) is float and x == 0.0 else x / s
-                                     for x in c.coef]) for c in e3]
-        shape = np.broadcast_shapes(frame.shape, L.shape)
-    else:
-        s = math.sqrt(L)
-        u3 = [c / s for c in e3]
-        shape = frame.shape
+    # a structural zero stays one, so the bracket products still skip it
+    u3 = [Jet(c.nvars, c.order, [x if type(x) is float and x == 0.0 else x / s
+                                 for x in c.coef]) for c in e3]
     u = [e1, e2, u3]
     cof1, cof2, omega = (_cut(r, 0) for r in frame.coframe)
     duals = [cof1, cof2, tuple(c * s for c in omega)]
@@ -448,7 +428,7 @@ def koszul_connection_oracle(frame: FrameData, L) -> np.ndarray:
             a, b, sign = b, a, -1.0
         return sign * pairs[(a, b), m]
 
-    out = np.zeros((3, 3, 3) + shape)
+    out = np.zeros((3, 3, 3) + np.broadcast_shapes(frame.shape, L.shape))
     for i in range(3):
         for j in range(3):
             for k in range(3):

@@ -279,6 +279,50 @@ class TestSweep:
         assert err != ""
 
 
+class TestSweepAtTheLCap:
+    """A sweep over MAX_L_VALUES distinct L values evaluates them in one call,
+    and each line holds what a call with that L alone gives on the same
+    point or curve parameter."""
+
+    GRID = np.geomspace(1.0, 1e9, sc.MAX_L_VALUES).tolist()
+    SCENES = pytest.mark.parametrize("name,uv,t", [
+        ("rt_disk", "0.2,1.3", 1.0),
+        ("heisenberg_annulus", "1.2,-0.7", 0.4),
+        (DENSE_SCENE, "0.3,1.1", 2.5),
+    ], ids=["rt_disk", "heisenberg_annulus", "dense_scene"])
+
+    def sweep(self, capsys, name, *argv) -> list:
+        assert len(set(self.GRID)) == sc.MAX_L_VALUES
+        code, out, _ = run(capsys, "sweep", "--scene", name, *argv,
+                           "--L", ",".join(map(repr, self.GRID)))
+        assert code == 0
+        return out.splitlines()
+
+    def lines(self, head, limit, one_L) -> list:
+        rows = [(L, float(one_L(L))) for L in self.GRID]
+        return [head] + [",".join(cli._fmt(x) for x in (L, value, limit, abs(value - limit)))
+                         for L, value in rows]
+
+    @SCENES
+    def test_K_lines_match_one_call_per_L(self, capsys, name, uv, t):
+        scene = sc.resolve_scene(name)
+        geom = SurfaceGeometry(scene.model, scene.patch, *cli._surface_point(scene, uv))
+        limit = float(cv.gauss_curvature_limit(geom))
+        want = self.lines("L,K_L,K_limit,abs_gap", limit,
+                          lambda L: cv.gauss_curvature_L(geom, L))
+        assert self.sweep(capsys, name, "--quantity", "K", "--uv", uv) == want
+
+    @SCENES
+    def test_kn_lines_match_one_call_per_L(self, capsys, name, uv, t):
+        scene = sc.resolve_scene(name)
+        cg = CurveGeometry(scene.model, scene.patch, scene.boundary[0], np.asarray(t))
+        limit = float(cv.normal_curvature_limit(cg))
+        want = self.lines("L,kn_L,kn_limit,abs_gap", limit,
+                          lambda L: cv.normal_curvature_L(cg, L))
+        assert self.sweep(capsys, name, "--quantity", "kn", "--curve", "0",
+                          "--t", repr(t)) == want
+
+
 class TestGaussBonnet:
     def test_rt_disk_report(self, capsys):
         code, out, _ = run(capsys, "gauss-bonnet", "--scene", "rt_disk", "--L", "100")
@@ -348,7 +392,8 @@ def counted(monkeypatch, cls, attr) -> list:
 
 
 class TestCurveGeometryBuilds:
-    """Single-point commands build each curve geometry once and share it."""
+    """Single-point commands build each curve geometry and each L assembly
+    once and share it."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -359,6 +404,13 @@ class TestCurveGeometryBuilds:
                            "--curve", "0", "--t", "0.3", "--L", "10,100,1000")
         assert code == 0 and len(out.splitlines()) == 4
         assert len(builds) == 1
+
+    def test_k_sweep_builds_one_assembly_for_every_L(self, capsys, monkeypatch):
+        assemblies = counted(monkeypatch, cv.LFormAssembly, "__init__")
+        code, out, _ = run(capsys, "sweep", "--scene", "rt_disk", "--quantity", "K",
+                           "--uv", "0.2,1.3", "--L", "10,100,1000")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert len(assemblies) == 1
 
     @pytest.mark.usefixtures("fresh_builtin_scenes")
     def test_oracle_check_builds_one_for_all_curves(self, capsys, monkeypatch, builds):
@@ -709,7 +761,8 @@ class TestFiniteOutputs:
         ("normal_curvature_L", np.array(np.nan), ("--quantity", "kn", "--t", "0.3")),
     ])
     def test_sweep_nan_exits_4(self, capsys, monkeypatch, formula, result, argv):
-        monkeypatch.setattr(cli.cv, formula, lambda *a, **k: result)
+        # the sweep evaluates its whole L grid in one call: answer NaN for every L
+        monkeypatch.setattr(cli.cv, formula, lambda geom, L: np.full(np.shape(L), result))
         code, out, err = run(capsys, "sweep", "--scene", "rt_disk", "--L", "10,100", *argv)
         assert code == 4 and out == ""
         assert "non-finite result nan" in err

@@ -14,9 +14,9 @@ import pytest
 
 from srlab import curvature as cv
 from srlab.calculus import Jet, ScalarField
-from srlab.calculus.jets import value_of
+from srlab.calculus.jets import jsqrt, value_of
 from srlab.errors import NumericalError, TransversalityError
-from srlab.frame import ConnectionFormsL
+from srlab.frame import ConnectionFormsL, koszul_connection_oracle
 from srlab.models import builtin_model
 from srlab.scenes import builtin_scene, region_scan_grid
 from srlab.surface import SurfaceGeometry, SurfacePatch
@@ -93,6 +93,46 @@ class TestMetricOracles:
         assert np.max(np.abs(kg_rev + 1.0 / r)) < 1e-12
 
 
+def omega23_koszul_values(geom: SurfaceGeometry, L: float):
+    """W23_L on (Tu, Tv) assembled from the Koszul connection oracle.
+
+    Expands X2 and X3 in the orthonormal frame (e1, e2, e3 / sqrt(L)) and
+    differentiates the component functions directly:
+
+        <D_V X2, X3> = sum_m V(c2_m) c3_m + sum_ijk v_k c2_i c3_j Koszul[ijk].
+
+    Shares no code with the structure-function connection coefficients, so
+    it cross-checks the assembled form end to end.
+    """
+    gam = koszul_connection_oracle(geom.frame, L)
+    s = np.sqrt(L)
+    x, y, A = geom.x, geom.y, geom.A
+    inv_denom = 1.0 / jsqrt(A * A + L)
+    c2 = (x, y, Jet.constant(0.0, 2, x.order))
+    c3 = (A * y * inv_denom, -(A * x) * inv_denom, s * inv_denom)
+    base = geom.frame.shape
+
+    def along(vec_index, pairings):
+        vk = [value_of(pairings[0]), value_of(pairings[1]), s * value_of(pairings[2])]
+        total = sum(value_of(c.deriv(vec_index)) * value_of(d) for c, d in zip(c2, c3))
+        total = np.broadcast_to(np.asarray(total, dtype=float), base).copy()
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    total += value_of(c2[i]) * value_of(c3[j]) * vk[k] * gam[i, j, k]
+        return total
+
+    return along(0, geom.coframe_Tu), along(1, geom.coframe_Tv)
+
+
+def gauss_curvature_limit_via_form(geom: SurfaceGeometry):
+    """Second route to K: -d(pullback of A e^3) evaluated on (f2, f3)."""
+    form = cv.limit_connection_form(geom)
+    a2, b2 = geom.tangent_components(geom.f2)
+    a3, b3 = geom.tangent_components(geom.f3)
+    return -form.curl() * (a2 * b3 - b2 * a3)
+
+
 class TestProjectedForm:
     def test_koszul_assembly_agreement(self):
         # same form through structure functions and through raw Koszul brackets
@@ -109,7 +149,7 @@ class TestProjectedForm:
         for model, patch, (uu, vv) in cases:
             geom = SurfaceGeometry(model, patch, uu, vv)
             p, q = cv.projected_connection_form(geom, 10.0).values()
-            pk, qk = cv.omega23_koszul_values(geom, 10.0)
+            pk, qk = omega23_koszul_values(geom, 10.0)
             gap = max(np.max(np.abs(p - pk)), np.max(np.abs(q - qk)))
             assert gap < 1e-7, f"{model.name}: koszul mismatch {gap:.2e}"
 
@@ -335,7 +375,7 @@ class TestGaussCurvature:
         ):
             geom = SurfaceGeometry(model, patch, *pts)
             direct = cv.gauss_curvature_limit(geom)
-            via_form = cv.gauss_curvature_limit_via_form(geom)
+            via_form = gauss_curvature_limit_via_form(geom)
             assert np.max(np.abs(direct - via_form)) < 1e-9
 
 
@@ -573,8 +613,6 @@ class TestLArrays:
     @pytest.mark.parametrize("per_node", [True, False], ids=["per-node", "rows"])
     @SCENES
     def test_connection_values_and_koszul(self, name, per_node):
-        from srlab.frame import koszul_connection_oracle
-
         scene, uu, vv = self.region(name)
         k, n = len(L_RANGE), len(uu)
         fr = SurfaceGeometry(scene.model, scene.patch, uu, vv).frame
@@ -610,8 +648,6 @@ class TestLArrays:
                     assert_rows_match(part, [w[j] for w in want], per_node, (m,))
 
     def test_non_positive_entry_raises_the_float_error(self):
-        from srlab.frame import koszul_connection_oracle
-
         scene, uu, vv = self.region("rt_disk", 2)
         geom = SurfaceGeometry(scene.model, scene.patch, uu, vv)
         circ = cv.CurveOnSurface.parse(("cos(t)", "sin(t)"), (0.0, 2 * np.pi))
@@ -620,12 +656,13 @@ class TestLArrays:
             for call in (lambda L: ConnectionFormsL(geom.frame, L),
                          lambda L: cv.LFormAssembly(geom, L),
                          lambda L: cv.gauss_curvature_L(geom, L),
-                         lambda L: cv.normal_curvature_L_jets(cg, L)):
+                         lambda L: cv.normal_curvature_L_jets(cg, L),
+                         lambda L: koszul_connection_oracle(geom.frame, L)):
                 with pytest.raises(ValueError, match="the metric parameter L must be positive"):
                     call(bad)
                 with pytest.raises(ValueError, match="the metric parameter L must be positive"):
                     call(float(np.min(bad)))
-        # the Koszul oracle's float path refuses a negative L through its square root
+        # the Koszul oracle refuses a negative scalar and a negative entry alike
         with pytest.raises(ValueError):
             koszul_connection_oracle(geom.frame, -2.0)
         with pytest.raises(ValueError):

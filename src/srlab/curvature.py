@@ -72,8 +72,8 @@ class LFormAssembly:
     of the normal away from the horizontal conormal direction; the angle
     b = beta closes to zero as L grows. The curvatures read only the angle
     jets and the values of X3, so only those are formed. The angle jets
-    carry one order less than A: the connection forms that read them carry
-    d(alpha), one order below the adapted frame.
+    carry one order less than x: the connection forms that read them carry
+    d(alpha), one order below x and y.
 
     Builds, as jets in (u, v): the three ambient connection forms restricted
     to the surface and the assembled form W23_L, which is all the curvature
@@ -134,8 +134,10 @@ class LFormAssembly:
 
     @cached_property
     def dbeta(self) -> SurfaceOneForm:
+        """d(beta) = sqrt(L) / (L + A^2) dA at order 0: the geometry carries A
+        to first derivatives, and the split reads values only."""
         A = self.geom.A
-        scale = self._root / self.denom2
+        scale = self._root / self.denom2.truncate(0)
         return SurfaceOneForm(scale * A.deriv(0), scale * A.deriv(1))
 
     @cached_property
@@ -145,11 +147,11 @@ class LFormAssembly:
 
     @cached_property
     def omega13(self) -> SurfaceOneForm:
-        sin_a, cos_a = self._sin_a, self._cos_a
-        return SurfaceOneForm(
-            -self.dbeta.P + (cos_a * self.w13.P + sin_a * self.w23.P),
-            -self.dbeta.Q + (cos_a * self.w13.Q + sin_a * self.w23.Q),
-        )
+        """At order 0, the order of d(beta)."""
+        sin_a, cos_a = self._sin_a.truncate(0), self._cos_a.truncate(0)
+        (p13, q13), (p23, q23) = ((f.P.truncate(0), f.Q.truncate(0)) for f in (self.w13, self.w23))
+        return SurfaceOneForm(-self.dbeta.P + (cos_a * p13 + sin_a * p23),
+                              -self.dbeta.Q + (cos_a * q13 + sin_a * q23))
 
     def X3_values(self):
         """Values of X3: each f3 value times 1 / sqrt(L + A^2)."""
@@ -261,10 +263,13 @@ def metric_gauss_curvature(E: Jet, F: Jet, G: Jet):
 def induced_metric_components(geom: SurfaceGeometry, L):
     """E, F, G jets of the induced metric g_L(T_i, T_j) on the patch.
 
-    L is a positive number or an array that broadcasts against the node
-    shape.
+    The pulled coframe rows are paired with Tu and Tv here, at their order
+    k - 1: the geometry stores e^1(T.) and e^2(T.) only to the order of
+    the forms, one below what the Brioschi formula reads. L is a positive
+    number or an array that broadcasts against the node shape.
     """
-    on_tu, on_tv = geom.coframe_Tu, geom.coframe_Tv
+    rows = (geom.cof1_s, geom.cof2_s, geom.omega_s)
+    on_tu, on_tv = ([pair_oneform(r, side) for r in rows] for side in (geom.Tu, geom.Tv))
     weights = (1.0, 1.0, np.asarray(L, dtype=float))
     E = sum(w * p * p for w, p in zip(weights, on_tu))
     G = sum(w * p * p for w, p in zip(weights, on_tv))
@@ -331,9 +336,10 @@ class CurveGeometry:
     Solves gamma' = x f2 + y f3 by normal equations in chart components and
     cross-checks y against the contact-form shortcut e^3(gamma'). The curve
     jets and the surface geometry under them share `order`; x, y and A
-    carry order - 1 in t, so the default order 2 gives the x_L' that k_n^L
-    reads, and everything the limit, the speed and the geodesic-curvature
-    oracle read, on a chart frame of order 3.
+    carry order 1 in t, the order of the geometry's f2, f3 and A, so the
+    default order 2 gives the x_L' that k_n^L reads, and everything the
+    limit, the speed and the geodesic-curvature oracle read, on a chart
+    frame of order 3.
 
     `curve` is one `CurveOnSurface` sampled at `t` (any shape), or a
     sequence of curves with a matching sequence of 1-d sample arrays: the

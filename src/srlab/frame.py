@@ -135,9 +135,10 @@ class FrameData:
       and [e1, e2]);
     - sf, all nine structure functions: K - 3 (brackets with e3).
 
-    A surface geometry of order k pulls the coframe and e3 at k - 1 = K - 2
-    and its connection forms read the structure functions at k - 2 = K - 3,
-    so order 4 at the chart level serves the curvature work on a surface.
+    A surface geometry of order k pulls the coframe at k - 1 = K - 2 and
+    e1, e2, e3 at min(k - 1, 1), and its connection forms read the
+    structure functions at k - 2 = K - 3, so order 4 at the chart level
+    serves the curvature work on a surface.
     Every coefficient is bitwise the truncation of the full-order formula.
 
     After its pullbacks a geometry keeps a cut of its frame: e1, e2 and e3

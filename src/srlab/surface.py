@@ -131,18 +131,32 @@ def _kept(fr: FrameData, low: int, frames: int = 1) -> FrameData:
 class SurfaceGeometry:
     """Adapted frame data at parameter points, all stored as (u, v) jets.
 
-    At surface order k the patch jets carry order k, the tangents and the
-    adapted frame (x, y, A, f1, f2, f3, the wedge) order k - 1, on a chart
-    frame of order k + 1. Order 2 gives A, x and y with first derivatives
-    (K, the limit form and every boundary integrand); order 3 adds the
-    second derivatives that the curl of W23_L reads. Each coefficient is
-    bitwise the same at every order that carries it.
+    Each jet is built at the highest order a reader takes. At surface order
+    k (2 or 3), on a chart frame of order k + 1:
+
+        phi                                          k
+        Tu, Tv, omega_s, cof1_s, cof2_s, x, y        k - 1
+        e^3(Tu), e^3(Tv) (coframe_Tu[2], ...[2])     k - 1
+        e^1(T.), e^2(T.) (coframe_Tu[:2], ...[:2])   k - 2
+        e1_s, e2_s, e3_s, f1, f1cov, A, f2, f3       min(k - 1, 1)
+        wedge                                        0
+
+    Order 2 gives x and y with first derivatives (K, the limit form and
+    every boundary integrand); order 3 adds the second derivatives that
+    the curl of W23_L reads. The L-adapted forms read the e^1, e^2
+    pairings at k - 2 (`curvature.LFormAssembly`). Nothing reads A or the
+    frame vectors beyond first derivatives: K and d(beta) take values of
+    dA, the forms take A at k - 2, and a curve reads the f2, f3 and A it
+    pulls to first derivatives in t (`curvature.CurveGeometry`). The wedge
+    is read as a value. Each coefficient is bitwise the truncation of the
+    same formula built with every jet at k - 1, and so the same at every
+    order that carries it.
 
     Of the chart frame, the geometry keeps only the cut its later readers
-    take (`frame`, see `FrameData`). The pullbacks read it at order k - 1,
-    so the orders above that are freed before they are built, and the rest
-    of the cut once they are. Every intermediate jet of the construction is
-    freed after its last read.
+    take (`frame`, see `FrameData`). The pullbacks read it at the orders of
+    the table, so the orders above are freed before they are built, and the
+    rest of the cut once they are. Every intermediate jet of the
+    construction is freed after its last read.
 
     A region quadrature item's geometry is cut further, to what the region
     integrands (K dsigma, the Stokes curl, K_L) read
@@ -173,12 +187,14 @@ class SurfaceGeometry:
 
         self.order = order
         frame = model.frame([np.asarray(j.value) for j in phi], order=order + 1)
-        # the pullbacks read omega, e^1, e^2 and e1, e2, e3 at the composer's
-        # order and later readers only the cut `_kept` takes, so the rest of
-        # the frame is freed before the pullbacks are built, and their
-        # sources once they are
+        # the pullbacks read omega, e^1, e^2 at the composer's order and e1,
+        # e2, e3 at `vec`, and later readers only the cut `_kept` takes, so
+        # the rest of the frame is freed before the pullbacks are built, and
+        # their sources once they are
         low = order - 1
-        sources = [_cut(f, low) for f in (frame.omega, *frame.coframe[:2], *frame.frames())]
+        vec = min(low, 1)
+        sources = ([_cut(f, low) for f in (frame.omega, *frame.coframe[:2])]
+                   + [_cut(f, vec) for f in frame.frames()])
         self.frame = _kept(frame, low)
         del frame
         self._characteristic_check()
@@ -191,23 +207,30 @@ class SurfaceGeometry:
         self.omega_s, self.cof1_s, self.cof2_s = (tuple(row) for row in pulled[:3])
         self.e1_s, self.e2_s, self.e3_s = pulled[3:]
 
-        # e^k(Tu) and e^k(Tv) for k = 1..3, which the finite-L forms and the
-        # induced metric read as well
-        rows = (self.cof1_s, self.cof2_s, self.omega_s)
-        self.coframe_Tu = tuple(pair_oneform(r, self.Tu) for r in rows)
-        self.coframe_Tv = tuple(pair_oneform(r, self.Tv) for r in rows)
+        # e^k(Tu) and e^k(Tv) for k = 1..3, which the finite-L forms read as
+        # well: e^3 at order - 1 for x and y, e^1 and e^2 one order below,
+        # the order of the forms
+        self.coframe_Tu, self.coframe_Tv = (self._pairings(side, low - 1)
+                                            for side in (self.Tu, self.Tv))
         self.x, self.y, self.wedge = self._horizontal()
-        self.f1 = [self.y * a - self.x * b for a, b in zip(self.e1_s, self.e2_s)]
-        self.f1cov = self._conormal()
+        x, y = self.x.truncate(vec), self.y.truncate(vec)
+        self.f1 = [y * a - x * b for a, b in zip(self.e1_s, self.e2_s)]
+        self.f1cov = self._conormal(vec)
         self.A = -pair_oneform(self.f1cov, self.e3_s)
+
+    def _pairings(self, tangent, order: int) -> tuple:
+        """e^1, e^2 on `tangent` at `order`, and e^3 at the tangent's order."""
+        cut = _cut(tangent, order)
+        return (pair_oneform(_cut(self.cof1_s, order), cut),
+                pair_oneform(_cut(self.cof2_s, order), cut),
+                pair_oneform(self.omega_s, tangent))
 
     def _horizontal(self) -> tuple:
         """x, y and the wedge (f^2 ^ f^3)(Tu, Tv), oriented so the wedge is positive.
 
         Each intermediate jet is freed after its last read.
         """
-        cof1_Tu, cof2_Tu, omega_Tu = self.coframe_Tu
-        cof1_Tv, cof2_Tv, omega_Tv = self.coframe_Tv
+        omega_Tu, omega_Tv = self.coframe_Tu[2], self.coframe_Tv[2]
 
         # horizontal tangent direction: t = -omega(Tv) Tu + omega(Tu) Tv
         t = [omega_Tu * b - omega_Tv * a for a, b in zip(self.Tu, self.Tv)]
@@ -215,19 +238,20 @@ class SurfaceGeometry:
         y_raw = pair_oneform(self.cof2_s, t)
         del t
 
-        # orientation: require (f^2 ^ f^3)(Tu, Tv) > 0, flipping f2 if needed
-        f2_Tu = x_raw * cof1_Tu + y_raw * cof2_Tu
-        f2_Tv = x_raw * cof1_Tv + y_raw * cof2_Tv
-        wedge_raw = f2_Tu * omega_Tv - f2_Tv * omega_Tu
-        del f2_Tu, f2_Tv
+        # orientation: require (f^2 ^ f^3)(Tu, Tv) > 0, flipping f2 if needed;
+        # only the wedge's value is read, so it is built at order 0
+        x0, y0 = x_raw.truncate(0), y_raw.truncate(0)
+        (c1u, c2u, wu), (c1v, c2v, wv) = (_cut(side, 0)
+                                          for side in (self.coframe_Tu, self.coframe_Tv))
+        wedge_raw = (x0 * c1u + y0 * c2u) * wv - (x0 * c1v + y0 * c2v) * wu
         sign = np.where(np.asarray(wedge_raw.value) >= 0.0, 1.0, -1.0)
 
         inv_h = 1.0 / jsqrt(x_raw * x_raw + y_raw * y_raw)
-        return sign * x_raw * inv_h, sign * y_raw * inv_h, sign * wedge_raw * inv_h
+        return sign * x_raw * inv_h, sign * y_raw * inv_h, sign * wedge_raw * inv_h.truncate(0)
 
-    def _conormal(self) -> tuple:
-        """f^1, the covector normal to the surface with f^1(f1) = 1."""
-        normal = _cross(self.Tu, self.Tv)
+    def _conormal(self, order: int) -> tuple:
+        """f^1, the covector normal to the surface with f^1(f1) = 1, at `order`."""
+        normal = _cross(_cut(self.Tu, order), _cut(self.Tv, order))
         pairing = pair_oneform(normal, self.f1)
         pv = np.asarray(pairing.value)
         if np.any(np.abs(pv) < 1e-14):

@@ -18,6 +18,7 @@ from srlab import cli, surface
 from srlab.calculus import bracket_jets, chart_seeds, d_oneform_jets, eval_twoform, pair_oneform
 from srlab.calculus import jets as jets_module
 from srlab.calculus.jets import Jet, value_of
+from srlab.curvature import gauss_equation_decomposition
 from srlab.errors import DegenerateFrameError, NonContactError, UnknownModelError
 from srlab.frame import (
     SF_KEYS,
@@ -423,6 +424,15 @@ class TestFrameOrders:
         stokes_consistency_gap(scene)
         assert calls and all(a == b for a, b in calls)
 
+    def test_gauss_equation_split_meets_no_two_orders(self, monkeypatch):
+        # d(beta) and W13_L are read as values and built at order 0
+        scene = load_scene(DENSE_SCENE)
+        geom = SurfaceGeometry(scene.model, scene.patch, np.array([0.3, -1.2]),
+                               np.array([1.1, 0.4]))
+        calls = self.record_meta(monkeypatch)
+        gauss_equation_decomposition(geom, 100.0)
+        assert calls and all(a == b for a, b in calls)
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_surface_geometry_meets_no_two_orders(self, order, monkeypatch):
         scene = load_scene(DENSE_SCENE)
@@ -432,15 +442,15 @@ class TestFrameOrders:
         assert calls and all(a == b for a, b in calls)
 
     def test_one_reciprocal_per_divisor(self, monkeypatch):
-        # tau (chart order 3) and det (2) in the frame; |t| and the normal
-        # pairing (surface order 2) in the adapted frame
+        # tau (chart order 3) and det (2) in the frame; |t| (surface order 2)
+        # and the normal pairing (order 1, the order of f1) in the adapted frame
         scene = load_scene(DENSE_SCENE)
         calls = []
         reciprocal = jets_module._reciprocal
         monkeypatch.setattr(jets_module, "_reciprocal",
                             lambda u: calls.append(u.order) or reciprocal(u))
         SurfaceGeometry(scene.model, scene.patch, np.array([0.3, -1.2]), np.array([1.1, 0.4]), 3)
-        assert sorted(calls) == [2, 2, 2, 3]
+        assert sorted(calls) == [1, 2, 2, 3]
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_low_order_names_the_frame(self, order):

@@ -34,6 +34,7 @@ from conftest import shipped_config
 from srlab import cli
 from srlab import curvature as cv
 from srlab import measures as ms
+from srlab.calculus.jets import Jet, _tables, _zero
 from srlab.curvature import CurveOnSurface
 from srlab.errors import CharacteristicPointError, SceneError, TransversalityError
 from srlab.models import builtin_model
@@ -974,9 +975,9 @@ class TestRegionCut:
 
     def test_kept_orders(self):
         cut, whole = self.geometries("dense", 3)
-        for attr in ("A", "x", "y", "wedge"):
-            assert getattr(cut, attr).order == getattr(whole, attr).order == 2
-        assert all(p.order == 2 for p in whole.coframe_Tu + whole.coframe_Tv)
+        for attr, k in (("x", 2), ("y", 2), ("A", 1), ("wedge", 0)):
+            assert getattr(cut, attr).order == getattr(whole, attr).order == k
+        assert [p.order for p in whole.coframe_Tu + whole.coframe_Tv] == [1, 1, 2] * 2
         assert all(p.order == 1 for p in cut.coframe_Tu + cut.coframe_Tv)
         assert {c.order for c in whole.Tu + whole.Tv} == {2}
         assert {c.order for c in cut.Tu + cut.Tv} == {0}
@@ -1473,16 +1474,24 @@ class TestRetainedHeap:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 3000
 
 
+def dense_item_task() -> ms._Task:
+    """The region task of a dense report with three L rows: K and the curl
+    with three K_L rows, so its items build order-3 geometry."""
+    sc = dense_scene()
+    fns = (ms._K_dsigma, ms._limit_curl) + tuple(ms._K_dsigma_L(L) for L in (1e2, 1e3, 1e4))
+    return ms._Task(partial(ms._surface_geometry, sc.model, sc.patch.phi), fns, sc.region,
+                    ms.QuadratureSpec(), (0,))
+
+
 class TestItemWorkingSet:
     def test_dense_item_heap_peak(self):
         """One 8192-node dense item, K and the curl with three K_L rows at
-        order 3, peaks at 23.1 MB of traced heap: 28.9 MB while construction
-        held each jet until it returned and the item kept jets no region
-        integrand reads, 38.2 MB while a geometry kept its whole chart frame."""
-        sc = dense_scene()
-        fns = (ms._K_dsigma, ms._limit_curl) + tuple(ms._K_dsigma_L(L) for L in (1e2, 1e3, 1e4))
-        task = ms._Task(partial(ms._surface_geometry, sc.model, sc.patch.phi), fns, sc.region,
-                        ms.QuadratureSpec(), (0,))
+        order 3, peaks at 21.7 MB of traced heap: 23.1 MB while the geometry
+        built A, f1, f^1, the pulled frame and the wedge at order 2, 28.9 MB
+        while construction held each jet until it returned and the item kept
+        jets no region integrand reads, 38.2 MB while a geometry kept its
+        whole chart frame."""
+        task = dense_item_task()
         ms._evaluate([task], (0, 0, task.per_cell))   # fills the jet tables and rule caches
         tracemalloc.start()
         try:
@@ -1490,4 +1499,43 @@ class TestItemWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 22.5e6
+
+
+def formed_pairs(a: Jet, b: Jet) -> int:
+    """The coefficient pairs the product a * b forms: both factors live
+    (not a structural zero) and their total degree within the lower order."""
+    tables = _tables(a.nvars, min(a.order, b.order))
+    live_b = [j for j, c in enumerate(b.coef[:tables.ncoef]) if not _zero(c)]
+    return sum(sum(j < len(row) for j in live_b)
+               for c, row in zip(a.coef, tables.mul_rows) if not _zero(c))
+
+
+class TestItemWork:
+    """The jet work of one dense item, counted exactly, so a rise is a
+    regression no timing noise can hide (ROADMAP item 18)."""
+
+    # Recorded by the change after 2d0c97c, which builds each geometry jet
+    # only to the order its readers take; 2d0c97c formed 608 products and
+    # 3071 pairs. A change that lowers a count lowers its figure here.
+    MOST = {"jet products": 582, "jet coefficient pairs": 2722}
+
+    def test_dense_item_work_counts(self, monkeypatch):
+        """One 8192-node dense item at order 3 (K, the curl, three K_L rows):
+        every Jet product, by a jet or a number, and the pairs jet-by-jet
+        products form."""
+        task = dense_item_task()
+        counts = dict.fromkeys(self.MOST, 0)
+        mul = Jet.__mul__
+
+        def counting(a, b):
+            counts["jet products"] += 1
+            if isinstance(b, Jet):
+                counts["jet coefficient pairs"] += formed_pairs(a, b)
+            return mul(a, b)
+
+        monkeypatch.setattr(Jet, "__mul__", counting)
+        monkeypatch.setattr(Jet, "__rmul__", counting)
+        ms._evaluate([task], (0, 0, 8192))
+        for name, most in self.MOST.items():
+            assert counts[name] <= most, f"{name} rose to {counts[name]}, at most {most}"

@@ -7,29 +7,34 @@ rototranslation plane y = 0 it is A = -cot(v) for v in (0, pi). Both signs
 follow from the orientation rule tying f2 to the parametrization.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from srlab.calculus import pair_oneform
+from srlab.calculus.jets import Composer, Jet, jsqrt
 from srlab.calculus.jets import value_of as jval
 from srlab.curvature import LFormAssembly
 from srlab.errors import CharacteristicPointError, ImmersionError
-from srlab.frame import metric_matrix, _cross
+from srlab.frame import metric_matrix, _cross, _cut
 from srlab.measures import region_scan_grid
 from srlab.models import builtin_model
-from srlab.scenes import BUILTIN_SCENES, builtin_scene
+from srlab.scenes import BUILTIN_SCENES, builtin_scene, load_scene
 from srlab.surface import (
     EPS_CHAR,
     SurfaceGeometry,
     SurfacePatch,
     characteristic_report,
     immersion_ratio,
+    tangents,
 )
 
 HEIS = builtin_model("heisenberg")
 ROTO = builtin_model("rototranslation")
 PLANE = SurfacePatch.parse(("u", "v", "0"))
 RPLANE = SurfacePatch.parse(("u", "0", "v"))
+DENSE_SCENE = Path(__file__).parent / "golden" / "dense_scene.json"
 
 
 def vec_values(vec, shape=()):
@@ -177,8 +182,9 @@ def jet_bits(jet):
 
 
 class TestStoredPairings:
-    """The geometry keeps e^k(Tu) and e^k(Tv), k = 1..3, and each is the
-    pairing itself, bit for bit."""
+    """The geometry keeps e^k(Tu) and e^k(Tv), k = 1..3: e^3 at the tangents'
+    order and e^1, e^2 one order below, each the pairing itself truncated to
+    that order, bit for bit."""
 
     @pytest.mark.parametrize("name", BUILTIN_SCENES)
     @pytest.mark.parametrize("order", [2, 3])
@@ -188,8 +194,83 @@ class TestStoredPairings:
         rows = (g.cof1_s, g.cof2_s, g.omega_s)
         for stored, tangent in ((g.coframe_Tu, g.Tu), (g.coframe_Tv, g.Tv)):
             assert len(stored) == 3
-            for jet, row in zip(stored, rows):
-                assert jet_bits(jet) == jet_bits(pair_oneform(row, tangent))
+            for jet, row, k in zip(stored, rows, (order - 2, order - 2, order - 1)):
+                assert jet.order == k
+                assert jet_bits(jet) == jet_bits(pair_oneform(row, tangent).truncate(k))
+
+
+def full_order_geometry(model, patch, u, v, k) -> dict:
+    """The adapted frame with every jet at k - 1, as an order-k geometry was
+    built before each jet was cut to the order its readers take."""
+    phi = patch.jets(u, v, k)
+    tu, tv = tangents(phi)
+    fr = model.frame([np.asarray(j.value) for j in phi], order=k + 1)
+    pull = Composer([j.centered().truncate(k - 1) for j in phi]).pull
+    omega, cof1, cof2, e1, e2, e3 = ([pull(c) for c in _cut(f, k - 1)]
+                                     for f in (fr.omega, *fr.coframe[:2], *fr.frames()))
+    on_tu = [pair_oneform(r, tu) for r in (cof1, cof2, omega)]
+    on_tv = [pair_oneform(r, tv) for r in (cof1, cof2, omega)]
+    t = [on_tu[2] * b - on_tv[2] * a for a, b in zip(tu, tv)]
+    x_raw, y_raw = pair_oneform(cof1, t), pair_oneform(cof2, t)
+    f2_tu = x_raw * on_tu[0] + y_raw * on_tu[1]
+    f2_tv = x_raw * on_tv[0] + y_raw * on_tv[1]
+    wedge_raw = f2_tu * on_tv[2] - f2_tv * on_tu[2]
+    sign = np.where(np.asarray(wedge_raw.value) >= 0.0, 1.0, -1.0)
+    inv_h = 1.0 / jsqrt(x_raw * x_raw + y_raw * y_raw)
+    x, y, wedge = sign * x_raw * inv_h, sign * y_raw * inv_h, sign * wedge_raw * inv_h
+    f1 = [y * a - x * b for a, b in zip(e1, e2)]
+    normal = _cross(tu, tv)
+    inv_pairing = 1.0 / pair_oneform(normal, f1)
+    f1cov = [c * inv_pairing for c in normal]
+    A = -pair_oneform(f1cov, e3)
+    return {"phi": phi, "Tu": tu, "Tv": tv, "omega_s": omega, "cof1_s": cof1, "cof2_s": cof2,
+            "e1_s": e1, "e2_s": e2, "e3_s": e3, "coframe_Tu": on_tu, "coframe_Tv": on_tv,
+            "x": [x], "y": [y], "wedge": [wedge], "f1": f1, "f1cov": f1cov, "A": [A],
+            "f2": [x * a + y * b for a, b in zip(e1, e2)],
+            "f3": [a + A * b for a, b in zip(e3, f1)]}
+
+
+class TestReaderOrders:
+    """Each jet a geometry stores carries the order of the `SurfaceGeometry`
+    docstring's table, and is bitwise the truncation of the full-order
+    formula to it."""
+
+    @staticmethod
+    def table(k) -> dict:
+        """The docstring's table: stored jet -> its order, one per entry of the
+        coframe pairings (e^1, e^2, e^3)."""
+        low, vec = k - 1, min(k - 1, 1)
+        orders = dict.fromkeys(("Tu", "Tv", "omega_s", "cof1_s", "cof2_s", "x", "y"), low)
+        orders.update(dict.fromkeys(("e1_s", "e2_s", "e3_s", "f1", "f1cov", "A", "f2", "f3"), vec))
+        orders.update(phi=k, wedge=0, coframe_Tu=(k - 2, k - 2, low), coframe_Tv=(k - 2, k - 2, low))
+        return orders
+
+    @staticmethod
+    def scene(name):
+        return load_scene(DENSE_SCENE) if name == "dense" else builtin_scene(name)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("name", [*BUILTIN_SCENES, "dense"])
+    def test_orders_and_bits_match_the_full_order_formula(self, name, order):
+        sc = self.scene(name)
+        u, v = region_scan_grid(sc.region, 7)
+        g = SurfaceGeometry(sc.model, sc.patch, u, v, order)
+        want = full_order_geometry(sc.model, sc.patch, u, v, order)
+        orders = self.table(order)
+        # the table names every stored jet, and the f2 and f3 built on first use
+        stored = {key for key, val in vars(g).items()
+                  if isinstance(val, Jet) or isinstance(val, (list, tuple))
+                  and val and all(isinstance(c, Jet) for c in val)}
+        assert stored | {"f2", "f3"} == set(orders)
+        for key, k in orders.items():
+            jets = getattr(g, key)
+            jets = [jets] if isinstance(jets, Jet) else list(jets)
+            ks = k if isinstance(k, tuple) else (k,) * len(jets)
+            assert len(jets) == len(ks) == len(want[key]), key
+            for jet, ref, kk in zip(jets, want[key], ks):
+                assert jet.order == kk, key
+                assert ref.order >= kk, key
+                assert jet_bits(jet) == jet_bits(ref.truncate(kk)), key
 
 
 class TestAdaptedFrameRototranslation:

@@ -356,8 +356,10 @@ def _curve_oracle_gaps(scene, draws, rows, n: int) -> list:
     every row, laid end to end with L given per node, serves them all; the
     curves are grouped so that no geometry holds more than MAX_SAMPLES
     nodes. Each gap is the max over its own curve's and row's samples. A
-    group that fails a check is evaluated again curve by curve, so the first
-    failing curve raises what it raises on its own.
+    group's build fails exactly when one of its curves would fail alone, but
+    its message may be another curve's; this is the one rule that picks the
+    error: a failing group is evaluated again curve by curve, so the first
+    failing curve raises its own error (the group's stands if none does).
     """
     k = len(rows)
     L = np.repeat(np.asarray(rows, dtype=float), n)

@@ -31,6 +31,32 @@ def shipped_config(name: str) -> dict:
                       .read_text(encoding="utf-8"))
 
 
+def perturb_slow_curve_y(monkeypatch, below: float):
+    """Patch the curve pipeline's tangent decomposition so that y is off by
+    1e-6 at the first node whose chart speed |gamma'| is below `below`.
+
+    On a flat patch phi = (u, v, 0) the chart speed is the parameter speed,
+    so `below` picks one of several curves that run at different speeds.
+    """
+    import numpy as np
+
+    from srlab import curvature
+    from srlab.calculus.jets import Jet, value_of
+
+    solve = curvature.basis_components
+
+    def perturbed(p, q, w):
+        x, y = solve(p, q, w)
+        slow = np.flatnonzero(np.sqrt(sum(value_of(c) ** 2 for c in w)) < below)
+        if slow.size:
+            value = np.array(y.coef[0], dtype=float)
+            value.flat[slow[0]] += 1e-6
+            y = Jet(y.nvars, y.order, [value] + y.coef[1:])
+        return x, y
+
+    monkeypatch.setattr(curvature, "basis_components", perturbed)
+
+
 @pytest.fixture
 def fresh_builtin_scenes():
     """Start from an empty shipped-scene memo, so the test's first load validates in full."""

@@ -7,18 +7,20 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import shipped_config
+from conftest import perturb_slow_curve_y, shipped_config
 from srlab import cli
 from srlab import curvature as cv
 from srlab import frame
 from srlab import measures as ms
 from srlab import scenes as sc
 from srlab.curvature import CurveGeometry
-from srlab.errors import CharacteristicPointError, SamplingError
+from srlab.errors import (CharacteristicPointError, NumericalError, SamplingError,
+                          TransversalityError)
 from srlab.frame import SubRiemannianModel
 from srlab.measures import Region
 from srlab.surface import SurfaceGeometry
@@ -545,6 +547,34 @@ class TestOracleCheckCurveBatches:
         # curves that pass one by one leave the group's own error
         assert run(capsys, "oracle-check", "--scene", "heisenberg_annulus", "--L", "1") == (
             4, "", "numerical error: the joined build fails first\n")
+
+    def test_each_curve_reports_its_own_transversality_minimum(self):
+        # on the rototranslation plane the horizontal line field is d/dv: the
+        # side v = 1.2 is transverse to it, u = 0.5 + 1e-7 t nearly tangent
+        # and u = 0.5 tangent, whose 0 is the least over the joined nodes
+        rt = sc.builtin_scene("rt_disk")
+        curves = tuple(cv.CurveOnSurface.parse(c, span) for c, span in (
+            (("t", "1.2"), (-0.5, 0.5)), (("0.5 + 1e-7*t", "t"), (1.0, 2.0)),
+            (("0.5", "t"), (1.0, 2.0))))
+        scene = SimpleNamespace(model=rt.model, patch=rt.patch, boundary=curves)
+        draws = [[np.array([0.0, 0.2]), np.array([1.1, 1.6]), np.array([1.3, 1.9])]]
+        with pytest.raises(TransversalityError, match=r"= 0\.000e\+00 "):
+            CurveGeometry(rt.model, rt.patch, curves, draws[0]).require_transverse()
+        with pytest.raises(TransversalityError, match=r"= 8\.912e-08 "):
+            cli._curve_oracle_gaps(scene, draws, [1.0], 2)
+
+    def test_tangent_decomposition_failure_names_its_own_curve(self, capsys, monkeypatch):
+        # the inner circle of the annulus runs at chart speed 1, the outer at 2
+        scene = sc.builtin_scene("heisenberg_annulus")
+        outer, inner = scene.boundary
+        t = np.linspace(0.1, 6.0, 4)
+        perturb_slow_curve_y(monkeypatch, 1.5)
+        CurveGeometry(scene.model, scene.patch, outer, t)
+        with pytest.raises(NumericalError) as own:
+            CurveGeometry(scene.model, scene.patch, inner, t)
+        assert "tangent decomposition disagrees" in str(own.value)
+        assert run(capsys, "oracle-check", "--scene", "heisenberg_annulus", "--L", "1,10") == (
+            4, "", f"numerical error: {own.value}\n")
 
 
 class TestUsage:

@@ -34,6 +34,7 @@ from conftest import shipped_config
 from srlab import cli
 from srlab import curvature as cv
 from srlab import measures as ms
+from srlab.calculus import jets
 from srlab.calculus.jets import Jet, _tables, _zero
 from srlab.curvature import CurveOnSurface
 from srlab.errors import CharacteristicPointError, SceneError, TransversalityError
@@ -1511,6 +1512,43 @@ def formed_pairs(a: Jet, b: Jet) -> int:
                for c, row in zip(a.coef, tables.mul_rows) if not _zero(c))
 
 
+def count_work(monkeypatch, run) -> dict:
+    """Geometry builds and their nodes, jet products by a jet or a number,
+    the pairs jet-by-jet products form, and reciprocals, while `run` runs."""
+    counts = collections.Counter()
+
+    def counted(cls, key, nodes):
+        init = cls.__init__
+
+        def build(self, model, patch, where, t, *rest):
+            counts[f"{key} builds"] += 1
+            counts[f"{key} nodes"] += nodes(where, t)
+            init(self, model, patch, where, t, *rest)
+
+        monkeypatch.setattr(cls, "__init__", build)
+
+    counted(SurfaceGeometry, "surface geometry", lambda u, v: np.broadcast(u, v).size)
+    counted(cv.CurveGeometry, "curve geometry", lambda curve, t: np.size(t))
+    mul, reciprocal = Jet.__mul__, jets._reciprocal
+
+    def product(a, b):
+        counts["jet products"] += 1
+        if isinstance(b, Jet):
+            counts["jet coefficient pairs"] += formed_pairs(a, b)
+        return mul(a, b)
+
+    def counted_reciprocal(u):
+        counts["reciprocals"] += 1
+        return reciprocal(u)
+
+    monkeypatch.setattr(Jet, "__mul__", product)
+    monkeypatch.setattr(Jet, "__rmul__", product)
+    monkeypatch.setattr(jets, "_reciprocal", counted_reciprocal)
+    monkeypatch.setattr(ms, "WORKERS", 1)
+    run()
+    return dict(counts)
+
+
 class TestItemWork:
     """The jet work of one dense item, counted exactly, so a rise is a
     regression no timing noise can hide (ROADMAP item 18)."""
@@ -1525,17 +1563,48 @@ class TestItemWork:
         every Jet product, by a jet or a number, and the pairs jet-by-jet
         products form."""
         task = dense_item_task()
-        counts = dict.fromkeys(self.MOST, 0)
-        mul = Jet.__mul__
-
-        def counting(a, b):
-            counts["jet products"] += 1
-            if isinstance(b, Jet):
-                counts["jet coefficient pairs"] += formed_pairs(a, b)
-            return mul(a, b)
-
-        monkeypatch.setattr(Jet, "__mul__", counting)
-        monkeypatch.setattr(Jet, "__rmul__", counting)
-        ms._evaluate([task], (0, 0, 8192))
+        counts = count_work(monkeypatch, lambda: ms._evaluate([task], (0, 0, 8192)))
         for name, most in self.MOST.items():
             assert counts[name] <= most, f"{name} rose to {counts[name]}, at most {most}"
+
+
+class TestReportWork:
+    """The work of a serial report with three finite-L rows, counted exactly
+    on both shipped scenes and the dense golden scene (ROADMAP item 18)."""
+
+    SCENES = ("rt_disk", "heisenberg_annulus", "dense_scene")
+    ROWS = (100.0, 1000.0, 10000.0)
+    # Recorded at 91dbbd2. A change that lowers a count lowers its figure
+    # here. Surface geometry builds include the one under each curve geometry.
+    MOST = {
+        "rt_disk": {
+            "surface geometry builds": 12, "surface geometry nodes": 89088,
+            "curve geometry builds": 2, "curve geometry nodes": 7168,
+            "jet products": 4706, "jet coefficient pairs": 3781, "reciprocals": 89,
+        },
+        "heisenberg_annulus": {
+            "surface geometry builds": 12, "surface geometry nodes": 88064,
+            "curve geometry builds": 2, "curve geometry nodes": 6144,
+            "jet products": 4427, "jet coefficient pairs": 3216, "reciprocals": 93,
+        },
+        "dense_scene": {
+            "surface geometry builds": 12, "surface geometry nodes": 88064,
+            "curve geometry builds": 2, "curve geometry nodes": 6144,
+            "jet products": 6947, "jet coefficient pairs": 29515, "reciprocals": 93,
+        },
+    }
+
+    @staticmethod
+    def scene(name):
+        if name == "dense_scene":
+            return load_scene(Path(__file__).parent / "golden" / "dense_scene.json")
+        return builtin_scene(name)
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_serial_report_work_counts(self, monkeypatch, name):
+        scene = self.scene(name)
+        counts = count_work(monkeypatch, lambda: ms.gauss_bonnet_residual(scene, self.ROWS))
+        # a counter that never moved means its hook no longer sees the work
+        assert set(counts) == set(self.MOST[name])
+        for counter, most in self.MOST[name].items():
+            assert counts[counter] <= most, f"{counter} rose to {counts[counter]}, at most {most}"
